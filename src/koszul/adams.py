@@ -32,7 +32,7 @@ from .cotor import (
     collapse_audit,
     e2_closed_form,
 )
-from .linalg import Coefficients, IntegerLattice, cokernel_invariants, is_prime
+from .linalg import Coefficients, IntegerLattice, is_prime
 from .rings import (
     DegreeWindow,
     IdealSpec,
@@ -245,10 +245,6 @@ class CompletionReport:
         return "\n".join(lines)
 
 
-def _invariants_at(ring: RingSpec, gens, t: int) -> tuple[int, tuple[int, ...]]:
-    return cokernel_invariants(relation_matrix(ring, gens, t))
-
-
 def completion_tower(ring: RingSpec, ideal: IdealSpec,
                      window: DegreeWindow | None = None,
                      notes: tuple[str, ...] = ()) -> CompletionReport:
@@ -271,18 +267,32 @@ def completion_tower(ring: RingSpec, ideal: IdealSpec,
     if is_field:
         quotients = {s: quotient_by_power(ring, ideal, s) for s in stages}
     else:
-        gens = {s: [g for _, g in power_generators(ideal, s)] for s in stages}
-        gens[w.stage_max + 1] = [g for _, g in power_generators(ideal, w.stage_max + 1)]
+        gens = [[g for _, g in power_generators(ideal, s)] for s in range(1, w.stage_max + 2)]
     certifiable = ring.inverted is None and all(d > 0 for d in ideal.degrees)
     d_min = min(ideal.degrees) if certifiable and ideal.degrees else None
     towers: dict[int, DegreeTower] = {}
     failures: list[tuple[int, int]] = []
     for t in w.degrees():
+        # the stage values, then surjectivity of each structure map at t
         if is_field:
             values = tuple(quotients[s].dim(t) for s in stages)
             limit_val = monomial_count(ring, t)
+            for s in stages:
+                finer = (quotients[s + 1].relations if s < w.stage_max
+                         else [g for _, g in power_generators(ideal, s + 1)])
+                if not quotients[s].contains_span(list(finer), t):
+                    failures.append((s, t))
         else:
-            values = tuple(_invariants_at(ring, gens[s], t) for s in stages)
+            # one lattice per stage gives its value and must contain the
+            # relation columns of the next stage
+            rels = [relation_matrix(ring, g, t) for g in gens]
+            values = []
+            for s, rel, finer in zip(stages, rels, rels[1:]):
+                lat = IntegerLattice(rel)
+                values.append(lat.cokernel_invariants())
+                if not all(lat.contains(col) for col in finer.columns()):
+                    failures.append((s, t))
+            values = tuple(values)
             limit_val = (monomial_count(ring, t), ())
         stabilized = None
         certified = False
@@ -310,21 +320,6 @@ def completion_tower(ring: RingSpec, ideal: IdealSpec,
         towers[t] = DegreeTower(t, values, stabilized,
                                 limit_val if certified else None,
                                 certified, note)
-    # surjectivity of each structure map, degree by degree
-    for s in range(1, w.stage_max + 1):
-        for t in w.degrees():
-            if is_field:
-                finer = (quotients[s + 1].relations if s < w.stage_max
-                         else [g for _, g in power_generators(ideal, s + 1)])
-                if not quotients[s].contains_span(list(finer), t):
-                    failures.append((s, t))
-            else:
-                lat = IntegerLattice(relation_matrix(ring, gens[s], t))
-                finer_m = relation_matrix(ring, gens[s + 1], t)
-                for j in range(finer_m.cols):
-                    if not lat.contains(finer_m.column(j)):
-                        failures.append((s, t))
-                        break
     return CompletionReport(
         ring_desc=str(ring),
         entry_degrees=ideal.degrees,
@@ -333,7 +328,7 @@ def completion_tower(ring: RingSpec, ideal: IdealSpec,
         field=is_field,
         towers=towers,
         surjective=not failures,
-        surjectivity_failures=tuple(failures),
+        surjectivity_failures=tuple(sorted(failures)),
         notes=tuple(notes),
     )
 

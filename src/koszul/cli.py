@@ -60,7 +60,8 @@ def _common_flags(for_subparser: bool) -> argparse.ArgumentParser:
     common.add_argument("--axes", choices=AXIS_CHOICES, default=default("adams"),
                         help="chart axes: adams = (t-s, s), cartesian = (t, s)")
     common.add_argument("--jobs", type=int, default=default(1), metavar="N",
-                        help="worker processes for independent bidegrees")
+                        help="worker processes for independent bidegrees (N >= 1, "
+                             "capped at the CPU count)")
     return common
 
 
@@ -422,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     out_dir = Path(args.out)
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         out_dir.mkdir(parents=True, exist_ok=True)
         spec = _load_spec(args)
         return _DISPATCH[args.command](args, spec, out_dir)

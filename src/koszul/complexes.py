@@ -12,6 +12,7 @@ direction, and homology_ranks marks it instead of guessing.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .linalg import (
@@ -316,11 +317,16 @@ def homology_ranks(c: BigradedComplex, window: DegreeWindow | None = None,
     A bidegree is certain only when both neighbouring levels are fully
     described (inside the built range, or structurally zero beyond it);
     edge bidegrees get certain=False rather than a silent wrong answer.
+    jobs >= 1 bounds the worker processes, which are also capped at the CPU
+    count and the number of bidegrees; one worker means no pool at all.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     w = window or c.window
     keys = [k for k in c.bidegrees() if w.t_min <= k[1] <= w.t_max]
-    if jobs > 1:
-        return _homology_ranks_parallel(c, keys, jobs)
+    workers = min(jobs, os.cpu_count() or 1, len(keys))
+    if workers > 1:
+        return _homology_ranks_parallel(c, keys, workers)
     return {key: _homology_at(c, key) for key in keys}
 
 
@@ -340,10 +346,10 @@ def _homology_at(c: BigradedComplex, key: tuple[int, int]) -> HomologyEntry:
     return HomologyEntry(dim - rank_out - rank_in, torsion, certain)
 
 
-def _homology_ranks_parallel(c, keys, jobs):
+def _homology_ranks_parallel(c, keys, workers):
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_homology_at_star, [(c, k) for k in keys], chunksize=4))
     return dict(zip(keys, results))
 

@@ -334,13 +334,6 @@ def nullity(m: Matrix, coeffs: Coefficients) -> int:
     return len(kernel_basis(m, coeffs))
 
 
-def image_span(m: Matrix, coeffs: Coefficients) -> VectorSpan:
-    span = VectorSpan(coeffs)
-    for col in m.columns():
-        span.insert(col)
-    return span
-
-
 # ---------------------------------------------------------------------------
 # integer matrices: Smith normal form and lattice arithmetic
 
@@ -363,7 +356,12 @@ def smith_normal_form(m: Matrix) -> tuple[int, ...]:
     ()
     """
     raw, _, _ = smith_with_transforms(m, need_transforms=False)
-    # enforce the divisibility chain via gcd/lcm swaps (valid on a diagonal)
+    return _divisibility_chain(raw)
+
+
+def _divisibility_chain(raw) -> tuple[int, ...]:
+    """Invariant factors of a diagonal matrix with positive entries raw,
+    by gcd/lcm swaps (valid on a diagonal)."""
     diag = list(raw)
     changed = True
     while changed:
@@ -489,6 +487,12 @@ class IntegerLattice:
     @property
     def rank(self) -> int:
         return len(self.d)
+
+    def cokernel_invariants(self) -> tuple[int, tuple[int, ...]]:
+        """(free rank, torsion factors > 1) of Z^rows / this lattice, as
+        cokernel_invariants(m) gives them."""
+        d = _divisibility_chain(self.d)
+        return self.m.rows - len(d), tuple(v for v in d if v > 1)
 
     def contains(self, v: dict) -> bool:
         """x in col-lattice(m) iff S*x is divisible by the invariant factors."""

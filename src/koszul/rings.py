@@ -375,13 +375,8 @@ class QuotientModule:
         monos = _monomials(self.ring, t)
         index = {m: i for i, m in enumerate(monos)}
         span = VectorSpan(self.ring.coefficients)
-        for g in self.relations:
-            dg = g.degree()
-            for m in _monomials(self.ring, t - dg):
-                vec = {}
-                for e, v in (g * self.ring.monomial(m)).terms.items():
-                    vec[index[e]] = v
-                span.insert(vec)
+        for vec in _relation_multiples(self.ring, self.relations, t, index):
+            span.insert(vec)
         basis_pos = [i for i in range(len(monos)) if i not in span.pivots]
         pos_of = {p: k for k, p in enumerate(basis_pos)}
         got = (monos, index, span, basis_pos, pos_of)
@@ -412,16 +407,9 @@ class QuotientModule:
 
     def contains_span(self, other_relations: list[Element], t: int) -> bool:
         """Do the other relations' degree-t multiples land in this span?"""
-        monos, index, span, _, _ = self._at(t)
-        for g in other_relations:
-            dg = g.degree()
-            for m in _monomials(self.ring, t - dg):
-                vec = {}
-                for e, v in (g * self.ring.monomial(m)).terms.items():
-                    vec[index[e]] = v
-                if not span.contains(vec):
-                    return False
-        return True
+        _, index, span, _, _ = self._at(t)
+        return all(span.contains(vec)
+                   for vec in _relation_multiples(self.ring, other_relations, t, index))
 
 
 def quotient_by_power(ring: RingSpec, ideal: IdealSpec, s: int) -> QuotientModule:
@@ -431,18 +419,19 @@ def quotient_by_power(ring: RingSpec, ideal: IdealSpec, s: int) -> QuotientModul
     return QuotientModule(ring, rels, name=f"R/I^{s}")
 
 
+def _relation_multiples(ring: RingSpec, relations, t: int, index: dict):
+    """The degree-t multiples g * m of each relation g, m running over the
+    monomials of degree t - |g|, as vectors in the coordinates `index`."""
+    for g in relations:
+        for m in _monomials(ring, t - g.degree()):
+            yield {index[e]: v for e, v in (g * ring.monomial(m)).terms.items()}
+
+
 def relation_matrix(ring: RingSpec, relations: list[Element], t: int) -> Matrix:
     """Columns are the degree-t multiples of the relations, in monomial coords."""
     monos = _monomials(ring, t)
     index = {m: i for i, m in enumerate(monos)}
-    cols = []
-    for g in relations:
-        dg = g.degree()
-        for m in _monomials(ring, t - dg):
-            col = {}
-            for e, v in (g * ring.monomial(m)).terms.items():
-                col[index[e]] = v
-            cols.append(col)
+    cols = list(_relation_multiples(ring, relations, t, index))
     out = Matrix(len(monos), len(cols))
     for j, col in enumerate(cols):
         for i, v in col.items():
@@ -612,27 +601,21 @@ def check_regular_sequence(ring: RingSpec, ideal: IdealSpec, window: DegreeWindo
 def _integer_injectivity_failure(ring: RingSpec, prior: list[Element], u: Element, t: int) -> str | None:
     """Is multiplication by u injective on (R/(prior))_t over Z?  None if so."""
     d = u.degree()
-    monos_src = _monomials(ring, t)
-    monos_tgt = _monomials(ring, t + d)
-    if not monos_src:
+    mult = relation_matrix(ring, [u], t + d)
+    if not mult.cols:
         return None
-    index_tgt = {m: i for i, m in enumerate(monos_tgt)}
-    mult = Matrix(len(monos_tgt), len(monos_src))
-    for j, m in enumerate(monos_src):
-        for e, v in (u * ring.monomial(m)).terms.items():
-            mult.set(index_tgt[e], j, v)
     rel_src = relation_matrix(ring, prior, t)
     rel_tgt = relation_matrix(ring, prior, t + d)
     # x gives a kernel class iff mult*x lies in the target relation lattice
     # but x is outside the source one; assemble ker[mult | -rel_tgt].
-    combined = Matrix(len(monos_tgt), len(monos_src) + rel_tgt.cols)
+    combined = Matrix(mult.rows, mult.cols + rel_tgt.cols)
     for (i, j), v in mult.entries.items():
         combined.set(i, j, v)
     for (i, j), v in rel_tgt.entries.items():
-        combined.set(i, len(monos_src) + j, -v)
+        combined.set(i, mult.cols + j, -v)
     src_lattice = IntegerLattice(rel_src) if rel_src.cols else None
     for vec in integer_kernel_basis(combined):
-        x = {i: v for i, v in vec.items() if i < len(monos_src)}
+        x = {i: v for i, v in vec.items() if i < mult.cols}
         if not x:
             continue
         if src_lattice is None or not src_lattice.contains(x):

@@ -1,15 +1,21 @@
 """Koszul complexes, ideal-power towers, and Tor tables with cross-checks.
 
 Given an ordered regular sequence u_1..u_g in an evenly graded ring R with
-I = (u_1..u_g), this module builds:
+I = (u_1..u_g), one builder, tower_free, writes every complex used here:
+the stage-s resolution of R/I^s, the sum over levels k = 0..s-1 of
+Koszul (x) U^(k), where U^(k) is free on the weakly increasing
+multi-indices of length k.  Its differential is the Koszul part plus the
+degree -1 boundary that trades an exterior factor e_i for the index i
+inserted into the multi-index (sign (-1)^position, 1-based).  Stage 1 is
+the Koszul complex on the u_i, a free resolution of R/I.
 
-  * the Koszul complex on the u_i, a free resolution of R/I;
-  * the level complexes Koszul (x) U^(k), where U^(k) is free on the weakly
-    increasing multi-indices of length k, together with the degree -1
-    boundary that trades an exterior factor e_i for the index i inserted
-    into the multi-index (sign (-1)^position, 1-based);
-  * the stage-s resolution of R/I^s assembled from levels 0..s-1, whose
-    differential combines the Koszul part with that boundary;
+The stage complex holds that boundary as its off-diagonal blocks, level k
+to level k+1.  boundary_block reads a block back out of a realized stage
+complex; it depends on tower_free ordering generators by homological
+degree and then by level, so each level is a contiguous run of every
+realized basis.  Over R/I the Koszul part vanishes and the blocks are the
+boundary complexes that the exactness audit and the second Tor pipeline
+run on.
 
 and computes Tor(R/I, R/I) and Tor(R/I, R/I^s) two independent ways each,
 raising OracleMismatchError rather than returning a table the two pipelines
@@ -21,6 +27,7 @@ homology invariants) are available.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -41,7 +48,6 @@ from .complexes import (
 from .linalg import Matrix, matrix_vector, rank_over_field
 from .rings import (
     DegreeWindow,
-    FreeModuleBasis,
     IdealSpec,
     QuotientModule,
     RingSpec,
@@ -92,27 +98,73 @@ def _indices_degree(ideal: IdealSpec, idxs) -> int:
     return sum(ideal.degrees[i - 1] for i in idxs)
 
 
-def koszul_free(ring: RingSpec, ideal: IdealSpec,
-                window: DegreeWindow | None = None) -> FreeComplex:
-    """Exterior algebra on e_i (bidegree (1, |u_i|)) with d e_i = u_i
-    extended as a derivation: d e_S = sum_k (-1)^(k-1) u_{i_k} e_{S minus i_k}."""
+def tower_free(ring: RingSpec, ideal: IdealSpec, s: int,
+               window: DegreeWindow | None = None) -> FreeComplex:
+    """The stage-s complex: levels 0..s-1 of Koszul (x) U^(k) summed, with
+    differential = Koszul part + index-insertion boundary (dropped on the
+    top level, which has nowhere to go).  Stage 1 is the Koszul complex.
+
+    On e_S u~_J the Koszul part is sum_a (-1)^a u_{i_a} e_{S minus i_a} u~_J
+    and the boundary is sum_a (-1)^(a+1) e_{S minus i_a} u~_{sort(J + i_a)},
+    for the 0-based positions a of S.  The boundary is the level k -> k+1
+    block of the differential, read back by boundary_block.  That reader
+    relies on the generator order used here: by homological degree, then by
+    level, so every level is one contiguous run of each realized basis.
+    """
     _require_plain(ring)
+    if s < 1:
+        raise ValueError("stage must be at least 1")
     kept, _ = sequence_window_cut(ring, ideal, window)
+    # coefficients indexed by a % 2, shared by every term that uses them
+    signed = {i: (ideal.sequence[i - 1], ideal.sequence[i - 1].scaled(-1)) for i in kept}
+    units = (ring.constant(-1), ring.constant(1))
     cx = FreeComplex(ring, HOMOLOGICAL)
     for r in range(len(kept) + 1):
-        for s_set in combinations(kept, r):
-            cx.add_generator(BasisLabel(e_part=s_set), r, _indices_degree(ideal, s_set))
-    for r in range(1, len(kept) + 1):
-        for s_set in combinations(kept, r):
-            terms = []
-            for a, i in enumerate(s_set):
-                rest = s_set[:a] + s_set[a + 1:]
-                coeff = ideal.sequence[i - 1]
-                if a % 2:
-                    coeff = coeff.scaled(-1)
-                terms.append((coeff, BasisLabel(e_part=rest)))
-            cx.set_diff(BasisLabel(e_part=s_set), terms)
+        for k in range(s):
+            for s_set in combinations(kept, r):
+                for j in combinations_with_replacement(kept, k):
+                    label = BasisLabel(e_part=s_set, u_part=j)
+                    cx.add_generator(
+                        label, r,
+                        _indices_degree(ideal, s_set) + _indices_degree(ideal, j))
+                    koszul, boundary = [], []
+                    for a, i in enumerate(s_set):
+                        rest = s_set[:a] + s_set[a + 1:]
+                        koszul.append((signed[i][a % 2], BasisLabel(e_part=rest, u_part=j)))
+                        if k < s - 1:
+                            boundary.append((units[a % 2], BasisLabel(
+                                e_part=rest, u_part=tuple(sorted(j + (i,))))))
+                    cx.set_diff(label, koszul + boundary)
     return cx
+
+
+def _level_of(entry) -> int:
+    return len(entry[0].u_part)
+
+
+def _level_run(entries, level: int) -> tuple[int, int]:
+    lo = bisect_left(entries, level, key=_level_of)
+    return lo, bisect_right(entries, level, lo=lo, key=_level_of)
+
+
+def boundary_block(cx: BigradedComplex, level: int, r: int, t: int):
+    """(source entries, target entries, matrix) of the index-insertion
+    boundary from level `level` at (r, t) to level + 1 at (r - 1, t), read off
+    a realized tower_free complex.
+
+    Over R/I the Koszul part vanishes and these blocks are the whole
+    differential.  Entries are (label, monomial) pairs in realized order; the
+    matrix is zero-sized where a level is empty.
+    """
+    src = cx.basis.get((r, t), [])
+    tgt = cx.basis.get((r - 1, t), [])
+    c0, c1 = _level_run(src, level)
+    r0, r1 = _level_run(tgt, level + 1)
+    block = Matrix(r1 - r0, c1 - c0)
+    for (i, j), v in cx.matrix(r, t).entries.items():
+        if r0 <= i < r1 and c0 <= j < c1:
+            block.entries[(i - r0, j - c0)] = v
+    return src[c0:c1], tgt[r0:r1], block
 
 
 def build_koszul(ring: RingSpec, ideal: IdealSpec, window: DegreeWindow | None = None,
@@ -124,135 +176,11 @@ def build_koszul(ring: RingSpec, ideal: IdealSpec, window: DegreeWindow | None =
         if not report.ok:
             raise RegularityError(report)
     name = getattr(module, "name", "") or "R"
-    cx = koszul_free(ring, ideal, window).realize(
+    cx = tower_free(ring, ideal, 1, window).realize(
         window, module=module, description=f"Koszul complex (x) {name}")
     rep = verify_differential(cx)
     if not rep.ok:
         raise DifferentialSquareError(rep)
-    return cx
-
-
-# ---------------------------------------------------------------------------
-# level complexes and the index-insertion boundary
-
-
-def _level_indices(kept, level: int):
-    return [tuple(c) for c in combinations_with_replacement(kept, level)]
-
-
-def q_level_free(ring: RingSpec, ideal: IdealSpec, level: int,
-                 window: DegreeWindow | None = None) -> FreeComplex:
-    """Koszul complex tensored with the free module on length-`level`
-    multi-indices; the differential is the Koszul one, leaving indices fixed."""
-    _require_plain(ring)
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    kept, _ = sequence_window_cut(ring, ideal, window)
-    cx = FreeComplex(ring, HOMOLOGICAL)
-    js = _level_indices(kept, level)
-    for r in range(len(kept) + 1):
-        for s_set in combinations(kept, r):
-            for j in js:
-                cx.add_generator(
-                    BasisLabel(e_part=s_set, u_part=j), r,
-                    _indices_degree(ideal, s_set) + _indices_degree(ideal, j))
-    for r in range(1, len(kept) + 1):
-        for s_set in combinations(kept, r):
-            for j in js:
-                terms = []
-                for a, i in enumerate(s_set):
-                    rest = s_set[:a] + s_set[a + 1:]
-                    coeff = ideal.sequence[i - 1]
-                    if a % 2:
-                        coeff = coeff.scaled(-1)
-                    terms.append((coeff, BasisLabel(e_part=rest, u_part=j)))
-                cx.set_diff(BasisLabel(e_part=s_set, u_part=j), terms)
-    return cx
-
-
-def _labelled_bases(ring, ideal, kept, level, window, module):
-    """dict[(r, t) -> list[(S, J, monomial)]] for Lambda(e) (x) U^(level)."""
-    w = window or ring.window
-    bases: dict[tuple[int, int], list] = {}
-    js = _level_indices(kept, level)
-    for r in range(len(kept) + 1):
-        for s_set in combinations(kept, r):
-            d_s = _indices_degree(ideal, s_set)
-            for j in js:
-                d = d_s + _indices_degree(ideal, j)
-                for t in w.degrees():
-                    for m in module.basis(t - d):
-                        bases.setdefault((r, t), []).append((s_set, j, m))
-    return bases
-
-
-def q_boundary_matrices(ring: RingSpec, ideal: IdealSpec, level: int,
-                        window: DegreeWindow | None = None, module=None):
-    """Matrices of the boundary from level to level+1 at each bidegree.
-
-    On a basis element e_S u~_J x it acts by
-    sum over positions k (1-based) of (-1)^k e_{S minus i_k} u~_{sort(J + i_k)} x;
-    the monomial part is untouched, so entries are all +-1.
-    Returns (source bases, target bases, matrices keyed by source (r, t)).
-    """
-    _require_plain(ring)
-    mod = module or FreeModuleBasis(ring)
-    kept, _ = sequence_window_cut(ring, ideal, window)
-    src = _labelled_bases(ring, ideal, kept, level, window, mod)
-    tgt = _labelled_bases(ring, ideal, kept, level + 1, window, mod)
-    coeffs = ring.coefficients
-    mats: dict[tuple[int, int], Matrix] = {}
-    tgt_index = {key: {e: i for i, e in enumerate(entries)} for key, entries in tgt.items()}
-    for (r, t), entries in src.items():
-        rows = len(tgt.get((r - 1, t), ()))
-        m = Matrix(rows, len(entries))
-        index = tgt_index.get((r - 1, t), {})
-        for col, (s_set, j, mono) in enumerate(entries):
-            for a, i in enumerate(s_set):
-                rest = s_set[:a] + s_set[a + 1:]
-                sign = -1 if a % 2 == 0 else 1  # (-1)^k with k = a + 1
-                row = index[(rest, tuple(sorted(j + (i,))), mono)]
-                m.set(row, col, coeffs.normalize(m.get(row, col) + sign))
-        mats[(r, t)] = m
-    return src, tgt, mats
-
-
-def tower_free(ring: RingSpec, ideal: IdealSpec, s: int,
-               window: DegreeWindow | None = None) -> FreeComplex:
-    """The stage-s complex: levels 0..s-1 of Koszul (x) U^(k) summed, with
-    differential = Koszul part + index-insertion boundary (dropped on the
-    top level, which has nowhere to go)."""
-    _require_plain(ring)
-    if s < 1:
-        raise ValueError("stage must be at least 1")
-    kept, _ = sequence_window_cut(ring, ideal, window)
-    cx = FreeComplex(ring, HOMOLOGICAL)
-    labels = []
-    for r in range(len(kept) + 1):
-        for k in range(s):
-            for s_set in combinations(kept, r):
-                for j in _level_indices(kept, k):
-                    label = BasisLabel(e_part=s_set, u_part=j)
-                    labels.append(label)
-                    cx.add_generator(
-                        label, r,
-                        _indices_degree(ideal, s_set) + _indices_degree(ideal, j))
-    for label in labels:
-        s_set, j = label.e_part, label.u_part
-        terms = []
-        for a, i in enumerate(s_set):
-            rest = s_set[:a] + s_set[a + 1:]
-            coeff = ideal.sequence[i - 1]
-            if a % 2:
-                coeff = coeff.scaled(-1)
-            terms.append((coeff, BasisLabel(e_part=rest, u_part=j)))
-        if len(j) < s - 1:
-            for a, i in enumerate(s_set):
-                rest = s_set[:a] + s_set[a + 1:]
-                sign = -1 if a % 2 == 0 else 1
-                terms.append((ring.constant(sign),
-                              BasisLabel(e_part=rest, u_part=tuple(sorted(j + (i,))))))
-        cx.set_diff(label, terms)
     return cx
 
 
@@ -533,29 +461,29 @@ def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
         raise RegularityError(report)
     w = window or ring.window
     quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
-    kept, _ = sequence_window_cut(ring, ideal, w)
-    bases = [_labelled_bases(ring, ideal, kept, k, w, quotient) for k in range(s)]
-    maps = []
-    for k in range(s - 1):
-        _, _, mats = q_boundary_matrices(ring, ideal, k, w, module=quotient)
-        maps.append(mats)
+    cx = tower_free(ring, ideal, s, w).realize(
+        w, module=quotient, description=f"stage-{s} complex (x) R/I")
+    bases, maps = [{} for _ in range(s)], [{} for _ in range(s - 1)]
+    for (r, t) in cx.basis:
+        for k in range(s):
+            src, _, block = boundary_block(cx, k, r, t)
+            if src:
+                bases[k][(r, t)] = src
+                if k < s - 1:
+                    maps[k][(r, t)] = block
     coeffs = ring.coefficients
     failures: list[ExactnessFailure] = []
     composite_zero = True
     for k in range(s - 2):
         for (r, t), m in maps[k].items():
-            after = maps[k + 1].get((r - 1, t))
-            if after is None or m.rows == 0:
-                continue
-            if not after.compose(m, coeffs).is_zero():
+            if m.rows and not maps[k + 1][(r - 1, t)].compose(m, coeffs).is_zero():
                 composite_zero = False
                 failures.append(ExactnessFailure(k, r, t, "composite of boundaries is nonzero"))
     interior_exact = True
     for k in range(1, s - 1):
         for (r, t), entries in bases[k].items():
             dim = len(entries)
-            out = maps[k].get((r, t))
-            rank_out = rank_over_field(out, coeffs) if out is not None else 0
+            rank_out = rank_over_field(maps[k][(r, t)], coeffs)
             incoming = maps[k - 1].get((r + 1, t))
             rank_in = rank_over_field(incoming, coeffs) if incoming is not None else 0
             if dim - rank_out != rank_in:
@@ -566,9 +494,7 @@ def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
     end_ok = True
     base_dims = {t: quotient.dim(t) for t in w.degrees()}
     for (r, t), entries in bases[0].items():
-        out = maps[0].get((r, t))
-        rank_out = rank_over_field(out, coeffs) if out is not None else 0
-        kernel = len(entries) - rank_out
+        kernel = len(entries) - rank_over_field(maps[0][(r, t)], coeffs)
         expected = base_dims.get(t, 0) if r == 0 else 0
         if kernel != expected:
             end_ok = False
@@ -647,17 +573,17 @@ def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int,
     brute = {key: entry.rank for key, entry in hom.items() if entry.rank}
     # pipeline (b): R/I at homological degree 0 plus coker of the last boundary
     quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
-    src, tgt, mats = q_boundary_matrices(ring, ideal, s - 2, w, module=quotient)
+    stage = tower_free(ring, ideal, s, w).realize(
+        w, module=quotient, description=f"stage-{s} complex (x) R/I")
     coeffs = ring.coefficients
     closed: dict[tuple[int, int], int] = {}
     for t in w.degrees():
         rank = quotient.dim(t)
         if rank:
             closed[(0, t)] = rank
-    for (r, t), entries in tgt.items():
-        incoming = mats.get((r + 1, t))
-        rank_in = rank_over_field(incoming, coeffs) if incoming is not None else 0
-        coker = len(entries) - rank_in
+    for (r, t) in stage.basis:
+        _, top, incoming = boundary_block(stage, s - 2, r + 1, t)
+        coker = len(top) - rank_over_field(incoming, coeffs)
         if coker:
             closed[(r, t)] = closed.get((r, t), 0) + coker
     for key in sorted(set(brute) | set(closed)):
@@ -774,7 +700,7 @@ def _trivial_products_check(ring, ideal, s, w, brute, jobs):
     """Multiply representing cycles in Koszul (x) stage-s algebra and insist
     every product of positive-homological-degree classes bounds."""
     free_tensor = tensor_free(
-        koszul_free(ring, ideal, w), tower_free(ring, ideal, s, w))
+        tower_free(ring, ideal, 1, w), tower_free(ring, ideal, s, w))
     cx = free_tensor.realize(w, description=f"Koszul (x) stage-{s} algebra")
     rep = verify_differential(cx)
     if not rep.ok:

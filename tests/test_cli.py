@@ -242,3 +242,11 @@ def test_jobs_flag_gives_identical_output(tmp_path):
     assert run("tor", "--spec", spec_arg("diagonal_f3.spec"), "--out", str(b),
                "--jobs", "2") == 0
     assert (a / "tor.csv").read_bytes() == (b / "tor.csv").read_bytes()
+
+
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
+    for flag in (("--jobs", "0"), ("--jobs", "-3"), ("--jobs=-1",)):
+        assert run("tor", "--spec", spec_arg("diagonal_f3.spec"),
+                   "--out", str(tmp_path), *flag) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "tor.csv").exists()

@@ -225,3 +225,36 @@ def test_parallel_matches_serial():
     assert {k: (v.rank, v.torsion, v.certain) for k, v in serial.items()} == {
         k: (v.rank, v.torsion, v.certain) for k, v in parallel.items()
     }
+
+
+def test_jobs_cap_workers_at_cpus_and_bidegrees(monkeypatch):
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class SerialPool:  # records the worker count, starts no process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    c = exterior_on(one_variable_ring(), [0, 0]).realize()
+    serial = homology_ranks(c)
+    assert 3 < len(serial) < 64
+    for cpus in (3, 64, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert homology_ranks(c, jobs=5000) == serial
+    # capped by the CPUs, then by the bidegrees; one CPU runs serially
+    assert pools == [3, len(serial)]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            homology_ranks(c, jobs=jobs)

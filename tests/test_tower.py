@@ -7,6 +7,7 @@ cokernel table for two generators at stage 2.
 import pytest
 
 from koszul.complexes import (
+    BasisLabel,
     homology_ranks,
     nonzero_table,
     verify_differential,
@@ -16,10 +17,8 @@ from koszul.rings import DegreeWindow, IdealSpec, RingSpec, check_regular_sequen
 from koszul.tower import (
     RegularityError,
     build_koszul,
+    boundary_block,
     build_tower_resolution,
-    koszul_free,
-    q_boundary_matrices,
-    q_level_free,
     sequence_window_cut,
     tor_against_power,
     tor_diagonal,
@@ -98,47 +97,42 @@ def test_boundary_matrix_signs_over_f3():
     # removing e_1 with no index picks up sign (-1)^1 = -1, i.e. 2 mod 3
     ring = ring_f(3, (2, 4), 8)
     ideal = ideal_on(ring, "x1", "x2")
-    src, tgt, mats = q_boundary_matrices(ring, ideal, 0)
-    col = src[(1, 2)].index(((1,), (), (0, 0)))
-    row = tgt[(0, 2)].index(((), (1,), (0, 0)))
-    assert mats[(1, 2)].get(row, col) == 2
+    cx = tower_free(ring, ideal, 3).realize()
+    src, tgt, block = boundary_block(cx, 0, 1, 2)
+    col = src.index((BasisLabel(e_part=(1,)), (0, 0)))
+    row = tgt.index((BasisLabel(u_part=(1,)), (0, 0)))
+    assert block.get(row, col) == 2
     # inserting into an existing index sorts it: e_1 u~_(2) -> -u~_(1,2)
-    src1, tgt1, mats1 = q_boundary_matrices(ring, ideal, 1)
-    col = src1[(1, 6)].index(((1,), (2,), (0, 0)))
-    row = tgt1[(0, 6)].index(((), (1, 2), (0, 0)))
-    assert mats1[(1, 6)].get(row, col) == 2
+    src1, tgt1, block1 = boundary_block(cx, 1, 1, 6)
+    col = src1.index((BasisLabel(e_part=(1,), u_part=(2,)), (0, 0)))
+    row = tgt1.index((BasisLabel(u_part=(1, 2)), (0, 0)))
+    assert block1.get(row, col) == 2
     # no exterior factor: the column is zero
-    col0 = src1[(0, 2)].index(((), (1,), (0, 0)))
-    assert all(j != col0 for (_, j) in mats1[(0, 2)].entries)
+    src0, _, block0 = boundary_block(cx, 1, 0, 2)
+    col0 = src0.index((BasisLabel(u_part=(1,)), (0, 0)))
+    assert all(j != col0 for (_, j) in block0.entries)
 
 
 def test_boundary_anticommutes_with_koszul_differential():
+    # d^2 = 0 on a stage complex is, block by block, d_K^2 = 0 on the
+    # diagonal and the anticommutator of d_K with the boundary off it
     ring = ring_f(3, (2, 4), 8)
     ideal = ideal_on(ring, "x1", "x2")
-    lvl0 = q_level_free(ring, ideal, 0).realize()
-    lvl1 = q_level_free(ring, ideal, 1).realize()
-    _, _, bnd = q_boundary_matrices(ring, ideal, 0)
-    coeffs = ring.coefficients
-    for (r, t), partial in bnd.items():
-        d_then_partial = bnd.get((r - 1, t))
-        if d_then_partial is None:
-            continue
-        left = lvl1.matrix(r - 1, t).compose(partial, coeffs)
-        right = d_then_partial.compose(lvl0.matrix(r, t), coeffs)
-        total = {}
-        for key in set(left.entries) | set(right.entries):
-            v = coeffs.normalize(left.get(*key) + right.get(*key))
-            if v:
-                total[key] = v
-        assert not total, f"anticommutation fails at ({r},{t})"
+    for s in (2, 3):
+        cx = tower_free(ring, ideal, s).realize()
+        assert any(boundary_block(cx, 0, *key)[2].entries for key in cx.basis)
+        report = verify_differential(cx)
+        assert report.ok, f"stage {s}: {report}"
 
 
 def test_tower_stage_one_is_koszul():
     ring = ring_f(2, (2, 4), 10)
     ideal = ideal_on(ring, "x1", "x2")
     tower = tower_free(ring, ideal, 1)
-    kz = koszul_free(ring, ideal)
-    assert tower.generator_count() == kz.generator_count()
+    labels = {g.label for gens in tower.generators.values() for g in gens}
+    assert labels == {BasisLabel(e_part=e) for e in ((), (1,), (2,), (1, 2))}
+    h = nonzero_table(homology_ranks(build_koszul(ring, ideal)))
+    assert {k: v.rank for k, v in h.items()} == {(0, 0): 1}
     rep = build_tower_resolution(ring, ideal, 1)
     assert rep.ok
 
