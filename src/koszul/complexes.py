@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from .linalg import (
     Coefficients,
@@ -314,48 +315,47 @@ def homology_ranks(c: BigradedComplex, window: DegreeWindow | None = None,
                    jobs: int = 1) -> dict[tuple[int, int], HomologyEntry]:
     """Homology sizes per bidegree: rank over fields, rank plus torsion over Z.
 
-    A bidegree is certain only when both neighbouring levels are fully
-    described (inside the built range, or structurally zero beyond it);
-    edge bidegrees get certain=False rather than a silent wrong answer.
+    Each differential is reduced once (_reduce_differential) and its result
+    shared by the two bidegrees it touches: it leaves one and arrives at the
+    other.  A bidegree is certain only when both neighbouring levels are
+    fully described (inside the built range, or structurally zero beyond
+    it); edge bidegrees get certain=False rather than a silent wrong answer.
     jobs >= 1 bounds the worker processes, which are also capped at the CPU
     count and the number of bidegrees; one worker means no pool at all.
+    Workers receive single matrices, never the complex.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     w = window or c.window
     keys = [k for k in c.bidegrees() if w.t_min <= k[1] <= w.t_max]
+    positions = list(dict.fromkeys(
+        pos for s, t in keys for pos in ((s, t), (s - c.step, t))))
+    matrices = [c.matrix(s, t) for s, t in positions]
+    reduce = partial(_reduce_differential, coeffs=c.coefficients)
     workers = min(jobs, os.cpu_count() or 1, len(keys))
     if workers > 1:
-        return _homology_ranks_parallel(c, keys, workers)
-    return {key: _homology_at(c, key) for key in keys}
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(reduce, matrices, chunksize=4))
+    else:
+        results = list(map(reduce, matrices))
+    reduced = dict(zip(positions, results))
+    out = {}
+    for s, t in keys:
+        rank_out, _ = reduced[(s, t)]  # leaves (s,t)
+        rank_in, torsion = reduced[(s - c.step, t)]  # arrives at (s,t)
+        certain = c.level_known(s + c.step) and c.level_known(s - c.step)
+        out[(s, t)] = HomologyEntry(c.dim(s, t) - rank_out - rank_in, torsion, certain)
+    return out
 
 
-def _homology_at(c: BigradedComplex, key: tuple[int, int]) -> HomologyEntry:
-    s, t = key
-    dim = c.dim(s, t)
-    out = c.matrix(s, t)  # leaves (s,t)
-    into = c.matrix(s - c.step, t)  # arrives at (s,t)
-    certain = c.level_known(s + c.step) and c.level_known(s - c.step)
-    if c.coefficients.is_field:
-        rank_out = rank_over_field(out, c.coefficients)
-        rank_in = rank_over_field(into, c.coefficients)
-        return HomologyEntry(dim - rank_out - rank_in, (), certain)
-    rank_out = rational_rank(out)
-    rank_in = rational_rank(into)
-    torsion = tuple(v for v in smith_normal_form(into) if v > 1)
-    return HomologyEntry(dim - rank_out - rank_in, torsion, certain)
-
-
-def _homology_ranks_parallel(c, keys, workers):
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_homology_at_star, [(c, k) for k in keys], chunksize=4))
-    return dict(zip(keys, results))
-
-
-def _homology_at_star(args):
-    return _homology_at(*args)
+def _reduce_differential(m: Matrix, coeffs: Coefficients) -> tuple[int, tuple[int, ...]]:
+    """(rank, torsion factors > 1 of its Smith normal form) of one matrix;
+    over a field the torsion is empty."""
+    if coeffs.is_field:
+        return rank_over_field(m, coeffs), ()
+    return rational_rank(m), tuple(v for v in smith_normal_form(m) if v > 1)
 
 
 def nonzero_table(entries: dict[tuple[int, int], HomologyEntry]) -> dict[tuple[int, int], HomologyEntry]:

@@ -157,26 +157,34 @@ class Matrix:
         return Matrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def compose(self, other: "Matrix", coeffs: Coefficients) -> "Matrix":
-        """self @ other, i.e. apply other first."""
+        """self @ other, i.e. apply other first.
+
+        Row-wise (Gustavson) sparse product: other is bucketed by row once,
+        and each row i of self accumulates w * other[k, :] over its entries
+        (i, k, w) in one dict, which is normalized once per entry and flushed
+        before the next row starts.  Only nonzeros are stored, in row-major
+        order (rows ascending, columns ascending within a row).
+        """
         if other.rows != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} after {other.rows}x{other.cols}")
-        by_row: dict[int, dict] = {}
-        for (i, j), v in self.entries.items():
-            by_row.setdefault(i, {})[j] = v
+        other_rows: dict[int, list] = {}
+        for (k, j), v in other.entries.items():
+            other_rows.setdefault(k, []).append((j, v))
+        self_rows: dict[int, list] = {}
+        for (i, k), w in self.entries.items():
+            self_rows.setdefault(i, []).append((k, w))
+        norm = coeffs.normalize
         out = Matrix(self.rows, other.cols)
-        other_cols = other.columns()
-        for j, col in enumerate(other_cols):
-            if not col:
-                continue
-            for i, row in by_row.items():
-                acc = coeffs.zero
-                for k, v in col.items():
-                    w = row.get(k)
-                    if w is not None:
-                        acc = acc + w * v
-                acc = coeffs.normalize(acc)
-                if acc:
-                    out.entries[(i, j)] = acc
+        entries = out.entries
+        for i in sorted(self_rows):
+            acc: dict[int, object] = {}
+            for k, w in self_rows[i]:
+                for j, v in other_rows.get(k, ()):
+                    acc[j] = acc.get(j, 0) + w * v
+            for j in sorted(acc):
+                x = norm(acc[j])
+                if x:
+                    entries[(i, j)] = x
         return out
 
     def scaled(self, c) -> "Matrix":
@@ -212,7 +220,13 @@ def matrix_vector(m: Matrix, vec: dict, coeffs: Coefficients) -> dict:
         x = vec.get(j)
         if x:
             out[i] = out.get(i, coeffs.zero) + w * x
-    return {i: coeffs.normalize(v) for i, v in out.items() if coeffs.normalize(v)}
+    return _normalized(coeffs, out)
+
+
+def _normalized(coeffs: Coefficients, vec: dict) -> dict:
+    """vec with each entry normalized once and the zeros dropped."""
+    norm = coeffs.normalize
+    return {i: y for i, x in vec.items() if (y := norm(x))}
 
 
 def _vec_axpy(coeffs: Coefficients, v: dict, c, w: dict) -> dict:
@@ -249,7 +263,7 @@ class VectorSpan:
     def reduce(self, v: dict) -> tuple[dict, dict]:
         """Return (residual, combo) with v = residual + sum combo[k] * inserted_k."""
         c = self.coeffs
-        v = {i: c.normalize(x) for i, x in v.items() if c.normalize(x)}
+        v = _normalized(c, v)
         combo: dict[int, object] = {}
         while True:
             hit = None
@@ -308,7 +322,7 @@ def kernel_basis(m: Matrix, coeffs: Coefficients) -> list[dict]:
     c = coeffs
     work = []  # (m-part, bookkeeping part) column pairs
     for j, col in enumerate(m.columns()):
-        work.append(({i: c.normalize(v) for i, v in col.items() if c.normalize(v)}, {j: c.one}))
+        work.append((_normalized(c, col), {j: c.one}))
     kernel = []
     lead_of: dict[int, int] = {}  # pivot row -> index into work
     for idx in range(len(work)):
@@ -508,11 +522,6 @@ class IntegerLattice:
             elif val:
                 return False
         return True
-
-    def basis_columns(self) -> list[dict]:
-        """A lattice basis: the first rank columns of m*T."""
-        prod = self.m.compose(self.t, Coefficients.integers())
-        return [prod.column(j) for j in range(self.rank)]
 
 
 def cokernel_invariants(m: Matrix) -> tuple[int, tuple[int, ...]]:

@@ -322,20 +322,33 @@ def power_generators(ideal: IdealSpec, s: int) -> list[tuple[tuple[int, ...], El
 
 
 class FreeModuleBasis:
-    """The ring itself, degreewise: monomial bases and exact expansion."""
+    """The ring itself, degreewise: monomial bases and exact expansion.
+
+    basis(t) and index(t) are enumerated once per degree and cached on the
+    instance; callers share the returned list and dict and must not mutate
+    them.
+    """
 
     def __init__(self, ring: RingSpec):
         self.ring = ring
         self.relations: tuple = ()
+        self._cache: dict[int, tuple[list, dict]] = {}
+
+    def _at(self, t: int) -> tuple[list, dict]:
+        got = self._cache.get(t)
+        if got is None:
+            monos = _monomials(self.ring, t)
+            got = self._cache[t] = (monos, {m: i for i, m in enumerate(monos)})
+        return got
 
     def dim(self, t: int) -> int:
-        return len(_monomials(self.ring, t))
+        return len(self._at(t)[0])
 
     def basis(self, t: int) -> list[tuple[int, ...]]:
-        return _monomials(self.ring, t)
+        return self._at(t)[0]
 
     def index(self, t: int) -> dict:
-        return {m: i for i, m in enumerate(self.basis(t))}
+        return self._at(t)[1]
 
     def reduce(self, elem: Element, t: int) -> dict[int, object]:
         """Coordinates of a degree-t element on the monomial basis."""

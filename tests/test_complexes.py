@@ -258,3 +258,89 @@ def test_jobs_cap_workers_at_cpus_and_bidegrees(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(ValueError):
             homology_ranks(c, jobs=jobs)
+
+
+def test_realize_enumerates_each_degree_once(monkeypatch):
+    import koszul.rings as rings
+
+    calls = []
+    real = rings._monomials
+
+    def counting(ring, t):
+        calls.append(t)
+        return real(ring, t)
+
+    monkeypatch.setattr(rings, "_monomials", counting)
+    ring = RingSpec(Coefficients.prime_field(3), (("x1", 2), ("x2", 2), ("x3", 4)),
+                    DegreeWindow(0, 12))
+    c = exterior_on(ring, [0, 1, 2]).realize()
+    assert verify_differential(c).ok
+    assert sum(len(m.entries) for m in c.diff.values()) > 50
+    assert calls and len(calls) == len(set(calls))
+
+
+def _counting_reductions(monkeypatch, names):
+    import koszul.complexes as complexes
+
+    seen = {name: [] for name in names}
+    for name in names:
+        real = getattr(complexes, name)
+
+        def counting(m, *args, _real=real, _name=name):
+            seen[_name].append(m)
+            return _real(m, *args)
+
+        monkeypatch.setattr(complexes, name, counting)
+    return seen
+
+
+def _touched_matrices(c, h):
+    return {pos for s, t in h for pos in ((s, t), (s - c.step, t))}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("coeffs, names", [
+    (Coefficients.prime_field(2), ("rank_over_field",)),
+    (Coefficients.integers(), ("rational_rank", "smith_normal_form")),
+])
+def test_homology_reduces_each_differential_once(monkeypatch, jobs, coeffs, names):
+    import concurrent.futures
+    import os
+
+    from koszul.linalg import Matrix
+
+    ring = RingSpec(coeffs, (("x1", 2), ("x2", 4)), DegreeWindow(0, 10))
+    c = exterior_on(ring, [0, 1]).realize()
+    serial = homology_ranks(c)
+    mapped = []
+
+    class SerialPool:  # runs in this process, so the counters see every call
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            mapped.extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen = _counting_reductions(monkeypatch, names)
+    h = homology_ranks(c, jobs=jobs)
+    assert h == serial
+    touched = _touched_matrices(c, h)
+    for name in names:
+        assert len(seen[name]) == len(touched) > len(h)
+        # every realized differential is reduced exactly once
+        assert sorted(map(id, c.diff.values())) == sorted(
+            id(m) for m in seen[name] if any(m is d for d in c.diff.values()))
+    if jobs > 1:  # workers get single matrices, not (complex, bidegree) pairs
+        assert len(mapped) == len(touched) and all(isinstance(m, Matrix) for m in mapped)
+    else:
+        assert not mapped

@@ -4,6 +4,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from koszul.linalg import (
     Coefficients,
     IntegerLattice,
@@ -227,3 +231,75 @@ def test_compose_shapes():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[1], [1]])
     assert a.compose(b, Z).to_rows() == [[3], [7]]
+
+
+_NONZERO = {
+    "F2": st.just(1),
+    "F3": st.sampled_from([1, 2]),
+    "Q": st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4)),
+    "Z": st.integers(-5, 5).filter(bool),
+}
+_RINGS = {"F2": F2, "F3": F3, "Q": Q, "Z": Z}
+
+
+@st.composite
+def _sparse_matrix(draw, name, rows, cols):
+    """A sparse matrix of canonical nonzero scalars; empty rows and
+    columns arise whenever a position set misses them."""
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    picked = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return Matrix(rows, cols, {ij: draw(_NONZERO[name]) for ij in picked})
+
+
+@st.composite
+def _composable(draw):
+    name = draw(st.sampled_from(sorted(_RINGS)))
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    return name, draw(_sparse_matrix(name, n, k)), draw(_sparse_matrix(name, k, m))
+
+
+def _dense_product(a: Matrix, b: Matrix, c) -> dict:
+    ra, rb = a.to_rows(), b.to_rows()
+    out = {}
+    for i in range(a.rows):
+        for j in range(b.cols):
+            v = c.normalize(sum((ra[i][k] * rb[k][j] for k in range(a.cols)), c.zero))
+            if v:
+                out[(i, j)] = v
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_composable())
+def test_compose_matches_dense_product(case):
+    name, a, b = case
+    c = _RINGS[name]
+    prod = a.compose(b, c)
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert prod.entries == _dense_product(a, b, c)
+    # zeros, including sums that cancel, are never stored; order is row-major
+    assert all(prod.entries.values())
+    assert list(prod.entries) == sorted(prod.entries)
+    assert all(c.normalize(v) == v and type(v) is type(c.one) for v in prod.entries.values())
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+def test_compose_rejects_shape_mismatch(n, k, k2, m):
+    a, b = Matrix(n, k), Matrix(k2, m)
+    if k == k2:
+        assert a.compose(b, F2) == Matrix(n, m)
+    else:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a.compose(b, F2)
+
+
+def test_compose_drops_cancelled_entries():
+    # row (1, 1) times column (1, 1) is 1 + 1 = 0 over F2 but 2 over F3
+    a = Matrix.from_rows([[1, 1], [0, 0]])
+    b = Matrix.from_rows([[1, 0, 0], [1, 0, 0]])
+    assert a.compose(b, F2).entries == {}
+    assert a.compose(b, F3).entries == {(0, 0): 2}
+    # 0 x n and n x 0 shapes
+    assert a.compose(Matrix(2, 0), F2) == Matrix(2, 0)
+    assert Matrix(0, 2).compose(b, F2) == Matrix(0, 3)
