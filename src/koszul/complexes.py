@@ -42,6 +42,9 @@ class OracleMismatchError(Exception):
         super().__init__(message)
         self.witness = witness
 
+    def __reduce__(self):  # a worker process raises it across a pipe
+        return type(self), (str(self), self.witness)
+
 
 class DifferentialSquareError(Exception):
     """d after d failed to vanish on a freshly built complex."""
@@ -352,10 +355,20 @@ def homology_ranks(c: BigradedComplex, window: DegreeWindow | None = None,
 
 def _reduce_differential(m: Matrix, coeffs: Coefficients) -> tuple[int, tuple[int, ...]]:
     """(rank, torsion factors > 1 of its Smith normal form) of one matrix;
-    over a field the torsion is empty."""
+    over a field the torsion is empty.  Over Z the rank over Q, taken by
+    elimination that shares no code with SNF, must equal the number of
+    invariant factors."""
     if coeffs.is_field:
         return rank_over_field(m, coeffs), ()
-    return rational_rank(m), tuple(v for v in smith_normal_form(m) if v > 1)
+    rank = rational_rank(m)
+    invariants = smith_normal_form(m)
+    if rank != len(invariants):
+        raise OracleMismatchError(
+            f"Smith normal form of a {m.rows}x{m.cols} differential has "
+            f"{len(invariants)} invariant factors, but its rank over Q is {rank}",
+            {"kind": "snf-rank", "rows": m.rows, "cols": m.cols,
+             "rational_rank": rank, "invariant_factors": list(invariants)})
+    return rank, tuple(v for v in invariants if v > 1)
 
 
 def nonzero_table(entries: dict[tuple[int, int], HomologyEntry]) -> dict[tuple[int, int], HomologyEntry]:

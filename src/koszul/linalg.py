@@ -6,6 +6,7 @@ No floating point anywhere.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -394,16 +395,130 @@ def smith_with_transforms(m: Matrix, need_transforms: bool = True):
     """Diagonalize over Z: returns (raw, S, T) with S*m*T = diag(raw, then zeros).
 
     raw holds the positive diagonal entries in matrix order, not yet forced
-    into a divisibility chain; S and T are unimodular.  Exact big-integer
-    arithmetic throughout; a dense working copy is fine at the bidegree sizes
-    this engine meets.
+    into a divisibility chain; S and T are unimodular (both None unless
+    need_transforms).  Exact big-integer arithmetic throughout, in two phases
+    (Kaczynski-Mrozek-Slusarek 1998, Dumas-Saunders-Villard 2001):
+
+    * Sparse: rows are {col: value} dicts with a row set per column.  The
+      next pivot is a +-1 entry of least Markowitz cost (r-1)(c-1), so
+      singletons go first.  Row operations clear its column; the column
+      operations that clear its row touch no other row, so they only enter
+      T.  The pivot row and column then leave with invariant factor 1.
+    * Dense: the nonzero rows and columns left over, which hold no unit,
+      go to the pivot search of _dense_smith, whose transforms are composed
+      with the sparse ones.  Chain-complex and relation matrices usually
+      leave nothing over, and then it is not called.
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    for i, row in enumerate(a):
-        for v in row:
-            if not isinstance(v, int):
-                raise ValueError("integer matrix required")
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for (i, j), v in m.entries.items():
+        if not isinstance(v, int):
+            raise ValueError("integer matrix required")
+        if v:
+            rows.setdefault(i, {})[j] = v
+            col_rows.setdefault(j, set()).add(i)
+    z = Coefficients.integers()
+    s_rows = {i: {i: 1} for i in range(m.rows)} if need_transforms else None
+    t_cols = {j: {j: 1} for j in range(m.cols)} if need_transforms else None
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, row in rows.items()
+            for j, v in row.items() if v == 1 or v == -1]
+    heapq.heapify(heap)
+    pivots: list[tuple[int, int, int]] = []  # (row, col, unit)
+    while heap:
+        known, i, j = heapq.heappop(heap)
+        row = rows.get(i)
+        u = row.get(j) if row is not None else None
+        if u != 1 and u != -1:
+            continue  # stale: the entry was eliminated or changed
+        now = cost(i, j)
+        if now > known:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        del rows[i]
+        for k in row:
+            col_rows[k].discard(i)
+        for i2 in col_rows.pop(j):  # row_i2 -= f * row_i clears (i2, j)
+            r2 = rows[i2]
+            f = r2.pop(j) * u
+            for k, v in row.items():
+                if k == j:
+                    continue
+                y = r2.get(k, 0) - f * v
+                if y:
+                    if k not in r2:
+                        col_rows[k].add(i2)
+                    r2[k] = y
+                    if y == 1 or y == -1:
+                        heapq.heappush(heap, (cost(i2, k), i2, k))
+                else:
+                    del r2[k]
+                    col_rows[k].discard(i2)
+            if s_rows is not None:
+                s_rows[i2] = _vec_axpy(z, s_rows[i2], -f, s_rows[i])
+        if t_cols is not None:  # col_k -= row[k] * u * col_j clears row i
+            tj = t_cols[j]
+            for k, v in row.items():
+                if k != j:
+                    t_cols[k] = _vec_axpy(z, t_cols[k], -v * u, tj)
+        pivots.append((i, j, u))
+
+    raw = [1] * len(pivots)
+    left_rows = sorted(i for i, row in rows.items() if row)
+    left_cols = sorted(j for j, rs in col_rows.items() if rs)
+    d_s = d_t = None
+    if left_rows:
+        pos = {j: k for k, j in enumerate(left_cols)}
+        block = [[0] * len(left_cols) for _ in left_rows]
+        for a, i in enumerate(left_rows):
+            for j, v in rows[i].items():
+                block[a][pos[j]] = v
+        d_raw, d_s, d_t = _dense_smith(block, need_transforms)
+        raw.extend(d_raw)
+    if not need_transforms:
+        return tuple(raw), None, None
+
+    # S rows: pivot rows times their unit, the leftover rows mixed by d_s,
+    # the rows that were zero
+    s_out = [{k: u * x for k, x in s_rows[i].items()} for i, _, u in pivots]
+    for coeffs in d_s or ():
+        acc: dict[int, int] = {}
+        for b, c in enumerate(coeffs):
+            if c:
+                acc = _vec_axpy(z, acc, c, s_rows[left_rows[b]])
+        s_out.append(acc)
+    done = {i for i, _, _ in pivots}.union(left_rows)
+    s_out.extend(s_rows[i] for i in range(m.rows) if i not in done)
+    # T columns: pivot columns, the leftover columns mixed by d_t, the rest
+    t_out = [t_cols[j] for _, j, _ in pivots]
+    for a in range(len(left_cols)):
+        acc = {}
+        for b, j in enumerate(left_cols):
+            c = d_t[b][a]
+            if c:
+                acc = _vec_axpy(z, acc, c, t_cols[j])
+        t_out.append(acc)
+    done = {j for _, j, _ in pivots}.union(left_cols)
+    t_out.extend(t_cols[j] for j in range(m.cols) if j not in done)
+
+    smat = Matrix(m.rows, m.rows, {(a, i): v for a, row in enumerate(s_out)
+                                   for i, v in sorted(row.items())})
+    tmat = Matrix(m.cols, m.cols, {(j, a): v for a, col in enumerate(t_out)
+                                   for j, v in col.items()})
+    return tuple(raw), smat, tmat
+
+
+def _dense_smith(a: list[list[int]], need_transforms: bool):
+    """Dense Smith diagonalization of the nonempty block a, in place:
+    (raw, S, T) as lists of rows, S and T None unless need_transforms.
+
+    Searches the whole remaining block for the smallest pivot at every step;
+    smith_with_transforms only hands it what sparse elimination left over.
+    """
+    rows, cols = len(a), len(a[0])
     s = [[int(i == j) for j in range(rows)] for i in range(rows)] if need_transforms else None
     t = [[int(i == j) for j in range(cols)] for i in range(cols)] if need_transforms else None
 
@@ -467,10 +582,8 @@ def smith_with_transforms(m: Matrix, need_transforms: bool = True):
                     s[k][jj] = -s[k][jj]
         k += 1
 
-    raw = tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i])
-    smat = Matrix.from_rows(s) if s is not None else None
-    tmat = Matrix.from_rows(t) if t is not None else None
-    return raw, smat, tmat
+    raw = tuple(a[i][i] for i in range(limit) if a[i][i])
+    return raw, s, t
 
 
 def rational_rank(m: Matrix) -> int:
@@ -482,13 +595,7 @@ def rational_rank(m: Matrix) -> int:
 def integer_kernel_basis(m: Matrix) -> list[dict]:
     """Lattice basis of the integer kernel (columns of T past the rank)."""
     d, _, t = smith_with_transforms(m)
-    r = len(d)
-    out = []
-    for j in range(r, m.cols):
-        col = t.column(j)
-        if col:
-            out.append(col)
-    return out
+    return [col for col in t.columns()[len(d):] if col]
 
 
 class IntegerLattice:
@@ -497,6 +604,9 @@ class IntegerLattice:
     def __init__(self, m: Matrix):
         self.m = m
         self.d, self.s, self.t = smith_with_transforms(m)
+        self._s_by_col: dict[int, list[tuple[int, int]]] = {}
+        for (i, j), w in self.s.entries.items():
+            self._s_by_col.setdefault(j, []).append((i, w))
 
     @property
     def rank(self) -> int:
@@ -509,19 +619,15 @@ class IntegerLattice:
         return self.m.rows - len(d), tuple(v for v in d if v > 1)
 
     def contains(self, v: dict) -> bool:
-        """x in col-lattice(m) iff S*x is divisible by the invariant factors."""
-        sx = [0] * self.m.rows
-        for (i, j), w in self.s.entries.items():
-            x = v.get(j)
+        """x in col-lattice(m) iff S*x is divisible by the invariant factors;
+        only the columns of S that x touches are read."""
+        sx: dict[int, int] = {}
+        for j, x in v.items():
             if x:
-                sx[i] += w * x
-        for i, val in enumerate(sx):
-            if i < len(self.d):
-                if val % self.d[i]:
-                    return False
-            elif val:
-                return False
-        return True
+                for i, w in self._s_by_col.get(j, ()):
+                    sx[i] = sx.get(i, 0) + w * x
+        d = self.d
+        return all(not val or (i < len(d) and val % d[i] == 0) for i, val in sx.items())
 
 
 def cokernel_invariants(m: Matrix) -> tuple[int, tuple[int, ...]]:

@@ -434,9 +434,14 @@ def quotient_by_power(ring: RingSpec, ideal: IdealSpec, s: int) -> QuotientModul
 
 def _relation_multiples(ring: RingSpec, relations, t: int, index: dict):
     """The degree-t multiples g * m of each relation g, m running over the
-    monomials of degree t - |g|, as vectors in the coordinates `index`."""
+    monomials of degree t - |g|, as vectors in the coordinates `index`.
+    The monomials of each source degree are enumerated once per call."""
+    monos_at: dict[int, list[tuple[int, ...]]] = {}
     for g in relations:
-        for m in _monomials(ring, t - g.degree()):
+        d = t - g.degree()
+        if d not in monos_at:
+            monos_at[d] = _monomials(ring, d)
+        for m in monos_at[d]:
             yield {index[e]: v for e, v in (g * ring.monomial(m)).terms.items()}
 
 

@@ -250,3 +250,21 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
                    "--out", str(tmp_path), *flag) == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "tor.csv").exists()
+
+
+def test_snf_rank_mismatch_is_a_mathematical_failure(tmp_path, monkeypatch, capsys):
+    # an SNF that loses a factor disagrees with the rank over Q: exit 1 with
+    # a witness, not exit 2 ("usage")
+    import koszul.complexes
+
+    honest = koszul.complexes.smith_normal_form
+    monkeypatch.setattr(koszul.complexes, "smith_normal_form", lambda m: honest(m)[1:])
+    out = tmp_path / "run"
+    assert run("tower", "s=2", "--spec", spec_arg("integer_arithmetic.spec"),
+               "--out", str(out)) == 1
+    assert "mathematical failure" in capsys.readouterr().err
+    witness = json.loads((out / "witness.json").read_text())
+    assert witness["kind"] == "snf-rank"
+    inner = witness["witness"]
+    assert inner["rational_rank"] == len(inner["invariant_factors"]) + 1
+    assert not (out / "tower_s2.csv").exists()

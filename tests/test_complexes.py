@@ -344,3 +344,15 @@ def test_homology_reduces_each_differential_once(monkeypatch, jobs, coeffs, name
         assert len(mapped) == len(touched) and all(isinstance(m, Matrix) for m in mapped)
     else:
         assert not mapped
+
+
+def test_oracle_mismatch_survives_pickling():
+    # homology_ranks workers raise it across a process boundary
+    import pickle
+
+    from koszul.complexes import OracleMismatchError
+
+    err = OracleMismatchError("ranks differ", {"kind": "snf-rank", "rational_rank": 2})
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is OracleMismatchError
+    assert str(back) == "ranks differ" and back.witness == err.witness

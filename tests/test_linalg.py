@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszul import linalg
 from koszul.linalg import (
     Coefficients,
     IntegerLattice,
@@ -303,3 +304,123 @@ def test_compose_drops_cancelled_entries():
     # 0 x n and n x 0 shapes
     assert a.compose(Matrix(2, 0), F2) == Matrix(2, 0)
     assert Matrix(0, 2).compose(b, F2) == Matrix(0, 3)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form: sparse unit elimination in front of the dense search
+
+_SNF_ENTRIES = {
+    "units": st.sampled_from([1, -1]),
+    "non-units": st.sampled_from([2, -2, 3, -3, 6, -6]),
+    "mixed": st.integers(-7, 7).filter(bool),
+}
+
+
+@st.composite
+def _integer_matrix(draw, kind=None):
+    kind = kind or draw(st.sampled_from(sorted(_SNF_ENTRIES)))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    picked = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return Matrix(rows, cols, {ij: draw(_SNF_ENTRIES[kind]) for ij in picked})
+
+
+def _dense_chain(m: Matrix) -> tuple[int, ...]:
+    """Invariant factors from the dense pivot search alone."""
+    if not m.rows or not m.cols:
+        return ()
+    raw, _, _ = linalg._dense_smith(m.to_rows(), False)
+    return linalg._divisibility_chain(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_matrix())
+def test_smith_with_transforms_properties(m):
+    raw, s, t = smith_with_transforms(m)
+    assert (s.rows, s.cols, t.rows, t.cols) == (m.rows, m.rows, m.cols, m.cols)
+    prod = s.compose(m, Z).compose(t, Z)
+    assert prod.entries == {(k, k): v for k, v in enumerate(raw)}
+    assert all(v > 0 for v in raw)
+    assert abs(_det(s.to_rows())) == 1 and abs(_det(t.to_rows())) == 1
+    assert linalg._divisibility_chain(raw) == _dense_chain(m)
+    # without transforms the same factors come out
+    assert smith_with_transforms(m, need_transforms=False) == (raw, None, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrix(), st.sampled_from([2, 3]))
+def test_universal_coefficients_against_snf(m, p):
+    # rank over F_p counts the invariant factors that p does not divide
+    mod_p = Matrix(m.rows, m.cols, {k: v % p for k, v in m.entries.items() if v % p})
+    d = smith_normal_form(m)
+    assert rank_over_field(mod_p, Coefficients.prime_field(p)) == sum(1 for v in d if v % p)
+
+
+def _counting_dense(monkeypatch):
+    blocks = []
+    original = linalg._dense_smith
+
+    def counting(a, need_transforms):
+        blocks.append([row[:] for row in a])
+        return original(a, need_transforms)
+
+    monkeypatch.setattr(linalg, "_dense_smith", counting)
+    return blocks
+
+
+def test_dense_search_skipped_on_unit_eliminable_matrices(monkeypatch):
+    from koszul.rings import DegreeWindow, IdealSpec, RingSpec
+    from koszul.tower import tower_free
+
+    blocks = _counting_dense(monkeypatch)
+    # identity, a signed permutation, a unimodular triangular matrix
+    assert smith_normal_form(Matrix.identity(4)) == (1, 1, 1, 1)
+    perm = Matrix.from_rows([[0, -1, 0], [0, 0, 1], [1, 0, 0]])
+    raw, s, t = smith_with_transforms(perm)
+    assert raw == (1, 1, 1) and s.compose(perm, Z).compose(t, Z) == Matrix.identity(3)
+    tri = Matrix.from_rows([[1, 5, -7, 2], [0, -1, 3, 9], [0, 0, 1, -4]])
+    assert smith_normal_form(tri) == (1, 1, 1)
+    # every differential of a stage-3 tower over Z, with and without transforms
+    ring = RingSpec(Z, (("x1", 2), ("x2", 2), ("x3", 4)), DegreeWindow(0, 10, 3, stage_max=3))
+    ideal = IdealSpec(tuple(ring.generator(n) for n in ("x1", "x2", "x3")))
+    diffs = [d for d in tower_free(ring, ideal, 3).realize().diff.values() if d.entries]
+    assert len(diffs) > 10
+    for d in diffs:
+        raw, s, t = smith_with_transforms(d)
+        assert set(raw) == {1}
+        assert smith_normal_form(d) == raw
+    assert blocks == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrix())
+def test_dense_search_never_sees_a_unit(m):
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _counting_dense(mp)
+        smith_with_transforms(m)
+    assert len(blocks) <= 1
+    for block in blocks:
+        # only the nonzero rows and columns left over, none of them a unit
+        assert block and block[0]
+        assert all(v not in (1, -1) for row in block for v in row)
+        assert all(any(row) for row in block) and all(any(col) for col in zip(*block))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrix(), st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+def test_lattice_membership_against_cokernel_oracle(m, combo, shift):
+    # v = m*combo + shift; v lies in col(m) exactly when adjoining it as a
+    # column leaves the cokernel unchanged (the oracle never touches S)
+    v: dict[int, int] = {}
+    for (i, j), x in m.entries.items():
+        v[i] = v.get(i, 0) + x * combo[j]
+    for i in range(m.rows):
+        v[i] = v.get(i, 0) + shift[i]
+    v = {i: x for i, x in v.items() if x}
+    wider = Matrix(m.rows, m.cols + 1, m.entries)
+    for i, x in v.items():
+        wider.set(i, m.cols, x)
+    expected = cokernel_invariants(wider) == cokernel_invariants(m)
+    assert IntegerLattice(m).contains(v) == expected
+    assert IntegerLattice(m).contains({i: x for (i, j), x in m.entries.items() if j == 0})
