@@ -317,8 +317,9 @@ _SNF_ENTRIES = {
 
 
 @st.composite
-def _integer_matrix(draw, kind=None):
-    kind = kind or draw(st.sampled_from(sorted(_SNF_ENTRIES)))
+def _integer_matrix(draw):
+    """0-6 rows and columns of units only, non-units only, or mixed entries."""
+    kind = draw(st.sampled_from(sorted(_SNF_ENTRIES)))
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     cells = [(i, j) for i in range(rows) for j in range(cols)]
     picked = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
