@@ -60,8 +60,8 @@ def _common_flags(for_subparser: bool) -> argparse.ArgumentParser:
     common.add_argument("--axes", choices=AXIS_CHOICES, default=default("adams"),
                         help="chart axes: adams = (t-s, s), cartesian = (t, s)")
     common.add_argument("--jobs", type=int, default=default(1), metavar="N",
-                        help="worker processes for independent bidegrees (N >= 1, "
-                             "capped at the CPU count)")
+                        help="accepted for compatibility and ignored; every "
+                             "computation runs in this process (N >= 1)")
     return common
 
 
@@ -222,7 +222,7 @@ def _cmd_check_regular(args, spec: SpecFile, out_dir: Path) -> int:
 def _cmd_tor(args, spec: SpecFile, out_dir: Path) -> int:
     _parse_params(args.params, {})
     ring, ideal = _need_ring_ideal(spec)
-    report = tor_diagonal(ring, ideal, jobs=args.jobs)
+    report = tor_diagonal(ring, ideal)
     _emit_table(out_dir, "tor", report.table, args.axes)
     _write_text(out_dir / "tor.txt", str(report))
     print(f"tor table over {ring}: {len(report.table)} nonzero bidegrees, "
@@ -238,7 +238,7 @@ def _cmd_tower(args, spec: SpecFile, out_dir: Path) -> int:
     if s < 1:
         raise UsageError(f"stage must be at least 1, got {s}")
     ring, ideal = _need_ring_ideal(spec)
-    report = build_tower_resolution(ring, ideal, s, jobs=args.jobs)
+    report = build_tower_resolution(ring, ideal, s)
     table: dict = {(0, t): v for t, v in report.h0_found.items()}
     for s_deg, t, entry in report.higher_nonzero:
         table[(s_deg, t)] = entry
@@ -301,7 +301,7 @@ def _cmd_cotor(args, spec: SpecFile, out_dir: Path) -> int:
         hopf = example_hopf(spec.example.config(window))
     else:
         raise UsageError("cotor needs primitives=d1,d2,... or an [example] section")
-    report = cotor_ranks(hopf, window, jobs=args.jobs)
+    report = cotor_ranks(hopf, window)
     _emit_table(out_dir, "cotor", report.table, args.axes)
     _write_text(out_dir / "cotor.txt", str(report))
     print(f"cobar cohomology of {report.hopf_desc}: {len(report.table)} nonzero "

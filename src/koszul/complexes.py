@@ -12,9 +12,7 @@ direction, and homology_ranks marks it instead of guessing.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import partial
 
 from .linalg import (
     Coefficients,
@@ -42,7 +40,7 @@ class OracleMismatchError(Exception):
         super().__init__(message)
         self.witness = witness
 
-    def __reduce__(self):  # a worker process raises it across a pipe
+    def __reduce__(self):  # the default rebuilds from args, losing the witness
         return type(self), (str(self), self.witness)
 
 
@@ -314,8 +312,8 @@ def verify_differential(c: BigradedComplex) -> DifferentialReport:
     return DifferentialReport(not violations, violations)
 
 
-def homology_ranks(c: BigradedComplex, window: DegreeWindow | None = None,
-                   jobs: int = 1) -> dict[tuple[int, int], HomologyEntry]:
+def homology_ranks(c: BigradedComplex, window: DegreeWindow | None = None
+                   ) -> dict[tuple[int, int], HomologyEntry]:
     """Homology sizes per bidegree: rank over fields, rank plus torsion over Z.
 
     Each differential is reduced once (_reduce_differential) and its result
@@ -323,29 +321,16 @@ def homology_ranks(c: BigradedComplex, window: DegreeWindow | None = None,
     other.  A bidegree is certain only when both neighbouring levels are
     fully described (inside the built range, or structurally zero beyond
     it); edge bidegrees get certain=False rather than a silent wrong answer.
-    jobs >= 1 bounds the worker processes, which are also capped at the CPU
-    count and the number of bidegrees; one worker means no pool at all.
-    Workers receive single matrices, never the complex.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     w = window or c.window
-    keys = [k for k in c.bidegrees() if w.t_min <= k[1] <= w.t_max]
-    positions = list(dict.fromkeys(
-        pos for s, t in keys for pos in ((s, t), (s - c.step, t))))
-    matrices = [c.matrix(s, t) for s, t in positions]
-    reduce = partial(_reduce_differential, coeffs=c.coefficients)
-    workers = min(jobs, os.cpu_count() or 1, len(keys))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(reduce, matrices, chunksize=4))
-    else:
-        results = list(map(reduce, matrices))
-    reduced = dict(zip(positions, results))
+    reduced: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     out = {}
-    for s, t in keys:
+    for s, t in c.bidegrees():
+        if not w.t_min <= t <= w.t_max:
+            continue
+        for pos in ((s, t), (s - c.step, t)):
+            if pos not in reduced:
+                reduced[pos] = _reduce_differential(c.matrix(*pos), c.coefficients)
         rank_out, _ = reduced[(s, t)]  # leaves (s,t)
         rank_in, torsion = reduced[(s - c.step, t)]  # arrives at (s,t)
         certain = c.level_known(s + c.step) and c.level_known(s - c.step)

@@ -230,7 +230,7 @@ class CotorReport:
         return "\n".join(lines)
 
 
-def cotor_ranks(h: HopfSpec, w: DegreeWindow, jobs: int = 1) -> CotorReport:
+def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
     """Cohomology of the cobar complex, checked against the closed form.
 
     Raises DifferentialSquareError if the built differential fails d.d = 0,
@@ -241,7 +241,7 @@ def cotor_ranks(h: HopfSpec, w: DegreeWindow, jobs: int = 1) -> CotorReport:
     report = verify_differential(cx)
     if not report.ok:
         raise DifferentialSquareError(report)
-    raw = homology_ranks(cx, jobs=jobs)
+    raw = homology_ranks(cx)
     closed = closed_form_ranks(h, w)
     table: dict[tuple[int, int], HomologyEntry] = {}
     for (s, t), entry in sorted(raw.items()):

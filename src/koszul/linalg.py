@@ -71,10 +71,6 @@ class Coefficients:
             return x if isinstance(x, Fraction) else Fraction(x)
         return int(x)
 
-    def add(self, a, b):
-        c = a + b
-        return c % self.p if self.kind == "prime_field" else c
-
     def mul(self, a, b):
         c = a * b
         return c % self.p if self.kind == "prime_field" else c

@@ -10,7 +10,7 @@ degreewise exact regardless of the bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import (
     Coefficients,

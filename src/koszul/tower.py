@@ -17,9 +17,10 @@ realized basis.  Over R/I the Koszul part vanishes and the blocks are the
 boundary complexes that the exactness audit and the second Tor pipeline
 run on.
 
-and computes Tor(R/I, R/I) and Tor(R/I, R/I^s) two independent ways each,
-raising OracleMismatchError rather than returning a table the two pipelines
-disagree on.  Every freshly realized complex is checked for d after d = 0.
+The module also computes Tor(R/I, R/I) and Tor(R/I, R/I^s) two independent
+ways each, raising OracleMismatchError rather than returning a table the two
+pipelines disagree on.  Every freshly realized complex is checked for d
+after d = 0.
 
 Quotient realizations need field coefficients; over the integers only the
 free-module computations (Koszul homology with torsion, tower d^2 and
@@ -236,8 +237,7 @@ class TowerReport:
 
 
 def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
-                           window: DegreeWindow | None = None,
-                           jobs: int = 1) -> TowerReport:
+                           window: DegreeWindow | None = None) -> TowerReport:
     """Build the stage-s resolution of R/I^s and audit it end to end.
 
     Raises DifferentialSquareError when d^2 fails (a sign bug, not a math
@@ -256,7 +256,7 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
     diff_report = verify_differential(cx)
     if not diff_report.ok:
         raise DifferentialSquareError(diff_report)
-    hom = homology_ranks(cx, jobs=jobs)
+    hom = homology_ranks(cx)
     is_field = ring.coefficients.is_field
     h0_found, h0_expected, mismatches = {}, {}, []
     for t in w.degrees():
@@ -353,8 +353,7 @@ class TorDiagonalReport:
 
 
 def tor_diagonal(ring: RingSpec, ideal: IdealSpec,
-                 window: DegreeWindow | None = None,
-                 jobs: int = 1) -> TorDiagonalReport:
+                 window: DegreeWindow | None = None) -> TorDiagonalReport:
     """Both pipelines for Tor(R/I, R/I); raises OracleMismatchError on any
     disagreement instead of returning a table."""
     if not ring.coefficients.is_field:
@@ -363,7 +362,7 @@ def tor_diagonal(ring: RingSpec, ideal: IdealSpec,
     quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
     cx = build_koszul(ring, ideal, w, module=quotient)
     diff_vanishes = all(m.is_zero() for m in cx.diff.values())
-    hom = homology_ranks(cx, jobs=jobs)
+    hom = homology_ranks(cx)
     brute = {key: entry.rank for key, entry in hom.items() if entry.rank}
     kept, cut = sequence_window_cut(ring, ideal, w)
     closed: dict[tuple[int, int], int] = {}
@@ -558,8 +557,7 @@ class TorPowerReport:
 
 
 def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int,
-                      window: DegreeWindow | None = None,
-                      jobs: int = 1) -> TorPowerReport:
+                      window: DegreeWindow | None = None) -> TorPowerReport:
     """Tor(R/I, R/I^s) with every cross-check; any disagreement raises."""
     if not ring.coefficients.is_field:
         raise ValueError("Tor tables against quotients need field coefficients")
@@ -569,7 +567,7 @@ def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int,
     # pipeline (a): homology of Koszul (x) R/I^s
     power_quotient = quotient_by_power(ring, ideal, s)
     cx = build_koszul(ring, ideal, w, module=power_quotient)
-    hom = homology_ranks(cx, jobs=jobs)
+    hom = homology_ranks(cx)
     brute = {key: entry.rank for key, entry in hom.items() if entry.rank}
     # pipeline (b): R/I at homological degree 0 plus coker of the last boundary
     quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
@@ -595,7 +593,7 @@ def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int,
                  "brute": brute.get(key, 0), "closed": closed.get(key, 0)},
             )
     free_ok, free_gens = _peel_free_module(brute, quotient, w)
-    checked, skipped, nonzero = _trivial_products_check(ring, ideal, s, w, brute, jobs)
+    checked, skipped, nonzero = _trivial_products_check(ring, ideal, s, w, brute)
     if nonzero:
         first = nonzero[0]
         raise OracleMismatchError(
@@ -696,7 +694,7 @@ def _chain_product(cx: BigradedComplex, key_a, vec_a, key_b, vec_b, level_cap: i
     return {i: v for i, v in out.items() if v}
 
 
-def _trivial_products_check(ring, ideal, s, w, brute, jobs):
+def _trivial_products_check(ring, ideal, s, w, brute):
     """Multiply representing cycles in Koszul (x) stage-s algebra and insist
     every product of positive-homological-degree classes bounds."""
     free_tensor = tensor_free(
@@ -705,7 +703,7 @@ def _trivial_products_check(ring, ideal, s, w, brute, jobs):
     rep = verify_differential(cx)
     if not rep.ok:
         raise DifferentialSquareError(rep)
-    hom = homology_ranks(cx, jobs=jobs)
+    hom = homology_ranks(cx)
     for key, entry in sorted(hom.items()):
         if entry.rank != brute.get(key, 0):
             raise OracleMismatchError(

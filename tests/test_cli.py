@@ -236,12 +236,24 @@ def test_help_exits_zero(capsys):
     assert "check-regular" in capsys.readouterr().out
 
 
-def test_jobs_flag_gives_identical_output(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run("tor", "--spec", spec_arg("diagonal_f3.spec"), "--out", str(a)) == 0
-    assert run("tor", "--spec", spec_arg("diagonal_f3.spec"), "--out", str(b),
-               "--jobs", "2") == 0
-    assert (a / "tor.csv").read_bytes() == (b / "tor.csv").read_bytes()
+def test_jobs_flag_gives_identical_output(tmp_path, monkeypatch):
+    # --jobs is accepted and ignored: even with CPUs to spare, no process starts
+    import concurrent.futures
+    import os
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--jobs started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for command, spec, name in ((("tor",), "diagonal_f3.spec", "tor"),
+                                (("tower", "s=2"), "diagonal_f2.spec", "tower_s2")):
+        for jobs in ("1", "4"):
+            assert run(*command, "--spec", spec_arg(spec),
+                       "--out", str(tmp_path / name / jobs), "--jobs", jobs) == 0
+        for artifact in (name + ".csv", name + ".svg"):
+            assert (tmp_path / name / "1" / artifact).read_bytes() == (
+                tmp_path / name / "4" / artifact).read_bytes()
 
 
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):

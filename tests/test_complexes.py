@@ -20,8 +20,10 @@ from koszul.complexes import (
     tensor_complexes,
     verify_differential,
 )
+from koszul.cotor import HopfSpec, cobar_complex
 from koszul.linalg import Coefficients
-from koszul.rings import DegreeWindow, QuotientModule, RingSpec
+from koszul.rings import DegreeWindow, IdealSpec, QuotientModule, RingSpec
+from koszul.tower import tower_free
 
 
 def one_variable_ring(p=2, t_max=8):
@@ -90,14 +92,30 @@ def test_two_copies_of_same_variable():
     assert h[(1, 2)].rank == 1
 
 
+def _euler_cases():
+    yield exterior_on(one_variable_ring(), [0, 0]).realize()
+    for coeffs in (Coefficients.prime_field(2), Coefficients.prime_field(3),
+                   Coefficients.integers()):
+        ring = RingSpec(coeffs, (("x1", 2), ("x2", 2), ("x3", 4)), DegreeWindow(0, 12))
+        ideal = IdealSpec(tuple(ring.generator(n) for n in ("x1", "x2", "x3")))
+        for s in (1, 2, 3):
+            yield tower_free(ring, ideal, s).realize()
+    base = RingSpec(Coefficients.prime_field(2), (), DegreeWindow(0, 12, 12))
+    yield cobar_complex(HopfSpec(base, (("t1", 1), ("t2", 3), ("t3", 5))), base.window)
+
+
 def test_euler_characteristic_matches_homology():
-    ring = one_variable_ring()
-    c = exterior_on(ring, [0, 0]).realize()
-    h = homology_ranks(c)
-    for t in range(0, 9, 2):
-        chain_side = sum((-1) ** s * c.dim(s, t) for s in c.s_levels)
-        hom_side = sum((-1) ** s * h[(s, t)].rank for s in c.s_levels if (s, t) in h)
-        assert chain_side == hom_side
+    # per t-column: sum (-1)^s dim C_{s,t} = sum (-1)^s rank H_{s,t}, with the
+    # free rank over Z; every level of these windows' columns is fully built
+    for c in _euler_cases():
+        h = homology_ranks(c)
+        columns = sorted({t for _, t in c.bidegrees()})
+        assert columns
+        for t in columns:
+            assert all(h[(s, t)].certain for s in c.s_levels if (s, t) in h)
+            chain_side = sum((-1) ** s * c.dim(s, t) for s in c.s_levels)
+            hom_side = sum((-1) ** s * h[(s, t)].rank for s in c.s_levels if (s, t) in h)
+            assert chain_side == hom_side, (str(c.coefficients), t)
 
 
 def test_tensor_matches_two_variable_complex():
@@ -217,49 +235,6 @@ def test_homology_basis_coordinates():
     assert hb4.is_boundary(c.matrix(2, 4).column(0))
 
 
-def test_parallel_matches_serial():
-    ring = one_variable_ring()
-    c = exterior_on(ring, [0, 0]).realize()
-    serial = homology_ranks(c, jobs=1)
-    parallel = homology_ranks(c, jobs=2)
-    assert {k: (v.rank, v.torsion, v.certain) for k, v in serial.items()} == {
-        k: (v.rank, v.torsion, v.certain) for k, v in parallel.items()
-    }
-
-
-def test_jobs_cap_workers_at_cpus_and_bidegrees(monkeypatch):
-    import concurrent.futures
-    import os
-
-    pools = []
-
-    class SerialPool:  # records the worker count, starts no process
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    c = exterior_on(one_variable_ring(), [0, 0]).realize()
-    serial = homology_ranks(c)
-    assert 3 < len(serial) < 64
-    for cpus in (3, 64, None):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert homology_ranks(c, jobs=5000) == serial
-    # capped by the CPUs, then by the bidegrees; one CPU runs serially
-    assert pools == [3, len(serial)]
-    for jobs in (0, -1):
-        with pytest.raises(ValueError):
-            homology_ranks(c, jobs=jobs)
-
-
 def test_realize_enumerates_each_degree_once(monkeypatch):
     import koszul.rings as rings
 
@@ -298,56 +273,25 @@ def _touched_matrices(c, h):
     return {pos for s, t in h for pos in ((s, t), (s - c.step, t))}
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("coeffs, names", [
     (Coefficients.prime_field(2), ("rank_over_field",)),
     (Coefficients.integers(), ("rational_rank", "smith_normal_form")),
 ])
-def test_homology_reduces_each_differential_once(monkeypatch, jobs, coeffs, names):
-    import concurrent.futures
-    import os
-
-    from koszul.linalg import Matrix
-
+def test_homology_reduces_each_differential_once(monkeypatch, coeffs, names):
     ring = RingSpec(coeffs, (("x1", 2), ("x2", 4)), DegreeWindow(0, 10))
     c = exterior_on(ring, [0, 1]).realize()
-    serial = homology_ranks(c)
-    mapped = []
-
-    class SerialPool:  # runs in this process, so the counters see every call
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            mapped.extend(items)
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     seen = _counting_reductions(monkeypatch, names)
-    h = homology_ranks(c, jobs=jobs)
-    assert h == serial
+    h = homology_ranks(c)
     touched = _touched_matrices(c, h)
     for name in names:
         assert len(seen[name]) == len(touched) > len(h)
         # every realized differential is reduced exactly once
         assert sorted(map(id, c.diff.values())) == sorted(
             id(m) for m in seen[name] if any(m is d for d in c.diff.values()))
-    if jobs > 1:  # workers get single matrices, not (complex, bidegree) pairs
-        assert len(mapped) == len(touched) and all(isinstance(m, Matrix) for m in mapped)
-    else:
-        assert not mapped
 
 
 def test_oracle_mismatch_survives_pickling():
-    # homology_ranks workers raise it across a process boundary
+    # copy, deepcopy and every process boundary rebuild it through __reduce__
     import pickle
 
     from koszul.complexes import OracleMismatchError

@@ -224,12 +224,3 @@ def test_kunneth_pattern_on_an_exterior_table():
     assert verdict.ok
     assert isinstance(verdict, CollapseVerdict)
 
-
-def test_parallel_cohomology_matches_serial():
-    w = DegreeWindow(0, 12, 3)
-    h = HopfSpec(unit_base(3, 12, s_max=3), (("t1", 1), ("t2", 3)))
-    serial = cotor_ranks(h, w, jobs=1)
-    parallel = cotor_ranks(h, w, jobs=2)
-    assert {k: v.rank for k, v in serial.table.items()} == {
-        k: v.rank for k, v in parallel.table.items()
-    }

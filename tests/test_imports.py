@@ -1,0 +1,35 @@
+"""Every name a koszul module imports is used in that module.
+
+A stdlib-only stand-in for a linter's unused-import rule: each module under
+src/koszul/ except the package's re-exporting __init__.py is parsed with
+ast, and an imported name counts as used when the module names it anywhere
+outside its import statement.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "koszul"
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def test_no_unused_imports():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in sorted(_imported(tree).items()) if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)
