@@ -36,7 +36,6 @@ from .adams import (
     module_completion,
 )
 from .charts import csv_text, parse_csv, read_csv, svg_text, write_csv, write_svg
-from .cli import main
 from .complexes import (
     BigradedComplex,
     DifferentialSquareError,

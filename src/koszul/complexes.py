@@ -1,7 +1,7 @@
 """Bigraded chain complexes with exact differentials.
 
 Two layers: a FreeComplex is a complex of free graded modules described by
-generator labels and an element-valued differential; realizing it over a
+integer generator ids and an element-valued differential; realizing it over a
 degree window (optionally through a quotient module) produces a
 BigradedComplex, the flat object everything downstream consumes: ordered
 labelled bases per bidegree (s, t) and one exact matrix per bidegree.
@@ -96,19 +96,16 @@ def format_basis_element(label, mono: tuple[int, ...], ring: RingSpec) -> str:
     return str(label)
 
 
-@dataclass
-class FreeGenerator:
-    label: object
-    hom: int  # homological (or cohomological) degree s
-    internal: int  # internal degree t of the generator itself
-
-
 class FreeComplex:
-    """Free graded complex: generators with degrees, differential by label.
+    """Free graded complex: generators with degrees, differential by generator id.
 
-    diff maps a label to [(coefficient Element, target label)]; targets sit
-    one homological step along `direction`.  complete_above means the listed
-    generator levels are all there are (nothing was cut by the window).
+    add_generator returns the new generator's id, its insertion index.
+    levels[s] lists the ids at homological level s in insertion order;
+    labels[i] (for printing and witnesses only, never hashed here),
+    internal[i] and diff[i] describe generator i.  diff[i] lists (coefficient
+    Element, target id) pairs one homological step along `direction`.
+    complete_above means the listed levels are all there are (nothing was
+    cut by the window).
     """
 
     def __init__(self, ring: RingSpec, direction: str = HOMOLOGICAL,
@@ -117,29 +114,27 @@ class FreeComplex:
         self.direction = direction
         self.complete_above = complete_above
         self.complete_below = complete_below
-        self.generators: dict[int, list[FreeGenerator]] = {}
-        self.diff: dict[object, list[tuple[Element, object]]] = {}
-        self._internal: dict[object, int] = {}
+        self.levels: dict[int, list[int]] = {}
+        self.labels: list = []
+        self.internal: list[int] = []
+        self.diff: list[list[tuple[Element, int]]] = []
 
-    def add_generator(self, label, hom: int, internal: int):
-        if label in self._internal:
-            raise ValueError(f"duplicate generator label {label}")
-        self.generators.setdefault(hom, []).append(FreeGenerator(label, hom, internal))
-        self._internal[label] = internal
+    def add_generator(self, label, hom: int, internal: int) -> int:
+        gid = len(self.labels)
+        self.levels.setdefault(hom, []).append(gid)
+        self.labels.append(label)
+        self.internal.append(internal)
+        self.diff.append([])
+        return gid
 
-    def internal_degree(self, label) -> int:
-        return self._internal[label]
-
-    def set_diff(self, label, terms):
-        terms = [(c, tgt) for c, tgt in terms if not c.is_zero()]
-        if terms:
-            self.diff[label] = terms
+    def set_diff(self, source: int, terms):
+        self.diff[source] = [(c, tgt) for c, tgt in terms if not c.is_zero()]
 
     def hom_degrees(self) -> list[int]:
-        return sorted(self.generators)
+        return sorted(self.levels)
 
     def generator_count(self) -> int:
-        return sum(len(v) for v in self.generators.values())
+        return len(self.labels)
 
     def realize(self, window: DegreeWindow | None = None, module=None,
                 description: str = "") -> "BigradedComplex":
@@ -147,44 +142,62 @@ class FreeComplex:
 
         module defaults to the free module on the ring's monomials; pass a
         QuotientModule to realize the complex tensored with that quotient.
+        The basis at (s, t) lists, in insertion order, the level-s generators
+        whose module degree t - internal is nonzero, each followed by that
+        degree's module basis; boundary_block and every witness rely on this
+        order.  Each multiplication map (coefficient, source degree, target
+        degree) goes through mod.reduce once and is shared by all columns.
         """
         w = window or self.ring.window
         mod = module or FreeModuleBasis(self.ring)
-        coeffs = self.ring.coefficients
+        normalize = self.ring.coefficients.normalize
         step = -1 if self.direction == HOMOLOGICAL else 1
+        labels, internal = self.labels, self.internal
         basis: dict[tuple[int, int], list] = {}
-        offsets: dict[tuple[int, int], dict] = {}  # (s,t) -> label -> row offset
+        offsets: dict[tuple[int, int], dict[int, int]] = {}  # (s,t) -> id -> row
         for s in self.hom_degrees():
+            buckets: dict[int, list[int]] = {}
+            for gid in self.levels[s]:
+                buckets.setdefault(internal[gid], []).append(gid)
             for t in w.degrees():
-                entries = []
-                offs = {}
-                for gen in self.generators[s]:
-                    offs[gen.label] = len(entries)
-                    for mono in mod.basis(t - gen.internal):
-                        entries.append((gen.label, mono))
-                if entries:
+                ids = sorted(gid for d, run in buckets.items() if mod.dim(t - d) for gid in run)
+                if ids:
+                    entries: list = []
+                    offs = offsets[(s, t)] = {}
+                    for gid in ids:
+                        offs[gid] = len(entries)
+                        entries.extend([(labels[gid], m) for m in mod.basis(t - internal[gid])])
                     basis[(s, t)] = entries
-                    offsets[(s, t)] = offs
+        tables: dict[tuple[int, int, int], list] = {}
         diff: dict[tuple[int, int], Matrix] = {}
         for (s, t), entries in basis.items():
-            tgt_key = (s + step, t)
-            tgt_offs = offsets.get(tgt_key, {})
-            m = Matrix(len(basis.get(tgt_key, ())), len(entries))
-            for j, (label, mono) in enumerate(entries):
-                for coeff_elem, tgt_label in self.diff.get(label, ()):
-                    off = tgt_offs.get(tgt_label)
-                    if off is None:
+            tgt_offs = offsets.get((s + step, t), {})
+            m = Matrix(len(basis.get((s + step, t), ())), len(entries))
+            for gid, col0 in offsets[(s, t)].items():
+                d = t - internal[gid]
+                plan = []
+                for c, tgt in self.diff[gid]:
+                    row = tgt_offs.get(tgt)
+                    if row is None:
                         continue  # target slot empty at this t
-                    prod = coeff_elem * self.ring.monomial(mono)
-                    if prod.is_zero():
-                        continue
-                    red = mod.reduce(prod, t - self._internal[tgt_label])
-                    for pos, v in red.items():
-                        i = off + pos
-                        m.set(i, j, coeffs.normalize(m.get(i, j) + v))
+                    key = (id(c), d, t - internal[tgt])
+                    if key not in tables:
+                        tables[key] = [mod.reduce(c * self.ring.monomial(mono), key[2])
+                                       for mono in mod.basis(d)]
+                    plan.append((row, tables[key]))
+                for k in range(mod.dim(d)):
+                    col: dict[int, object] = {}  # target row -> entry
+                    for row, table in plan:
+                        for pos, v in table[k].items():
+                            x = normalize(col.get(row + pos, 0) + v)
+                            if x:
+                                col[row + pos] = x
+                            else:
+                                col.pop(row + pos, None)
+                    m.entries.update(((i, col0 + k), x) for i, x in col.items())
             diff[(s, t)] = m
         return BigradedComplex(
-            coefficients=coeffs,
+            coefficients=self.ring.coefficients,
             direction=self.direction,
             basis=basis,
             diff=diff,
@@ -378,24 +391,24 @@ def tensor_free(a: FreeComplex, b: FreeComplex) -> FreeComplex:
     out = FreeComplex(a.ring, a.direction,
                       complete_above=a.complete_above and b.complete_above,
                       complete_below=a.complete_below and b.complete_below)
-    pairs: list[tuple[FreeGenerator, FreeGenerator]] = []
-    for sa in a.hom_degrees():
-        for ga in a.generators[sa]:
-            for sb in b.hom_degrees():
-                for gb in b.generators[sb]:
-                    pairs.append((ga, gb))
-    pairs.sort(key=lambda p: (p[0].hom + p[1].hom, p[0].hom, str(p[0].label), str(p[1].label)))
+    hom_a = {ga: sa for sa, ids in a.levels.items() for ga in ids}
+    hom_b = {gb: sb for sb, ids in b.levels.items() for gb in ids}
+    pairs = [(ga, gb) for sa in a.hom_degrees() for ga in a.levels[sa]
+             for sb in b.hom_degrees() for gb in b.levels[sb]]
+    pairs.sort(key=lambda p: (hom_a[p[0]] + hom_b[p[1]], hom_a[p[0]],
+                              str(a.labels[p[0]]), str(b.labels[p[1]])))
+    ids = {(ga, gb): out.add_generator(TensorLabel(a.labels[ga], b.labels[gb]),
+                                       hom_a[ga] + hom_b[gb],
+                                       a.internal[ga] + b.internal[gb])
+           for ga, gb in pairs}
+    # one -c per coefficient c of b, so realize shares its multiplication maps
+    negated = {id(c): c.scaled(-1) for terms in b.diff for c, _ in terms}
     for ga, gb in pairs:
-        out.add_generator(TensorLabel(ga.label, gb.label), ga.hom + gb.hom,
-                          ga.internal + gb.internal)
-    for ga, gb in pairs:
-        terms = []
-        for coeff, tgt in a.diff.get(ga.label, ()):  # dx (x) y
-            terms.append((coeff, TensorLabel(tgt, gb.label)))
-        for coeff, tgt in b.diff.get(gb.label, ()):  # (-1)^s x (x) dy
-            c = coeff if ga.hom % 2 == 0 else coeff.scaled(-1)
-            terms.append((c, TensorLabel(ga.label, tgt)))
-        out.set_diff(TensorLabel(ga.label, gb.label), terms)
+        odd = hom_a[ga] % 2
+        terms = [(c, ids[(tgt, gb)]) for c, tgt in a.diff[ga]]  # dx (x) y
+        terms += [(negated[id(c)] if odd else c, ids[(ga, tgt)])  # (-1)^s x (x) dy
+                  for c, tgt in b.diff[gb]]
+        out.set_diff(ids[(ga, gb)], terms)
     return out
 
 

@@ -131,7 +131,7 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
     complete = (not h.primitives) or (s_build + 1) * min_letter > w.t_max
     fc = FreeComplex(h.base, COHOMOLOGICAL,
                      complete_above=complete, complete_below=True)
-    fc.add_generator(UNIT_LABEL, 0, 0)
+    ids = {(): fc.add_generator(UNIT_LABEL, 0, 0)}  # word -> generator id
     level: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 0)]
     for s in range(1, s_build + 1):
         grown = []
@@ -141,27 +141,28 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
                 if nd <= w.t_max:
                     grown.append((word + (L,), nd))
         for word, d in grown:
-            fc.add_generator(BasisLabel(word=word), s, d)
+            ids[word] = fc.add_generator(BasisLabel(word=word), s, d)
         level = grown
-    for s in range(1, s_build + 1):
-        for gen in fc.generators.get(s, ()):
-            word = gen.label.word
-            if len(word) + 1 > s_build:
-                break  # top guard level: targets were not built
-            terms = []
-            for i, letter in enumerate(word):
-                if len(letter) < 2:
-                    continue
-                prefix = sum(ldeg[word[j]] + 1 for j in range(i))
-                for mask in range(1, (1 << len(letter)) - 1):
-                    p = tuple(x for b, x in enumerate(letter) if mask >> b & 1)
-                    q = tuple(x for b, x in enumerate(letter) if not mask >> b & 1)
-                    sign = _unshuffle_sign(p, q)
-                    if (1 + prefix + letter_degree(h, p)) % 2:
-                        sign = -sign
-                    target = word[:i] + (p, q) + word[i + 1:]
-                    terms.append((h.base.constant(sign), BasisLabel(word=target)))
-            fc.set_diff(gen.label, terms)
+    # per letter: its splittings P*Q, each with its unshuffle sign times
+    # (-1)^(1 + |P|); the prefix sign is applied per position below
+    splits = {L: [] for L in lets}
+    for L in lets:
+        for mask in range(1, (1 << len(L)) - 1):
+            p = tuple(x for b, x in enumerate(L) if mask >> b & 1)
+            q = tuple(x for b, x in enumerate(L) if not mask >> b & 1)
+            splits[L].append((p, q, _unshuffle_sign(p, q) * (-1) ** (1 + letter_degree(h, p))))
+    units = {1: h.base.constant(1), -1: h.base.constant(-1)}
+    for word, gid in ids.items():
+        if len(word) + 1 > s_build:
+            break  # top guard level: targets were not built
+        terms, prefix = [], 1  # prefix = (-1)^(sum_{j<i} (|g_j| + 1))
+        for i, letter in enumerate(word):
+            head, tail = word[:i], word[i + 1:]
+            terms += [(units[sign * prefix], ids[head + (p, q) + tail])
+                      for p, q, sign in splits[letter]]
+            if ldeg[letter] % 2 == 0:
+                prefix = -prefix
+        fc.set_diff(gid, terms)
     return fc
 
 
@@ -264,10 +265,7 @@ def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
             raise OracleMismatchError(
                 "closed form predicts a class the cobar complex lacks",
                 {"kind": "cotor", "s": s, "t": t, "brute": 0, "closed": want})
-    counts: dict[int, int] = {}
-    if cx.free is not None:
-        for s_level in cx.free.hom_degrees():
-            counts[s_level] = len(cx.free.generators[s_level])
+    counts = {s: len(ids) for s, ids in sorted(cx.free.levels.items())}
     return CotorReport(str(h), table, closed, report, w, counts)
 
 

@@ -134,10 +134,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        degs = {self.ring.monomial_degree(e) for e in self.terms}
-        return len(degs) <= 1
-
     def degree(self) -> int | None:
         """Degree of a homogeneous element; None for 0."""
         degs = {self.ring.monomial_degree(e) for e in self.terms}
@@ -321,6 +317,13 @@ def power_generators(ideal: IdealSpec, s: int) -> list[tuple[tuple[int, ...], El
     return out
 
 
+def _coordinates(elem: Element, t: int, index: dict) -> dict[int, object]:
+    """A degree-t element in the monomial coordinates `index`."""
+    if any(elem.ring.monomial_degree(e) != t for e in elem.terms):
+        raise ValueError(f"element {elem} is not concentrated in degree {t}")
+    return {index[e]: v for e, v in elem.terms.items()}
+
+
 class FreeModuleBasis:
     """The ring itself, degreewise: monomial bases and exact expansion.
 
@@ -352,13 +355,7 @@ class FreeModuleBasis:
 
     def reduce(self, elem: Element, t: int) -> dict[int, object]:
         """Coordinates of a degree-t element on the monomial basis."""
-        idx = self.index(t)
-        out = {}
-        for e, v in elem.terms.items():
-            if self.ring.monomial_degree(e) != t:
-                raise ValueError(f"element {elem} is not concentrated in degree {t}")
-            out[idx[e]] = v
-        return out
+        return _coordinates(elem, t, self.index(t))
 
 
 class QuotientModule:
@@ -410,13 +407,7 @@ class QuotientModule:
         return {pos_of[p]: v for p, v in residual.items()}
 
     def reduce(self, elem: Element, t: int) -> dict[int, object]:
-        _, index, _, _, _ = self._at(t)
-        vec = {}
-        for e, v in elem.terms.items():
-            if self.ring.monomial_degree(e) != t:
-                raise ValueError(f"element {elem} is not concentrated in degree {t}")
-            vec[index[e]] = v
-        return self.reduce_vector(t, vec)
+        return self.reduce_vector(t, _coordinates(elem, t, self._at(t)[1]))
 
     def contains_span(self, other_relations: list[Element], t: int) -> bool:
         """Do the other relations' degree-t multiples land in this span?"""

@@ -120,22 +120,21 @@ def tower_free(ring: RingSpec, ideal: IdealSpec, s: int,
     signed = {i: (ideal.sequence[i - 1], ideal.sequence[i - 1].scaled(-1)) for i in kept}
     units = (ring.constant(-1), ring.constant(1))
     cx = FreeComplex(ring, HOMOLOGICAL)
+    ids: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # (S, J) -> id
     for r in range(len(kept) + 1):
         for k in range(s):
             for s_set in combinations(kept, r):
                 for j in combinations_with_replacement(kept, k):
-                    label = BasisLabel(e_part=s_set, u_part=j)
-                    cx.add_generator(
-                        label, r,
+                    gid = ids[(s_set, j)] = cx.add_generator(
+                        BasisLabel(e_part=s_set, u_part=j), r,
                         _indices_degree(ideal, s_set) + _indices_degree(ideal, j))
                     koszul, boundary = [], []
                     for a, i in enumerate(s_set):
                         rest = s_set[:a] + s_set[a + 1:]
-                        koszul.append((signed[i][a % 2], BasisLabel(e_part=rest, u_part=j)))
+                        koszul.append((signed[i][a % 2], ids[(rest, j)]))
                         if k < s - 1:
-                            boundary.append((units[a % 2], BasisLabel(
-                                e_part=rest, u_part=tuple(sorted(j + (i,))))))
-                    cx.set_diff(label, koszul + boundary)
+                            boundary.append((units[a % 2], ids[(rest, tuple(sorted(j + (i,))))]))
+                    cx.set_diff(gid, koszul + boundary)
     return cx
 
 

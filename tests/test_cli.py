@@ -280,3 +280,22 @@ def test_snf_rank_mismatch_is_a_mathematical_failure(tmp_path, monkeypatch, caps
     inner = witness["witness"]
     assert inner["rational_rank"] == len(inner["invariant_factors"]) + 1
     assert not (out / "tower_s2.csv").exists()
+
+
+def test_module_entry_point_warns_nothing():
+    # importing the package must not load koszul.cli ahead of runpy, which
+    # would make `python -m koszul.cli` warn that the module is already loaded
+    import os
+    import subprocess
+    import sys
+
+    import koszul
+
+    src = str(Path(koszul.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "koszul.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr

@@ -20,7 +20,7 @@ from koszul.complexes import (
     tensor_complexes,
     verify_differential,
 )
-from koszul.cotor import HopfSpec, cobar_complex
+from koszul.cotor import HopfSpec, cobar_complex, cobar_free
 from koszul.linalg import Coefficients
 from koszul.rings import DegreeWindow, IdealSpec, QuotientModule, RingSpec
 from koszul.tower import tower_free
@@ -40,19 +40,19 @@ def exterior_on(ring, indices):
     for r in range(len(gens) + 1):
         subsets.extend(combinations(range(len(gens)), r))
     subsets.sort(key=lambda s: (len(s), s))
+    ids = {}
     for sub in subsets:
         label = BasisLabel(e_part=tuple(i + 1 for i in sub))
         internal = sum(ring.degrees[gens[i]] for i in sub)
-        cx.add_generator(label, len(sub), internal)
+        ids[sub] = cx.add_generator(label, len(sub), internal)
     for sub in subsets:
-        label = BasisLabel(e_part=tuple(i + 1 for i in sub))
         terms = []
         for k, i in enumerate(sub):
             rest = tuple(sub[:k] + sub[k + 1 :])
             sign = 1 if k % 2 == 0 else -1
             coeff = ring.generator(ring.names[gens[i]]).scaled(sign)
-            terms.append((coeff, BasisLabel(e_part=tuple(j + 1 for j in rest))))
-        cx.set_diff(label, terms)
+            terms.append((coeff, ids[rest]))
+        cx.set_diff(ids[sub], terms)
     return cx
 
 
@@ -152,10 +152,9 @@ def test_integer_torsion_homology():
     # 0 -> Z --2--> Z -> 0 concentrated in internal degree 0
     ring = RingSpec(Coefficients.integers(), (), DegreeWindow(0, 0))
     cx = FreeComplex(ring, HOMOLOGICAL)
-    cx.add_generator(UNIT_LABEL, 0, 0)
-    e1 = BasisLabel(e_part=(1,))
-    cx.add_generator(e1, 1, 0)
-    cx.set_diff(e1, [(ring.constant(2), UNIT_LABEL)])
+    unit = cx.add_generator(UNIT_LABEL, 0, 0)
+    e1 = cx.add_generator(BasisLabel(e_part=(1,)), 1, 0)
+    cx.set_diff(e1, [(ring.constant(2), unit)])
     c = cx.realize()
     assert verify_differential(c).ok
     h = homology_ranks(c)
@@ -190,10 +189,9 @@ def test_shift_complex():
 def test_truncation_marks_uncertain_levels():
     ring = one_variable_ring()
     cx = FreeComplex(ring, HOMOLOGICAL, complete_above=False)
-    cx.add_generator(UNIT_LABEL, 0, 0)
-    e1 = BasisLabel(e_part=(1,))
-    cx.add_generator(e1, 1, 2)
-    cx.set_diff(e1, [(ring.generator("x"), UNIT_LABEL)])
+    unit = cx.add_generator(UNIT_LABEL, 0, 0)
+    e1 = cx.add_generator(BasisLabel(e_part=(1,)), 1, 2)
+    cx.set_diff(e1, [(ring.generator("x"), unit)])
     h = homology_ranks(cx.realize())
     assert h[(0, 0)].certain
     assert not h[(1, 2)].certain
@@ -252,6 +250,31 @@ def test_realize_enumerates_each_degree_once(monkeypatch):
     assert verify_differential(c).ok
     assert sum(len(m.entries) for m in c.diff.values()) > 50
     assert calls and len(calls) == len(set(calls))
+
+
+def test_realize_hashes_no_label(monkeypatch):
+    # realize works on generator ids; labels only ride along into the bases
+    ring = RingSpec(Coefficients.prime_field(3), (("x1", 2), ("x2", 2), ("x3", 4)),
+                    DegreeWindow(0, 12))
+    ideal = IdealSpec(tuple(ring.generator(n) for n in ("x1", "x2", "x3")))
+    base = RingSpec(Coefficients.prime_field(2), (), DegreeWindow(0, 12, 12))
+    hopf = HopfSpec(base, (("t1", 1), ("t2", 3), ("t3", 5)))
+    tower = tower_free(ring, ideal, 3)
+    cobar = cobar_free(hopf, base.window)
+    calls = []
+    real = BasisLabel.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BasisLabel, "__hash__", counting)
+    realized = [tower.realize(), cobar.realize(base.window),
+                tower.realize(module=QuotientModule(ring, list(ideal.sequence)))]
+    assert all(any(m.entries for m in c.diff.values()) for c in realized)
+    assert calls == []
+    hash(UNIT_LABEL)
+    assert len(calls) == 1  # the patch is live
 
 
 def _counting_reductions(monkeypatch, names):

@@ -100,6 +100,18 @@ def test_coproduct_signs_on_a_two_index_letter():
     m = cx.matrix(1, 4)
     assert m.get(rows.index(((1,), (2,))), col) == 1
     assert m.get(rows.index(((2,), (1,))), col) == 2  # -1 mod 3
+    # behind a prefix letter t(1,2) of even degree 4 the shifted prefix
+    # degree is 5, so the splittings of the second letter flip sign:
+    # d[t12|t12] = [t1|t2|t12] - [t2|t1|t12] - [t12|t1|t2] + [t12|t2|t1]
+    w = DegreeWindow(0, 8, 2)
+    h = HopfSpec(RingSpec(Coefficients.prime_field(3), (), w), (("t1", 1), ("t2", 3)))
+    cx = cobar_complex(h, w)
+    col = cx.basis[(2, 8)].index((BasisLabel(word=((1, 2), (1, 2))), ()))
+    rows = [label.word for label, _ in cx.basis[(3, 8)]]
+    assert {rows[i]: v for i, v in cx.matrix(2, 8).column(col).items()} == {
+        ((1,), (2,), (1, 2)): 1, ((2,), (1,), (1, 2)): 2,
+        ((1, 2), (1,), (2,)): 2, ((1, 2), (2,), (1,)): 1,
+    }
 
 
 def test_letters_enumerate_the_augmentation_coideal():
@@ -111,7 +123,7 @@ def test_word_budget_prunes_by_internal_degree():
     w = DegreeWindow(0, 8, 2)
     h = HopfSpec(unit_base(2, 8, s_max=2), (("t1", 3), ("t2", 5)))
     free = cobar_free(h, w)
-    counts = {s: len(free.generators[s]) for s in free.hom_degrees()}
+    counts = {s: len(free.levels[s]) for s in free.hom_degrees()}
     assert counts == {0: 1, 1: 3, 2: 3}
     assert free.complete_above  # a length-4 word needs degree 12 > 8
 

@@ -129,7 +129,7 @@ def test_tower_stage_one_is_koszul():
     ring = ring_f(2, (2, 4), 10)
     ideal = ideal_on(ring, "x1", "x2")
     tower = tower_free(ring, ideal, 1)
-    labels = {g.label for gens in tower.generators.values() for g in gens}
+    labels = set(tower.labels)
     assert labels == {BasisLabel(e_part=e) for e in ((), (1,), (2,), (1, 2))}
     h = nonzero_table(homology_ranks(build_koszul(ring, ideal)))
     assert {k: v.rank for k, v in h.items()} == {(0, 0): 1}

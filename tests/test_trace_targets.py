@@ -1,6 +1,9 @@
 """The benchmark's trace wraps named functions of this package from outside
-(perfbench/tracing.py, TARGETS).  A target that no longer resolves drops its
-metrics silently in a traced run, so a rename must fail here instead."""
+(perfbench/tracing.py, TARGETS) and reads counts off their operands and
+results (COUNTERS).  A target that no longer resolves drops its metrics
+silently in a traced run, and a counter that reads a renamed attribute fails
+only in a traced run, so a rename must fail here instead."""
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
@@ -10,17 +13,61 @@ import pytest
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _targets():
+@functools.cache
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _tracing().TARGETS
+
+
+def _resolve(module_name, path):
+    owner = importlib.import_module(module_name)
+    for part in path.split("."):
+        owner = getattr(owner, part, None)
+        if owner is None:
+            return None
+    return owner
 
 
 @pytest.mark.parametrize("module_name, path, span", _targets())
 def test_trace_target_resolves(module_name, path, span):
-    owner = importlib.import_module(module_name)
-    for part in path.split("."):
-        owner = getattr(owner, part, None)
-        assert owner is not None, f"{module_name}.{path} is gone (span {span})"
-    assert callable(owner)
+    target = _resolve(module_name, path)
+    assert target is not None, f"{module_name}.{path} is gone (span {span})"
+    assert callable(target)
+
+
+def _small_args(span):
+    """Positional arguments for one call of the target behind a span, as
+    the traced program passes them (a method gets its instance first)."""
+    from koszul.cotor import HopfSpec, cobar_free
+    from koszul.linalg import Coefficients, Matrix
+    from koszul.rings import DegreeWindow, RingSpec
+
+    f2 = Coefficients.prime_field(2)
+    m = Matrix.from_rows([[1, 2, 0], [0, 3, 6]])
+    w = DegreeWindow(0, 8, 2)
+    hopf = HopfSpec(RingSpec(f2, (), w), (("t1", 1), ("t2", 3)))
+    return {
+        "linalg.compose": (Matrix.from_rows([[1, 1]]), Matrix.from_rows([[1, 0], [1, 1]]), f2),
+        "linalg.rank_field": (m, Coefficients.prime_field(5)),
+        "linalg.rational_rank": (m,),
+        "linalg.snf": (m,),
+        "rings.monomials": (RingSpec(f2, (("x1", 2), ("x2", 4)), w), 6),
+        "complexes.realize": (cobar_free(hopf, w), w),
+        "cotor.cobar_free": (hopf, w),
+    }[span]
+
+
+@pytest.mark.parametrize("module_name, path, span",
+                         [t for t in _targets() if t[2] in _tracing().COUNTERS])
+def test_trace_counter_reads_its_target(module_name, path, span):
+    args = _small_args(span)
+    result = _resolve(module_name, path)(*args)
+    counts = _tracing().COUNTERS[span](args, result)
+    assert counts and all(isinstance(v, int) for v in counts.values())
+    assert all(v > 0 for k, v in counts.items() if k != "key")
