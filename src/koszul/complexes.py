@@ -180,13 +180,13 @@ class FreeComplex:
                     row = tgt_offs.get(tgt)
                     if row is None:
                         continue  # target slot empty at this t
-                    key = (id(c), d, t - internal[tgt])
+                    key = (id(c), d, t - internal[tgt])  # builders share coefficients
                     if key not in tables:
                         tables[key] = [mod.reduce(c * self.ring.monomial(mono), key[2])
                                        for mono in mod.basis(d)]
                     plan.append((row, tables[key]))
                 for k in range(mod.dim(d)):
-                    col: dict[int, object] = {}  # target row -> entry
+                    col: dict[int, object] = {}  # row -> entry; zeros leave, as in Matrix.set
                     for row, table in plan:
                         for pos, v in table[k].items():
                             x = normalize(col.get(row + pos, 0) + v)
