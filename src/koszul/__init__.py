@@ -68,6 +68,7 @@ from .rings import (
     DegreeWindow,
     Element,
     IdealSpec,
+    InputError,
     QuotientModule,
     RingSpec,
     WindowError,

@@ -36,6 +36,7 @@ from .linalg import Coefficients, IntegerLattice, is_prime
 from .rings import (
     DegreeWindow,
     IdealSpec,
+    InputError,
     RingSpec,
     monomial_count,
     power_generators,
@@ -59,17 +60,17 @@ class ExampleConfig:
 
     def __post_init__(self):
         if self.which not in EXAMPLE_NAMES:
-            raise ValueError(f"unknown example {self.which!r}; expected one of {EXAMPLE_NAMES}")
+            raise InputError(f"unknown example {self.which!r}; expected one of {EXAMPLE_NAMES}")
         if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+            raise InputError(f"p = {self.p} is not prime")
         if self.which == "A":
             if self.j_max < 0:
-                raise ValueError("j_max must be nonnegative")
+                raise InputError("j_max must be nonnegative")
         else:
             if self.n < 1:
-                raise ValueError(f"example {self.which} needs a height n >= 1")
+                raise InputError(f"example {self.which} needs a height n >= 1")
             if self.j_max < self.n:
-                raise ValueError(f"j_max = {self.j_max} is below the height n = {self.n}")
+                raise InputError(f"j_max = {self.j_max} is below the height n = {self.n}")
 
     def __str__(self):
         bits = [f"example {self.which}, p={self.p}"]
@@ -178,7 +179,7 @@ def kernel_sequence_model(c: ExampleConfig) -> tuple[RingSpec, IdealSpec, tuple[
         return ring, IdealSpec(seq), notes
     top = c.p ** c.n - 1
     if c.j_max < top:
-        raise ValueError(
+        raise InputError(
             f"kernel model for example {c.which} needs j_max >= p^n - 1 = {top}")
     kept = set(kunneth_indices(c))
     if c.which == "B":
@@ -261,7 +262,7 @@ def completion_tower(ring: RingSpec, ideal: IdealSpec,
     """
     w = window or ring.window
     if w.stage_max < 2:
-        raise ValueError("a tower needs stage_max >= 2")
+        raise InputError("a tower needs stage_max >= 2")
     is_field = ring.coefficients.is_field
     stages = range(1, w.stage_max + 1)
     if is_field:
@@ -368,7 +369,7 @@ def module_completion(shifts: tuple[int, ...], report: CompletionReport) -> Modu
     the max of the parts' stages (None if any part lacks one).
     """
     if not shifts:
-        raise ValueError("a free module needs at least one shift")
+        raise InputError("a free module needs at least one shift")
     towers: dict[int, tuple] = {}
     stab: dict[int, int | None] = {}
     omitted: list[int] = []

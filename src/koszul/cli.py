@@ -4,8 +4,11 @@ directory.
 
 Exit codes: 0 on success, 1 on a mathematical failure (an oracle mismatch,
 d after d not vanishing, a non-regular sequence, a failed collapse audit),
-2 on a usage or configuration-file error.  Every mathematical failure also
-writes ``witness.json`` with the offending bidegree and the data involved.
+2 on a usage or configuration-file error (including input the library
+refuses up front, InputError), 3 on an internal error: any other exception,
+which is a fault of the program rather than of its input.  Every
+mathematical failure also writes ``witness.json`` with the offending
+bidegree and the data involved.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .adams import (
 from .charts import AXIS_CHOICES, read_csv, write_csv, write_svg
 from .complexes import DifferentialSquareError, OracleMismatchError
 from .cotor import HopfSpec, cotor_ranks, parity_violations
-from .rings import DegreeWindow, check_regular_sequence
+from .rings import DegreeWindow, InputError, check_regular_sequence
 from .specfile import SpecError, SpecFile, parse_spec, spec_with_window
 from .tower import (
     RegularityError,
@@ -396,6 +399,8 @@ def _cmd_chart(args, spec: SpecFile, out_dir: Path) -> int:
         table = read_csv(args.input)
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc}") from None
+    except ValueError as exc:  # malformed CSV content
+        raise UsageError(str(exc)) from None
     stem = Path(args.input).stem
     write_svg(table, out_dir / f"{stem}.svg", axes=args.axes)
     print(f"chart: {len(table)} entries plotted to {stem}.svg "
@@ -428,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         spec = _load_spec(args)
         return _DISPATCH[args.command](args, spec, out_dir)
-    except (SpecError, UsageError) as exc:
+    except (SpecError, UsageError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OracleMismatchError, DifferentialSquareError, RegularityError) as exc:
@@ -436,9 +441,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         print(f"witness written to {path}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

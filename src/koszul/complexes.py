@@ -353,9 +353,11 @@ def homology_ranks(c: BigradedComplex, window: DegreeWindow | None = None
 
 def _reduce_differential(m: Matrix, coeffs: Coefficients) -> tuple[int, tuple[int, ...]]:
     """(rank, torsion factors > 1 of its Smith normal form) of one matrix;
-    over a field the torsion is empty.  Over Z the rank over Q, taken by
-    elimination that shares no code with SNF, must equal the number of
-    invariant factors."""
+    over a field the torsion is empty.  Over Z two checks by elimination
+    that shares no code with SNF: the rank over Q must equal the number of
+    invariant factors, and for p = 2, 3 the rank over F_p must equal the
+    number of invariant factors that p does not divide (universal
+    coefficients)."""
     if coeffs.is_field:
         return rank_over_field(m, coeffs), ()
     rank = rational_rank(m)
@@ -366,6 +368,16 @@ def _reduce_differential(m: Matrix, coeffs: Coefficients) -> tuple[int, tuple[in
             f"{len(invariants)} invariant factors, but its rank over Q is {rank}",
             {"kind": "snf-rank", "rows": m.rows, "cols": m.cols,
              "rational_rank": rank, "invariant_factors": list(invariants)})
+    for p in (2, 3):
+        rank_p = rank_over_field(m, Coefficients.prime_field(p))
+        prime_to_p = sum(1 for v in invariants if v % p)
+        if rank_p != prime_to_p:
+            raise OracleMismatchError(
+                f"Smith normal form of a {m.rows}x{m.cols} differential has "
+                f"{prime_to_p} invariant factors prime to {p}, but its rank "
+                f"over F{p} is {rank_p}",
+                {"kind": "snf-mod-p", "p": p, "rows": m.rows, "cols": m.cols,
+                 "rank_mod_p": rank_p, "invariant_factors": list(invariants)})
     return rank, tuple(v for v in invariants if v > 1)
 
 

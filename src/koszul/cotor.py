@@ -28,7 +28,7 @@ from .complexes import (
     homology_ranks,
     verify_differential,
 )
-from .rings import DegreeWindow, RingSpec, monomial_count
+from .rings import DegreeWindow, InputError, RingSpec, monomial_count
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,10 @@ class HopfSpec:
     def __post_init__(self):
         names = [n for n, _ in self.primitives]
         if len(set(names)) != len(names):
-            raise ValueError("primitive names must be distinct")
+            raise InputError("primitive names must be distinct")
         for name, d in self.primitives:
             if d <= 0 or d % 2 == 0:
-                raise ValueError(
+                raise InputError(
                     f"primitive {name} has degree {d}; positive odd required")
 
     @property
@@ -121,7 +121,7 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
     window as a guard against drift.
     """
     if h.base.inverted is not None:
-        raise ValueError(
+        raise InputError(
             "chain-level cobar needs a non-localized base; rings with an "
             "inverted generator are served by closed-form tables only")
     lets = coideal_letters(h)

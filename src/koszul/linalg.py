@@ -296,17 +296,62 @@ class VectorSpan:
 
 
 def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
-    """Rank by sparse Gaussian elimination; rejects integer coefficients.
+    """Rank by column elimination that keeps no coordinates; rejects Z.
+
+    Entries may be unreduced (negative, or at least p).  Each column is
+    reduced against the pivot columns found so far, keyed by their lowest
+    nonzero row, and becomes a pivot itself if anything is left.  Over F2 a
+    column is one int with bit i set when entry i is odd, so a reduction
+    step is one XOR.  Over F_p and Q columns are sparse dicts and pivots are
+    scaled to a leading 1.  No basis or combination is kept: VectorSpan and
+    kernel_basis do that where coordinates are needed.
 
     >>> rank_over_field(Matrix.from_rows([[1, 1], [1, 1]]), Coefficients.prime_field(2))
+    1
+    >>> rank_over_field(Matrix.from_rows([[1, 2], [2, 1]]), Coefficients.prime_field(3))
     1
     """
     if not coeffs.is_field:
         raise ValueError("rank over a field only; use smith_normal_form over Z")
-    span = VectorSpan(coeffs)
-    for col in m.columns():
-        span.insert(col)
-    return span.rank
+    p = coeffs.p
+    if p == 2:
+        bits = [0] * m.cols
+        for (i, j), v in m.entries.items():
+            if v & 1:
+                bits[j] |= 1 << i
+        lows: dict[int, int] = {}  # lowest set bit -> pivot column
+        for x in bits:
+            while x:
+                low = x & -x
+                y = lows.get(low)
+                if y is None:
+                    lows[low] = x
+                    break
+                x ^= y
+        return len(lows)
+    cols: list[dict] = [{} for _ in range(m.cols)]
+    for (i, j), v in m.entries.items():
+        cols[j][i] = v
+    leads: dict[int, dict] = {}  # lowest row -> pivot column, entry there 1
+    for col in cols:
+        v = {i: y for i, x in col.items() if (y := x % p if p else x)}
+        while v:
+            lead = min(v)
+            row = leads.get(lead)
+            if row is None:
+                inv = pow(v[lead], -1, p) if p else 1 / Fraction(v[lead])
+                leads[lead] = {i: x * inv % p if p else x * inv for i, x in v.items()}
+                break
+            f = v[lead]
+            for i, x in row.items():
+                y = v.get(i, 0) - f * x
+                if p:
+                    y %= p
+                if y:
+                    v[i] = y
+                else:
+                    del v[i]
+    return len(leads)
 
 
 def kernel_basis(m: Matrix, coeffs: Coefficients) -> list[dict]:

@@ -27,6 +27,13 @@ class WindowError(ValueError):
     """A request stepped outside the declared degree window."""
 
 
+class InputError(ValueError):
+    """The arguments ask for something the computation does not accept
+    (a malformed window, ring or sequence, a stage out of range, coefficients
+    or a base it does not serve).  Raised before any work, so the command
+    line reports it as a usage error, unlike a ValueError from inside."""
+
+
 @dataclass(frozen=True)
 class DegreeWindow:
     """Internal degrees t_min..t_max, homological degrees up to s_max,
@@ -39,9 +46,9 @@ class DegreeWindow:
 
     def __post_init__(self):
         if self.t_min > self.t_max:
-            raise ValueError(f"empty window: t_min {self.t_min} > t_max {self.t_max}")
+            raise InputError(f"empty window: t_min {self.t_min} > t_max {self.t_max}")
         if self.s_max < 0 or self.stage_max < 0:
-            raise ValueError("s_max and stage_max must be nonnegative")
+            raise InputError("s_max and stage_max must be nonnegative")
 
     def contains(self, t: int) -> bool:
         return self.t_min <= t <= self.t_max
@@ -63,12 +70,12 @@ class RingSpec:
     def __post_init__(self):
         names = [n for n, _ in self.generators]
         if len(set(names)) != len(names):
-            raise ValueError("generator names must be distinct")
+            raise InputError("generator names must be distinct")
         for name, d in self.generators:
             if d <= 0 or d % 2:
-                raise ValueError(f"generator {name} has degree {d}; positive even required")
+                raise InputError(f"generator {name} has degree {d}; positive even required")
         if self.inverted is not None and self.inverted not in names:
-            raise ValueError(f"inverted generator {self.inverted!r} is not a generator")
+            raise InputError(f"inverted generator {self.inverted!r} is not a generator")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -280,10 +287,10 @@ class IdealSpec:
     def __post_init__(self):
         for k, u in enumerate(self.sequence, start=1):
             if u.is_zero():
-                raise ValueError(f"sequence entry {k} is zero")
+                raise InputError(f"sequence entry {k} is zero")
             d = u.degree()
             if d % 2:
-                raise ValueError(f"sequence entry {k} has odd degree {d}")
+                raise InputError(f"sequence entry {k} has odd degree {d}")
 
     @property
     def degrees(self) -> tuple[int, ...]:

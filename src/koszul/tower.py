@@ -50,6 +50,7 @@ from .linalg import Matrix, matrix_vector, rank_over_field
 from .rings import (
     DegreeWindow,
     IdealSpec,
+    InputError,
     QuotientModule,
     RingSpec,
     check_regular_sequence,
@@ -73,7 +74,7 @@ class RegularityError(ValueError):
 
 def _require_plain(ring: RingSpec):
     if ring.inverted is not None:
-        raise ValueError(
+        raise InputError(
             "chain-level complexes need a non-localized ring; rings with an "
             "inverted generator are served by closed-form tables only"
         )
@@ -114,7 +115,7 @@ def tower_free(ring: RingSpec, ideal: IdealSpec, s: int,
     """
     _require_plain(ring)
     if s < 1:
-        raise ValueError("stage must be at least 1")
+        raise InputError("stage must be at least 1")
     kept, _ = sequence_window_cut(ring, ideal, window)
     # coefficients indexed by a % 2, shared by every term that uses them
     signed = {i: (ideal.sequence[i - 1], ideal.sequence[i - 1].scaled(-1)) for i in kept}
@@ -356,7 +357,7 @@ def tor_diagonal(ring: RingSpec, ideal: IdealSpec,
     """Both pipelines for Tor(R/I, R/I); raises OracleMismatchError on any
     disagreement instead of returning a table."""
     if not ring.coefficients.is_field:
-        raise ValueError("Tor tables against quotients need field coefficients")
+        raise InputError("Tor tables against quotients need field coefficients")
     w = window or ring.window
     quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
     cx = build_koszul(ring, ideal, w, module=quotient)
@@ -451,9 +452,9 @@ def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
     of the first map is exactly the base quotient at homological degree 0.
     """
     if not ring.coefficients.is_field:
-        raise ValueError("exactness audit needs field coefficients")
+        raise InputError("exactness audit needs field coefficients")
     if s < 2:
-        raise ValueError("stage must be at least 2")
+        raise InputError("stage must be at least 2")
     report = check_regular_sequence(ring, ideal, window)
     if not report.ok:
         raise RegularityError(report)
@@ -559,9 +560,9 @@ def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int,
                       window: DegreeWindow | None = None) -> TorPowerReport:
     """Tor(R/I, R/I^s) with every cross-check; any disagreement raises."""
     if not ring.coefficients.is_field:
-        raise ValueError("Tor tables against quotients need field coefficients")
+        raise InputError("Tor tables against quotients need field coefficients")
     if s < 2:
-        raise ValueError("stage must be at least 2")
+        raise InputError("stage must be at least 2")
     w = window or ring.window
     # pipeline (a): homology of Koszul (x) R/I^s
     power_quotient = quotient_by_power(ring, ideal, s)
@@ -674,10 +675,10 @@ def _product_entry(entry_a, entry_b, level_cap: int):
     return sign, (label, tuple(x + y for x, y in zip(mono_a, mono_b)))
 
 
-def _chain_product(cx: BigradedComplex, key_a, vec_a, key_b, vec_b, level_cap: int):
-    """Multiply two chains; the result lives at the sum of the bidegrees."""
-    target_key = (key_a[0] + key_b[0], key_a[1] + key_b[1])
-    index = {entry: i for i, entry in enumerate(cx.basis.get(target_key, ()))}
+def _chain_product(cx: BigradedComplex, key_a, vec_a, key_b, vec_b, level_cap: int,
+                   index: dict):
+    """Multiply two chains; the result lives at the sum of the bidegrees,
+    whose basis entries index maps to their rows."""
     coeffs = cx.coefficients
     out: dict[int, object] = {}
     basis_a = cx.basis[key_a]
@@ -712,6 +713,7 @@ def _trivial_products_check(ring, ideal, s, w, brute):
             )
     positive = sorted(key for key, entry in hom.items() if entry.rank and key[0] >= 1)
     reps_at = {}
+    index_at = {}  # target bidegree -> {basis entry: row}, built once
 
     def basis_at(key):
         if key not in reps_at:
@@ -727,9 +729,13 @@ def _trivial_products_check(ring, ideal, s, w, brute):
             if target[1] > w.t_max:
                 skipped.append((key_a, key_b))
                 continue
+            if target not in index_at:
+                index_at[target] = {entry: i for i, entry
+                                    in enumerate(cx.basis.get(target, ()))}
             for va in basis_at(key_a).reps:
                 for vb in basis_at(key_b).reps:
-                    prod = _chain_product(cx, key_a, va, key_b, vb, s - 1)
+                    prod = _chain_product(cx, key_a, va, key_b, vb, s - 1,
+                                          index_at[target])
                     checked += 1
                     if not prod:
                         continue

@@ -8,6 +8,8 @@ import json
 import xml.dom.minidom
 from pathlib import Path
 
+import pytest
+
 from koszul.cli import main
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -280,6 +282,80 @@ def test_snf_rank_mismatch_is_a_mathematical_failure(tmp_path, monkeypatch, caps
     inner = witness["witness"]
     assert inner["rational_rank"] == len(inner["invariant_factors"]) + 1
     assert not (out / "tower_s2.csv").exists()
+
+
+TWO_TORSION = """
+[ring]
+coefficients = Z
+generators = x1:2
+[ideal]
+entry = 2
+entry = x1
+[window]
+t_min = 0
+t_max = 6
+s_max = 2
+stage_max = 3
+"""
+
+
+def test_snf_mod_p_mismatch_is_a_mathematical_failure(tmp_path, monkeypatch, capsys):
+    # an SNF that turns a factor 2 into 1 keeps the count the rank over Q
+    # checks, but the rank over F2 sees that 2 divides that factor
+    import koszul.complexes
+
+    spec = tmp_path / "two.spec"
+    spec.write_text(TWO_TORSION)
+    assert run("tower", "s=1", "--spec", str(spec), "--out", str(tmp_path / "honest")) == 0
+    assert "2" in (tmp_path / "honest" / "tower_s1.csv").read_text().split("torsion\n")[1]
+    honest = koszul.complexes.smith_normal_form
+    monkeypatch.setattr(koszul.complexes, "smith_normal_form",
+                        lambda m: tuple(1 if v == 2 else v for v in honest(m)))
+    out = tmp_path / "run"
+    assert run("tower", "s=1", "--spec", str(spec), "--out", str(out)) == 1
+    assert "mathematical failure" in capsys.readouterr().err
+    witness = json.loads((out / "witness.json").read_text())
+    assert witness["kind"] == "snf-mod-p"
+    inner = witness["witness"]
+    assert inner["p"] == 2
+    assert inner["rank_mod_p"] == sum(1 for v in inner["invariant_factors"] if v % 2) - 1
+    assert (inner["rows"], inner["cols"]) == (1, 1)
+    assert not (out / "tower_s1.csv").exists()
+
+
+def _raise_value_error(args, spec, out_dir):
+    raise ValueError("a bug, not bad input")
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    # spec file error
+    (("tor", "--spec", "{tmp}/broken.spec"), 2, "error: line 2"),
+    # usage errors: a flag, and input a library entry point refuses up front
+    (("tor", "--spec", spec_arg("diagonal_f2.spec"), "--window", "5,2,3,4"), 2,
+     "error: empty window"),
+    (("tor", "--spec", spec_arg("integer_arithmetic.spec")), 2,
+     "error: Tor tables against quotients need field coefficients"),
+    (("cotor", "--spec", spec_arg("example_b.spec"), "--window", "0,8,3,3"), 2,
+     "error: chain-level cobar needs a non-localized base"),
+    # mathematical failure
+    (("tower", "s=2", "--spec", "{tmp}/nonregular.spec"), 1, "mathematical failure"),
+    # internal error: a ValueError from inside a command (patched in below)
+    (("check-regular", "--spec", spec_arg("diagonal_f2.spec")), 3,
+     "internal error: ValueError: a bug, not bad input"),
+])
+def test_exit_code_classes(tmp_path, monkeypatch, capsys, argv, code, prefix):
+    import koszul.cli
+
+    (tmp_path / "broken.spec").write_text("[ring]\ncoefficients = F4\n")
+    (tmp_path / "nonregular.spec").write_text(NONREGULAR)
+    if code == 3:
+        monkeypatch.setitem(koszul.cli._DISPATCH, argv[0], _raise_value_error)
+    out = tmp_path / "run"
+    got = run(*(a.format(tmp=tmp_path) for a in argv), "--out", str(out))
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert err.startswith(prefix), err
+    assert (out / "witness.json").exists() == (code == 1)
 
 
 def test_module_entry_point_warns_nothing():

@@ -425,3 +425,75 @@ def test_lattice_membership_against_cokernel_oracle(m, combo, shift):
     expected = cokernel_invariants(wider) == cokernel_invariants(m)
     assert IntegerLattice(m).contains(v) == expected
     assert IntegerLattice(m).contains({i: x for (i, j), x in m.entries.items() if j == 0})
+
+
+# ---------------------------------------------------------------------------
+# rank over a field: bitset columns over F2, coordinate-free elimination
+
+
+@st.composite
+def _tall_integer_matrix(draw):
+    """Up to 150 rows, so F2 bitset columns span several 64-bit words, and
+    up to 12 sparse columns; later columns may be integer combinations of
+    earlier ones, so ranks fall short of the column count over Q or mod p.
+    Entries are negative or unreduced mod 2 and 3; 0 x n and n x 0 occur."""
+    rows, cols = draw(st.integers(0, 150)), draw(st.integers(0, 12))
+    columns: list[dict[int, int]] = []
+    for _ in range(cols):
+        if len(columns) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            col = {i: x * a.get(i, 0) + y * b.get(i, 0) for i in a.keys() | b.keys()}
+        elif rows:
+            picked = draw(st.lists(st.integers(0, rows - 1), max_size=6, unique=True))
+            col = {i: draw(st.integers(-9, 9).filter(bool)) for i in picked}
+        else:
+            col = {}
+        columns.append({i: v for i, v in col.items() if v})
+    return Matrix(rows, cols, {(i, j): v for j, col in enumerate(columns)
+                               for i, v in col.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tall_integer_matrix(), st.lists(st.integers(1, 6), min_size=12, max_size=12))
+def test_rank_over_field_against_kernels_and_snf(m, denominators):
+    d = smith_normal_form(m)
+    for c in (F2, F3, Q):
+        rank = rank_over_field(m, c)
+        # kernel_basis keeps coordinates and shares no code with the rank
+        assert rank + len(kernel_basis(m, c)) == m.cols
+        if c.p:  # universal coefficients: the factors p does not divide
+            assert rank == sum(1 for v in d if v % c.p)
+    assert rational_rank(m) == len(d)
+    # scaling column j by 1/denominators[j] leaves the rank over Q unchanged
+    scaled = Matrix(m.rows, m.cols, {(i, j): Fraction(v, denominators[j])
+                                     for (i, j), v in m.entries.items()})
+    assert rank_over_field(scaled, Q) == len(d)
+
+
+def test_f2_rank_uses_neither_span_nor_normalize(monkeypatch):
+    # over F2 every column is one int and a reduction step one XOR: no
+    # VectorSpan, no per-scalar normalization
+    from koszul.rings import DegreeWindow, IdealSpec, RingSpec
+    from koszul.tower import tower_free
+
+    ring = RingSpec(F2, (("x1", 2), ("x2", 2), ("x3", 4)), DegreeWindow(0, 12, 3, stage_max=3))
+    ideal = IdealSpec(tuple(ring.generator(n) for n in ("x1", "x2", "x3")))
+    diffs = [d for d in tower_free(ring, ideal, 3).realize().diff.values() if d.entries]
+    unreduced = Matrix(70, 3, {(0, 0): 3, (69, 0): -1, (69, 1): 5, (0, 2): 2})
+    matrices = diffs + [unreduced]
+    expected = [m.cols - len(kernel_basis(m, F2)) for m in matrices]
+    assert max(m.rows for m in diffs) > 64 and sum(expected) > len(diffs)
+    calls = []
+    for cls, name in ((VectorSpan, "insert"), (Coefficients, "normalize")):
+        real = getattr(cls, name)
+
+        def counting(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    assert [rank_over_field(m, F2) for m in matrices] == expected
+    assert calls == []
+    VectorSpan(F2).insert({0: 1})
+    assert "insert" in calls and "normalize" in calls  # the patches are live
