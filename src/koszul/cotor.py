@@ -181,13 +181,6 @@ def closed_form_ranks(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], int
     the coefficient of y^s q^t in the product of 1/(1 - y q^d) over the
     primitive degrees times the base Hilbert series.
     """
-    base_dim: dict[int, int] = {}
-
-    def dim_at(t: int) -> int:
-        if t not in base_dim:
-            base_dim[t] = monomial_count(h.base, t)
-        return base_dim[t]
-
     out: dict[tuple[int, int], int] = {}
     g = len(h.primitives)
     degs = h.degrees
@@ -197,7 +190,7 @@ def closed_form_ranks(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], int
         for combo in combinations_with_replacement(range(g), s):
             d = sum(degs[i] for i in combo)
             for t in w.degrees():
-                got = dim_at(t - d)
+                got = monomial_count(h.base, t - d)
                 if got:
                     out[(s, t)] = out.get((s, t), 0) + got
     return out

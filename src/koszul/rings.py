@@ -10,7 +10,9 @@ degreewise exact regardless of the bound.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import (
     Coefficients,
@@ -77,25 +79,41 @@ class RingSpec:
         if self.inverted is not None and self.inverted not in names:
             raise InputError(f"inverted generator {self.inverted!r} is not a generator")
 
-    @property
+    # Fixed attributes, computed once: cached_property writes the instance
+    # __dict__ directly, so the frozen dataclass's __eq__/__hash__ ignore it.
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.generators)
 
-    @property
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.generators)
 
-    @property
+    @cached_property
     def inverted_index(self) -> int | None:
         return None if self.inverted is None else self.names.index(self.inverted)
 
-    @property
+    @cached_property
     def neg_bound(self) -> int:
         """Exponent floor for the inverted generator, derived from the window."""
         if self.inverted is None:
             return 0
         d = self.degrees[self.inverted_index]
         return (self.window.t_max - self.window.t_min) // d + 1
+
+    @cached_property
+    def _tables(self) -> dict[int, tuple[tuple, dict]]:
+        return {}
+
+    def _table(self, t: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+        """(monomials of degree t in descending graded-lex order, monomial ->
+        position), enumerated once per ring and shared by every caller; the
+        tuple keeps it safe to hand out."""
+        got = self._tables.get(t)
+        if got is None:
+            monos = tuple(_monomials(self, t))
+            got = self._tables[t] = (monos, {m: i for i, m in enumerate(monos)})
+        return got
 
     def monomial_degree(self, exps: tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(exps, self.degrees))
@@ -250,7 +268,7 @@ def monomial_basis(ring: RingSpec, t: int) -> list[tuple[int, ...]]:
     """
     if not ring.window.contains(t):
         raise WindowError(f"degree {t} outside window [{ring.window.t_min}, {ring.window.t_max}]")
-    return _monomials(ring, t)
+    return list(ring._table(t)[0])
 
 
 def monomial_count(ring: RingSpec, t: int) -> int:
@@ -262,7 +280,7 @@ def monomial_count(ring: RingSpec, t: int) -> int:
     rest of the engine (exponents of the inverted generator are bounded by
     neg_bound).
     """
-    return len(_monomials(ring, t))
+    return len(ring._table(t)[0])
 
 
 def hilbert_function(ring: RingSpec, t_max: int) -> list[int]:
@@ -292,7 +310,7 @@ class IdealSpec:
             if d % 2:
                 raise InputError(f"sequence entry {k} has odd degree {d}")
 
-    @property
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(u.degree() for u in self.sequence)
 
@@ -332,37 +350,21 @@ def _coordinates(elem: Element, t: int, index: dict) -> dict[int, object]:
 
 
 class FreeModuleBasis:
-    """The ring itself, degreewise: monomial bases and exact expansion.
-
-    basis(t) and index(t) are enumerated once per degree and cached on the
-    instance; callers share the returned list and dict and must not mutate
-    them.
-    """
+    """The ring itself, degreewise: monomial bases and exact expansion,
+    read off the ring's one table per degree."""
 
     def __init__(self, ring: RingSpec):
         self.ring = ring
-        self.relations: tuple = ()
-        self._cache: dict[int, tuple[list, dict]] = {}
-
-    def _at(self, t: int) -> tuple[list, dict]:
-        got = self._cache.get(t)
-        if got is None:
-            monos = _monomials(self.ring, t)
-            got = self._cache[t] = (monos, {m: i for i, m in enumerate(monos)})
-        return got
 
     def dim(self, t: int) -> int:
-        return len(self._at(t)[0])
+        return len(self.ring._table(t)[0])
 
-    def basis(self, t: int) -> list[tuple[int, ...]]:
-        return self._at(t)[0]
-
-    def index(self, t: int) -> dict:
-        return self._at(t)[1]
+    def basis(self, t: int) -> tuple[tuple[int, ...], ...]:
+        return self.ring._table(t)[0]
 
     def reduce(self, elem: Element, t: int) -> dict[int, object]:
         """Coordinates of a degree-t element on the monomial basis."""
-        return _coordinates(elem, t, self.index(t))
+        return _coordinates(elem, t, self.ring._table(t)[1])
 
 
 class QuotientModule:
@@ -389,66 +391,60 @@ class QuotientModule:
         got = self._cache.get(t)
         if got is not None:
             return got
-        monos = _monomials(self.ring, t)
-        index = {m: i for i, m in enumerate(monos)}
+        monos = self.ring._table(t)[0]
         span = VectorSpan(self.ring.coefficients)
-        for vec in _relation_multiples(self.ring, self.relations, t, index):
+        for vec in _relation_multiples(self.ring, self.relations, t):
             span.insert(vec)
         basis_pos = [i for i in range(len(monos)) if i not in span.pivots]
         pos_of = {p: k for k, p in enumerate(basis_pos)}
-        got = (monos, index, span, basis_pos, pos_of)
-        self._cache[t] = got
+        got = self._cache[t] = (span, basis_pos, pos_of)
         return got
 
     def dim(self, t: int) -> int:
-        return len(self._at(t)[3])
+        return len(self._at(t)[1])
 
     def basis(self, t: int) -> list[tuple[int, ...]]:
-        monos, _, _, basis_pos, _ = self._at(t)
-        return [monos[p] for p in basis_pos]
+        monos = self.ring._table(t)[0]
+        return [monos[p] for p in self._at(t)[1]]
 
     def reduce_vector(self, t: int, vec: dict[int, object]) -> dict[int, object]:
         """Normal form of a monomial-coordinate vector, in quotient coordinates."""
-        _, _, span, _, pos_of = self._at(t)
+        span, _, pos_of = self._at(t)
         residual, _ = span.reduce(vec)
         return {pos_of[p]: v for p, v in residual.items()}
 
     def reduce(self, elem: Element, t: int) -> dict[int, object]:
-        return self.reduce_vector(t, _coordinates(elem, t, self._at(t)[1]))
+        return self.reduce_vector(t, _coordinates(elem, t, self.ring._table(t)[1]))
 
     def contains_span(self, other_relations: list[Element], t: int) -> bool:
         """Do the other relations' degree-t multiples land in this span?"""
-        _, index, span, _, _ = self._at(t)
+        span = self._at(t)[0]
         return all(span.contains(vec)
-                   for vec in _relation_multiples(self.ring, other_relations, t, index))
+                   for vec in _relation_multiples(self.ring, other_relations, t))
 
 
 def quotient_by_power(ring: RingSpec, ideal: IdealSpec, s: int) -> QuotientModule:
-    rels = [g for _, g in power_generators(ideal, s)] if s > 0 else []
-    if s == 0:
-        rels = [ring.one()]
+    rels = [g for _, g in power_generators(ideal, s)] if s > 0 else [ring.one()]
     return QuotientModule(ring, rels, name=f"R/I^{s}")
 
 
-def _relation_multiples(ring: RingSpec, relations, t: int, index: dict):
+def _relation_multiples(ring: RingSpec, relations, t: int):
     """The degree-t multiples g * m of each relation g, m running over the
-    monomials of degree t - |g|, as vectors in the coordinates `index`.
-    The monomials of each source degree are enumerated once per call."""
-    monos_at: dict[int, list[tuple[int, ...]]] = {}
+    monomials of degree t - |g|, as vectors in the degree-t monomial coordinates.
+    g * m is formed on exponent tuples alone, which is exact: Element has
+    normalized g's coefficients, and a monic monomial shifts exponents
+    injectively, so no two terms merge and no coefficient changes."""
+    index = ring._table(t)[1]
     for g in relations:
-        d = t - g.degree()
-        if d not in monos_at:
-            monos_at[d] = _monomials(ring, d)
-        for m in monos_at[d]:
-            yield {index[e]: v for e, v in (g * ring.monomial(m)).terms.items()}
+        terms = g.terms.items()
+        for m in ring._table(t - g.degree())[0]:
+            yield {index[tuple(map(operator.add, e, m))]: v for e, v in terms}
 
 
 def relation_matrix(ring: RingSpec, relations: list[Element], t: int) -> Matrix:
     """Columns are the degree-t multiples of the relations, in monomial coords."""
-    monos = _monomials(ring, t)
-    index = {m: i for i, m in enumerate(monos)}
-    cols = list(_relation_multiples(ring, relations, t, index))
-    out = Matrix(len(monos), len(cols))
+    cols = list(_relation_multiples(ring, relations, t))
+    out = Matrix(monomial_count(ring, t), len(cols))
     for j, col in enumerate(cols):
         for i, v in col.items():
             out.set(i, j, v)
@@ -616,22 +612,16 @@ def check_regular_sequence(ring: RingSpec, ideal: IdealSpec, window: DegreeWindo
 
 def _integer_injectivity_failure(ring: RingSpec, prior: list[Element], u: Element, t: int) -> str | None:
     """Is multiplication by u injective on (R/(prior))_t over Z?  None if so."""
-    d = u.degree()
-    mult = relation_matrix(ring, [u], t + d)
-    if not mult.cols:
+    n = monomial_count(ring, t)
+    if not n:
         return None
     rel_src = relation_matrix(ring, prior, t)
-    rel_tgt = relation_matrix(ring, prior, t + d)
-    # x gives a kernel class iff mult*x lies in the target relation lattice
-    # but x is outside the source one; assemble ker[mult | -rel_tgt].
-    combined = Matrix(mult.rows, mult.cols + rel_tgt.cols)
-    for (i, j), v in mult.entries.items():
-        combined.set(i, j, v)
-    for (i, j), v in rel_tgt.entries.items():
-        combined.set(i, mult.cols + j, -v)
+    # x gives a kernel class iff u*x lies in the target relation lattice but
+    # x is outside the source one: ker[u * monomials | -(prior multiples)].
+    combined = relation_matrix(ring, [u] + [g.scaled(-1) for g in prior], t + u.degree())
     src_lattice = IntegerLattice(rel_src) if rel_src.cols else None
     for vec in integer_kernel_basis(combined):
-        x = {i: v for i, v in vec.items() if i < mult.cols}
+        x = {i: v for i, v in vec.items() if i < n}
         if not x:
             continue
         if src_lattice is None or not src_lattice.contains(x):

@@ -172,3 +172,22 @@ def test_kernel_model_of_family_b_is_localized_with_no_certificate():
 def test_kernel_model_needs_the_surviving_generator():
     with pytest.raises(ValueError, match="j_max"):
         kernel_sequence_model(cfg("C", 2, 2, n=2, window=W))
+
+
+def test_completion_enumerates_each_degree_once(monkeypatch):
+    # one monomial table per (ring, t): every stage, structure map and limit
+    # value reads it instead of enumerating again
+    import koszul.rings as rings
+
+    calls = []
+    real = rings._monomials
+
+    def counting(ring, t):
+        calls.append((ring, t))
+        return real(ring, t)
+
+    monkeypatch.setattr(rings, "_monomials", counting)
+    ring, ideal, notes = kernel_sequence_model(cfg("B", 3, 6, n=1, window=DegreeWindow(0, 14, 6, 4)))
+    rep = completion_tower(ring, ideal, notes=notes)
+    assert rep.surjective and len(rep.towers) == 15
+    assert calls and len(calls) == len(set(calls))

@@ -1,10 +1,15 @@
 """Graded rings: monomial enumeration, quotient dimensions, regularity."""
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import koszul.rings as rings
 from koszul.linalg import Coefficients
 from koszul.rings import (
     DegreeWindow,
     Element,
+    FreeModuleBasis,
     IdealSpec,
     QuotientModule,
     RingSpec,
@@ -12,9 +17,11 @@ from koszul.rings import (
     check_regular_sequence,
     hilbert_function,
     monomial_basis,
+    monomial_count,
     power_multi_indices,
     power_quotient_dimension,
     quotient_by_power,
+    relation_matrix,
 )
 
 F2 = Coefficients.prime_field(2)
@@ -74,6 +81,51 @@ def test_monomials_inverted_mixed():
     assert (0, 0) in basis and (2, -1) in basis
     for a, b in basis:
         assert 2 * a + 4 * b == 0 and a >= 0 and b >= -r.neg_bound
+
+
+def test_monomial_basis_hands_out_a_copy_of_the_shared_table():
+    r = _ring(Z, [("x1", 2), ("x2", 4)])
+    rels = [r.generator("x1") * r.generator("x1"), r.generator("x2")]
+    before = relation_matrix(r, rels, 8)
+    got = monomial_basis(r, 8)
+    expected = list(got)
+    got.reverse()
+    got.append((9, 9))
+    assert monomial_count(r, 8) == len(expected) == 3
+    assert list(FreeModuleBasis(r).basis(8)) == expected
+    assert monomial_basis(r, 8) == expected
+    after = relation_matrix(r, rels, 8)
+    assert (after.rows, after.cols, after.entries) == (before.rows, before.cols, before.entries)
+
+
+@st.composite
+def _graded_rings(draw):
+    degs = draw(st.lists(st.sampled_from([2, 4, 6, 8]), min_size=0, max_size=4))
+    gens = tuple((f"x{i}", d) for i, d in enumerate(degs, start=1))
+    inverted = draw(st.none() | st.sampled_from([n for n, _ in gens])) if gens else None
+    t_max = draw(st.integers(-12, 20))
+    t_min = draw(st.integers(-12, t_max))
+    return RingSpec(F2, gens, DegreeWindow(t_min, t_max), inverted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graded_rings())
+def test_monomial_table_properties(r):
+    inv = r.inverted_index
+    for t in r.window.degrees():
+        monos, index = r._table(t)
+        assert list(monos) == rings._monomials(r, t)
+        assert all(a > b for a, b in zip(monos, monos[1:]))
+        for i, m in enumerate(monos):
+            assert sum(e * d for e, d in zip(m, r.degrees)) == t
+            assert all(e >= (-r.neg_bound if k == inv else 0) for k, e in enumerate(m))
+            assert index[m] == i
+        assert len(index) == len(monos)
+    if inv is None:
+        # generating-function oracle: shares no code with the table
+        h = hilbert_function(r, max(r.window.t_max, 0))
+        for t in r.window.degrees():
+            assert monomial_count(r, t) == (h[t] if t >= 0 else 0)
 
 
 def test_element_arithmetic_mod_p():
