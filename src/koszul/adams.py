@@ -38,6 +38,7 @@ from .rings import (
     IdealSpec,
     InputError,
     RingSpec,
+    _merge_invariants,
     monomial_count,
     power_generators,
     quotient_by_power,
@@ -351,14 +352,7 @@ class ModuleCompletionReport:
 def _merge_values(parts, is_field):
     if is_field:
         return tuple(sum(vals) for vals in zip(*parts))
-    merged = []
-    for vals in zip(*parts):
-        free = sum(v[0] for v in vals)
-        tors: list[int] = []
-        for v in vals:
-            tors.extend(v[1])
-        merged.append((free, tuple(sorted(tors))))
-    return tuple(merged)
+    return tuple(_merge_invariants(vals) for vals in zip(*parts))
 
 
 def module_completion(shifts: tuple[int, ...], report: CompletionReport) -> ModuleCompletionReport:

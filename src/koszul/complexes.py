@@ -23,7 +23,7 @@ from .linalg import (
     rational_rank,
     smith_normal_form,
 )
-from .rings import DegreeWindow, Element, FreeModuleBasis, RingSpec
+from .rings import DegreeWindow, Element, FreeModuleBasis, RingSpec, multiples
 
 HOMOLOGICAL = "homological"  # differential lowers s
 COHOMOLOGICAL = "cohomological"  # differential raises s
@@ -146,7 +146,8 @@ class FreeComplex:
         whose module degree t - internal is nonzero, each followed by that
         degree's module basis; boundary_block and every witness rely on this
         order.  Each multiplication map (coefficient, source degree, target
-        degree) goes through mod.reduce once and is shared by all columns.
+        degree) is formed once by rings.multiples, goes through mod.reduce
+        once and is shared by all columns.
         """
         w = window or self.ring.window
         mod = module or FreeModuleBasis(self.ring)
@@ -182,8 +183,8 @@ class FreeComplex:
                         continue  # target slot empty at this t
                     key = (id(c), d, t - internal[tgt])  # builders share coefficients
                     if key not in tables:
-                        tables[key] = [mod.reduce(c * self.ring.monomial(mono), key[2])
-                                       for mono in mod.basis(d)]
+                        tables[key] = mod.reduce(multiples(self.ring, c, mod.basis(d), key[2]),
+                                                 key[2])
                     plan.append((row, tables[key]))
                 for k in range(mod.dim(d)):
                     col: dict[int, object] = {}  # row -> entry; zeros leave, as in Matrix.set

@@ -181,11 +181,6 @@ class Matrix:
                     entries[(i, j)] = x
         return out
 
-    def scaled(self, c) -> "Matrix":
-        if not c:
-            return Matrix(self.rows, self.cols)
-        return Matrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -273,9 +268,13 @@ class VectorSpan:
 
     def insert(self, v: dict) -> bool:
         """Adjoin v; True if it enlarged the span."""
+        return self._adjoin(*self.reduce(v))
+
+    def _adjoin(self, residual: dict, combo: dict) -> bool:
+        """Record the next inserted vector from its reduction (residual, combo);
+        it becomes a pivot row unless the residual is zero."""
         idx = self.n_inserted
         self.n_inserted += 1
-        residual, combo = self.reduce(v)
         if not residual:
             return False
         lead = min(residual)
@@ -300,8 +299,8 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
     nonzero row, and becomes a pivot itself if anything is left.  Over F2 a
     column is one int with bit i set when entry i is odd, so a reduction
     step is one XOR.  Over F_p and Q columns are sparse dicts and pivots are
-    scaled to a leading 1.  No basis or combination is kept: VectorSpan and
-    kernel_basis do that where coordinates are needed.
+    scaled to a leading 1.  No basis or combination is kept: VectorSpan, and
+    kernel_basis on top of it, do that where coordinates are needed.
 
     >>> rank_over_field(Matrix.from_rows([[1, 1], [1, 1]]), Coefficients.prime_field(2))
     1
@@ -352,34 +351,22 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
 
 
 def kernel_basis(m: Matrix, coeffs: Coefficients) -> list[dict]:
-    """Basis of ker(m) by column reduction of [m; I] (independent of rank_over_field).
+    """Basis of ker(m) from the columns of m inserted into a VectorSpan in
+    order (independent of rank_over_field).
 
-    Columns whose m-part reduces to zero leave kernel vectors in the I-part.
+    A column j that reduces to zero is sum_k a_k col_k over the earlier pivot
+    columns k, so e_j - sum_k a_k e_k is its kernel vector: one per dependent
+    column, each column reduced once.
     """
     if not coeffs.is_field:
         raise ValueError("kernel basis over a field only")
     c = coeffs
-    work = []  # (m-part, bookkeeping part) column pairs
-    for j, col in enumerate(m.columns()):
-        work.append((_normalized(c, col), {j: c.one}))
+    span = VectorSpan(c)
     kernel = []
-    lead_of: dict[int, int] = {}  # pivot row -> index into work
-    for idx in range(len(work)):
-        top, book = work[idx]
-        while top:
-            lead = min(top)
-            owner = lead_of.get(lead)
-            if owner is None:
-                break
-            otop, obook = work[owner]
-            factor = c.neg(c.mul(top[lead], c.inv(otop[lead])))
-            top = _vec_axpy(c, top, factor, otop)
-            book = _vec_axpy(c, book, factor, obook)
-        work[idx] = (top, book)
-        if top:
-            lead_of[min(top)] = idx
-        else:
-            kernel.append(book)
+    for j, col in enumerate(m.columns()):
+        residual, combo = span.reduce(col)
+        if not span._adjoin(residual, combo):
+            kernel.append({j: c.one, **{k: c.neg(a) for k, a in combo.items()}})
     return kernel
 
 

@@ -144,7 +144,7 @@ class RingSpec:
 class Element:
     """A homogeneous-or-not polynomial: dict from exponent tuples to scalars."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_degree")
 
     def __init__(self, ring: RingSpec, terms: dict):
         self.ring = ring
@@ -160,13 +160,17 @@ class Element:
         return not self.terms
 
     def degree(self) -> int | None:
-        """Degree of a homogeneous element; None for 0."""
+        """Degree of a homogeneous element; None for 0.  Kept after the first
+        call: terms never change once the element is built."""
+        try:
+            return self._degree
+        except AttributeError:
+            pass
         degs = {self.ring.monomial_degree(e) for e in self.terms}
-        if not degs:
-            return None
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous element {self}")
-        return degs.pop()
+        self._degree = degs.pop() if degs else None
+        return self._degree
 
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.terms)
@@ -342,11 +346,15 @@ def power_generators(ideal: IdealSpec, s: int) -> list[tuple[tuple[int, ...], El
     return out
 
 
-def _coordinates(elem: Element, t: int, index: dict) -> dict[int, object]:
-    """A degree-t element in the monomial coordinates `index`."""
-    if any(elem.ring.monomial_degree(e) != t for e in elem.terms):
-        raise ValueError(f"element {elem} is not concentrated in degree {t}")
-    return {index[e]: v for e, v in elem.terms.items()}
+def multiples(ring: RingSpec, g: Element, monos, t: int) -> list[dict[int, object]]:
+    """g * m for each exponent tuple m in monos, as vectors in the degree-t
+    monomial coordinates; the one place a multiplication map is formed.
+    g * m is formed on exponent tuples alone, which is exact: Element has
+    normalized g's coefficients, and a monic monomial shifts exponents
+    injectively, so no two terms merge and no coefficient changes."""
+    index = ring._table(t)[1]
+    terms = g.terms.items()
+    return [{index[tuple(map(operator.add, e, m))]: v for e, v in terms} for m in monos]
 
 
 class FreeModuleBasis:
@@ -362,9 +370,10 @@ class FreeModuleBasis:
     def basis(self, t: int) -> tuple[tuple[int, ...], ...]:
         return self.ring._table(t)[0]
 
-    def reduce(self, elem: Element, t: int) -> dict[int, object]:
-        """Coordinates of a degree-t element on the monomial basis."""
-        return _coordinates(elem, t, self.ring._table(t)[1])
+    def reduce(self, vecs: list[dict[int, object]], t: int) -> list[dict[int, object]]:
+        """Module coordinates of degree-t monomial-coordinate vectors: the
+        monomials are this module's basis, so the vectors come back as given."""
+        return vecs
 
 
 class QuotientModule:
@@ -407,14 +416,11 @@ class QuotientModule:
         monos = self.ring._table(t)[0]
         return [monos[p] for p in self._at(t)[1]]
 
-    def reduce_vector(self, t: int, vec: dict[int, object]) -> dict[int, object]:
-        """Normal form of a monomial-coordinate vector, in quotient coordinates."""
+    def reduce(self, vecs: list[dict[int, object]], t: int) -> list[dict[int, object]]:
+        """Normal forms of degree-t monomial-coordinate vectors, in quotient
+        coordinates."""
         span, _, pos_of = self._at(t)
-        residual, _ = span.reduce(vec)
-        return {pos_of[p]: v for p, v in residual.items()}
-
-    def reduce(self, elem: Element, t: int) -> dict[int, object]:
-        return self.reduce_vector(t, _coordinates(elem, t, self.ring._table(t)[1]))
+        return [{pos_of[p]: v for p, v in span.reduce(vec)[0].items()} for vec in vecs]
 
     def contains_span(self, other_relations: list[Element], t: int) -> bool:
         """Do the other relations' degree-t multiples land in this span?"""
@@ -430,15 +436,9 @@ def quotient_by_power(ring: RingSpec, ideal: IdealSpec, s: int) -> QuotientModul
 
 def _relation_multiples(ring: RingSpec, relations, t: int):
     """The degree-t multiples g * m of each relation g, m running over the
-    monomials of degree t - |g|, as vectors in the degree-t monomial coordinates.
-    g * m is formed on exponent tuples alone, which is exact: Element has
-    normalized g's coefficients, and a monic monomial shifts exponents
-    injectively, so no two terms merge and no coefficient changes."""
-    index = ring._table(t)[1]
+    monomials of degree t - |g|, as vectors in the degree-t monomial coordinates."""
     for g in relations:
-        terms = g.terms.items()
-        for m in ring._table(t - g.degree())[0]:
-            yield {index[tuple(map(operator.add, e, m))]: v for e, v in terms}
+        yield from multiples(ring, g, ring._table(t - g.degree())[0], t)
 
 
 def relation_matrix(ring: RingSpec, relations: list[Element], t: int) -> Matrix:
@@ -590,8 +590,7 @@ def check_regular_sequence(ring: RingSpec, ideal: IdealSpec, window: DegreeWindo
                     continue
                 span = VectorSpan(c)
                 rank = 0
-                for m in q.basis(t):
-                    col = q.reduce(u * ring.monomial(m), t + d)
+                for col in q.reduce(multiples(ring, u, q.basis(t), t + d), t + d):
                     if span.insert(col):
                         rank += 1
                 if rank != dim_src:

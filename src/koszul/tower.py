@@ -54,6 +54,7 @@ from .rings import (
     QuotientModule,
     RingSpec,
     check_regular_sequence,
+    multiples,
     power_generators,
     power_quotient_dimension,
     quotient_by_power,
@@ -313,8 +314,8 @@ def _augmentation_checks(ring, ideal, s, w, cx):
         entries = cx.basis.get((0, t), [])
         aug = Matrix(quotient.dim(t), len(entries))
         for col, (label, mono) in enumerate(entries):
-            value = u_of[label.u_part] * ring.monomial(mono)
-            for row, v in quotient.reduce(value, t).items():
+            value, = quotient.reduce(multiples(ring, u_of[label.u_part], [mono], t), t)
+            for row, v in value.items():
                 aug.set(row, col, v)
         if not aug.compose(cx.matrix(1, t), coeffs).is_zero():
             composite_zero = False

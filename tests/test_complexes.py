@@ -22,7 +22,16 @@ from koszul.complexes import (
 )
 from koszul.cotor import HopfSpec, cobar_complex, cobar_free
 from koszul.linalg import Coefficients
-from koszul.rings import DegreeWindow, IdealSpec, QuotientModule, RingSpec
+from koszul.rings import (
+    DegreeWindow,
+    Element,
+    IdealSpec,
+    QuotientModule,
+    RingSpec,
+    check_regular_sequence,
+    power_generators,
+    quotient_by_power,
+)
 from koszul.tower import tower_free
 
 
@@ -275,6 +284,41 @@ def test_realize_hashes_no_label(monkeypatch):
     assert calls == []
     hash(UNIT_LABEL)
     assert len(calls) == 1  # the patch is live
+
+
+def test_multiplication_maps_form_no_element_product(monkeypatch):
+    # every g*m map of realize, the regularity check and the augmentation
+    # check is formed on exponent tuples by rings.multiples
+    import koszul.tower as tower
+
+    gens = (("x1", 2), ("x2", 2), ("x3", 4))
+    w = DegreeWindow(0, 12)
+    f2, z, f3 = (RingSpec(c, gens, w) for c in (Coefficients.prime_field(2),
+                                                 Coefficients.integers(),
+                                                 Coefficients.prime_field(3)))
+    ideals = {r: IdealSpec(tuple(r.generator(n) for n in r.names)) for r in (f2, z, f3)}
+    towers = [tower_free(r, ideals[r], 3) for r in (f2, z)]
+    quotient = QuotientModule(f2, list(ideals[f2].sequence))
+    calls = []
+    real = Element.__mul__
+
+    def counting(self, other):
+        calls.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counting)
+    realized = [towers[0].realize(), towers[1].realize(), towers[0].realize(module=quotient)]
+    assert all(any(m.entries for m in c.diff.values()) for c in realized)
+    assert check_regular_sequence(f3, ideals[f3]).ok
+    assert calls == []
+    # the augmentation check multiplies only to build the generators u_J
+    tower._augmentation_checks(f2, ideals[f2], 3, w, realized[0])
+    made = len(calls)
+    calls.clear()
+    quotient_by_power(f2, ideals[f2], 3)
+    for k in range(3):
+        power_generators(ideals[f2], k)
+    assert made == len(calls) > 0
 
 
 def _counting_reductions(monkeypatch, names):

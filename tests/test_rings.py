@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koszul.rings as rings
-from koszul.linalg import Coefficients
+from koszul.linalg import Coefficients, VectorSpan
 from koszul.rings import (
     DegreeWindow,
     Element,
@@ -18,6 +18,7 @@ from koszul.rings import (
     hilbert_function,
     monomial_basis,
     monomial_count,
+    multiples,
     power_multi_indices,
     power_quotient_dimension,
     quotient_by_power,
@@ -25,6 +26,8 @@ from koszul.rings import (
 )
 
 F2 = Coefficients.prime_field(2)
+F3 = Coefficients.prime_field(3)
+Q = Coefficients.rationals()
 Z = Coefficients.integers()
 
 
@@ -128,6 +131,60 @@ def test_monomial_table_properties(r):
             assert monomial_count(r, t) == (h[t] if t >= 0 else 0)
 
 
+@st.composite
+def _multiplication_cases(draw):
+    """A ring over F2, F3, Q or Z with at most one inverted generator, a
+    window degree t, a random homogeneous g with nonnegative exponents, and
+    (over a field) random homogeneous relations of the same kind."""
+    coeffs = draw(st.sampled_from([F2, F3, Q, Z]))
+    degs = draw(st.lists(st.sampled_from([2, 4, 6]), min_size=1, max_size=3))
+    gens = tuple((f"x{i}", d) for i, d in enumerate(degs, start=1))
+    inverted = draw(st.none() | st.sampled_from([n for n, _ in gens]))
+    t_min = draw(st.integers(-6, 6))
+    w = DegreeWindow(t_min, draw(st.integers(t_min, t_min + 12)))
+    r = RingSpec(coeffs, gens, w, inverted)
+
+    def homogeneous():
+        lead = draw(st.tuples(*[st.integers(0, 3) for _ in degs]))
+        same = [m for m in rings._monomials(r, r.monomial_degree(lead)) if min(m) >= 0]
+        picked = draw(st.lists(st.sampled_from(same), min_size=1, max_size=3, unique=True))
+        top = (coeffs.p or 4) - 1
+        return Element(r, {m: draw(st.integers(1, top)) for m in picked})
+
+    relations = [homogeneous() for _ in range(draw(st.integers(0, 2)))] if coeffs.is_field else []
+    return r, draw(st.sampled_from(list(w.degrees()))), homogeneous(), relations
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multiplication_cases())
+def test_multiples_and_reduce_match_element_products(case):
+    # reference: Element products, a dict lookup of each term in
+    # monomial_basis, and a VectorSpan of its own; no code of multiples
+    r, t, g, relations = case
+    index = {m: i for i, m in enumerate(monomial_basis(r, t))}
+
+    def coords(elem):
+        return {index[e]: v for e, v in elem.terms.items()}
+
+    monos = rings._monomials(r, t - g.degree())
+    expected = [coords(g * r.monomial(m)) for m in monos]
+    vecs = multiples(r, g, monos, t)
+    assert vecs == expected
+    assert FreeModuleBasis(r).reduce(vecs, t) == expected
+    if not r.coefficients.is_field:
+        return
+    span = VectorSpan(r.coefficients)
+    for rel in relations:
+        for m in rings._monomials(r, t - rel.degree()):
+            span.insert(coords(rel * r.monomial(m)))
+    keep = [i for i in range(len(index)) if i not in span.pivots]
+    pos = {p: k for k, p in enumerate(keep)}
+    q = QuotientModule(r, relations)
+    assert q.basis(t) == [monomial_basis(r, t)[p] for p in keep]
+    assert q.reduce(vecs, t) == [{pos[p]: v for p, v in span.reduce(vec)[0].items()}
+                                 for vec in expected]
+
+
 def test_element_arithmetic_mod_p():
     r = _ring(F2, [("x1", 2)])
     x = r.generator("x1")
@@ -158,8 +215,8 @@ def test_quotient_module_normal_form():
     r = _ring(F2, [("x1", 2)])
     q = QuotientModule(r, [r.monomial((2,))])
     x = r.generator("x1")
-    assert q.reduce(x, 2) == {0: 1}
-    assert q.reduce(x * x, 4) == {}
+    assert q.reduce(multiples(r, x, [(0,)], 2), 2) == [{0: 1}]
+    assert q.reduce(multiples(r, x, [(1,)], 4), 4) == [{}]
 
 
 def test_power_multi_indices():

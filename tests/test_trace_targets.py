@@ -2,23 +2,35 @@
 (perfbench/tracing.py, TARGETS) and reads counts off their operands and
 results (COUNTERS).  A target that no longer resolves drops its metrics
 silently in a traced run, and a counter that reads a renamed attribute fails
-only in a traced run, so a rename must fail here instead."""
+only in a traced run, so a rename must fail here instead.  A wrapper that
+a stale module-level name bypasses records no calls; one traced smoke sample
+per workload catches that here too."""
 import functools
 import importlib
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @functools.cache
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_tracing", PERFBENCH / "tracing.py")
+
+
+@functools.cache
+def _run():
+    return _load("perfbench_run", PERFBENCH / "run.py")
 
 
 def _targets():
@@ -71,3 +83,14 @@ def test_trace_counter_reads_its_target(module_name, path, span):
     counts = _tracing().COUNTERS[span](args, result)
     assert counts and all(isinstance(v, int) for v in counts.values())
     assert all(v > 0 for k, v in counts.items() if k != "key")
+
+
+@pytest.mark.parametrize("name", sorted(_run().WORKLOADS))
+def test_traced_smoke_sample_has_no_stale_wrapper(name, tmp_path):
+    run = _run()
+    workload = run.WORKLOADS[name]
+    got = run.sample(workload, 0, tmp_path, traced=True,
+                     deadline=time.monotonic() + 240, smoke=True)
+    assert got["ok"], got["reason"]
+    assert got["missing"] == []
+    assert run.stale_layers(workload, got["layers"]) == []
