@@ -19,8 +19,8 @@ run on.
 
 The module also computes Tor(R/I, R/I) and Tor(R/I, R/I^s) two independent
 ways each, raising OracleMismatchError rather than returning a table the two
-pipelines disagree on.  Every freshly realized complex is checked for d
-after d = 0.
+pipelines disagree on.  FreeComplex.realize checks d after d = 0 on every
+complex it builds, so no code here repeats that check.
 
 Quotient realizations need field coefficients; over the integers only the
 free-module computations (Koszul homology with torsion, tower d^2 and
@@ -29,7 +29,7 @@ homology invariants) are available.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
 from .complexes import (
@@ -37,14 +37,12 @@ from .complexes import (
     BasisLabel,
     BigradedComplex,
     DifferentialReport,
-    DifferentialSquareError,
     FreeComplex,
     OracleMismatchError,
     TensorLabel,
     homology_basis_at,
     homology_ranks,
     tensor_free,
-    verify_differential,
 )
 from .linalg import Matrix, matrix_vector, rank_over_field
 from .rings import (
@@ -170,20 +168,15 @@ def boundary_block(cx: BigradedComplex, level: int, r: int, t: int):
 
 
 def build_koszul(ring: RingSpec, ideal: IdealSpec, window: DegreeWindow | None = None,
-                 module=None, check: bool = True) -> BigradedComplex:
+                 module=None) -> BigradedComplex:
     """Realize the Koszul complex over the window, optionally through a
-    quotient module; regularity is checked first and d^2 = 0 afterwards."""
-    if check:
-        report = check_regular_sequence(ring, ideal, window)
-        if not report.ok:
-            raise RegularityError(report)
+    quotient module; regularity is checked first and d^2 = 0 by realize."""
+    report = check_regular_sequence(ring, ideal, window)
+    if not report.ok:
+        raise RegularityError(report)
     name = getattr(module, "name", "") or "R"
-    cx = tower_free(ring, ideal, 1, window).realize(
+    return tower_free(ring, ideal, 1, window).realize(
         window, module=module, description=f"Koszul complex (x) {name}")
-    rep = verify_differential(cx)
-    if not rep.ok:
-        raise DifferentialSquareError(rep)
-    return cx
 
 
 @dataclass
@@ -242,8 +235,8 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
     """Build the stage-s resolution of R/I^s and audit it end to end.
 
     Raises DifferentialSquareError when d^2 fails (a sign bug, not a math
-    fact) and RegularityError when the sequence is not regular in window.
-    """
+    fact), RegularityError when the sequence is not regular in window, and
+    OracleMismatchError when I^s/I^{s+1} misses its Rees prediction."""
     report = check_regular_sequence(ring, ideal, window)
     if not report.ok:
         raise RegularityError(report)
@@ -254,9 +247,6 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
         if cut else "")
     cx = tower_free(ring, ideal, s, w).realize(
         w, description=f"stage-{s} resolution of R/I^{s}")
-    diff_report = verify_differential(cx)
-    if not diff_report.ok:
-        raise DifferentialSquareError(diff_report)
     hom = homology_ranks(cx)
     is_field = ring.coefficients.is_field
     h0_found, h0_expected, mismatches = {}, {}, []
@@ -265,6 +255,13 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
         rank = entry.rank if entry else 0
         torsion = entry.torsion if entry else ()
         info = power_quotient_dimension(ring, ideal, s, t)
+        if not info.assoc_matches_prediction:
+            found, predicted = ((info.assoc_dim, info.predicted_assoc_dim) if is_field
+                                else (info.assoc_invariants, info.predicted_assoc_invariants))
+            raise OracleMismatchError(
+                f"I^{s}/I^{s + 1} at t={t} is {found}, not the Rees prediction {predicted}",
+                {"kind": "assoc-graded", "stage": s, "t": t,
+                 "found": found, "predicted": predicted})
         if is_field:
             h0_found[t] = rank
             h0_expected[t] = info.dim_quotient
@@ -288,7 +285,7 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
         s=s,
         ring_desc=str(ring),
         complex=cx,
-        differential=diff_report,
+        differential=cx.differential,
         h0_found=h0_found,
         h0_expected=h0_expected,
         h0_mismatches=mismatches,
@@ -405,6 +402,8 @@ class ExactnessFailure:
     r: int
     t: int
     detail: str
+    check: str  # "composite" | "interior" | "end"
+    stage: int  # the first stage that runs the check: node + 3, node + 2, 2
 
 
 @dataclass
@@ -416,15 +415,28 @@ class ExactnessReport:
     s: int
     ring_desc: str
     node_dims: list
-    composite_zero: bool
-    interior_exact: bool
-    end_kernel_is_base: bool
+    composite_zero: bool = field(init=False)
+    interior_exact: bool = field(init=False)
+    end_kernel_is_base: bool = field(init=False)
     base_dims: dict
     failures: list
 
+    def __post_init__(self):
+        failed = {f.check for f in self.failures}
+        self.composite_zero = "composite" not in failed
+        self.interior_exact = "interior" not in failed
+        self.end_kernel_is_base = "end" not in failed
+
     @property
     def ok(self) -> bool:
-        return self.composite_zero and self.interior_exact and self.end_kernel_is_base
+        return not self.failures
+
+    def at_stage(self, k: int) -> "ExactnessReport":
+        """The stage-k audit, 2 <= k <= s: tower_free drops only the top boundary."""
+        if not 2 <= k <= self.s:
+            raise ValueError(f"stage {k} is outside 2..{self.s}")
+        return ExactnessReport(k, self.ring_desc, self.node_dims[:k], self.base_dims,
+                               [f for f in self.failures if f.stage <= k])
 
     def __str__(self):
         def mark(good):
@@ -443,6 +455,21 @@ class ExactnessReport:
         return "\n".join(lines)
 
 
+def _level_blocks(ring: RingSpec, ideal: IdealSpec, s: int, w: DegreeWindow):
+    """(R/I, bases, maps) of tower_free(s) over R/I: bases[k][(r, t)] lists level
+    k's entries at (r, t), maps[k][(r, t)] their boundary to level k + 1 at (r - 1, t)."""
+    quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
+    cx = tower_free(ring, ideal, s, w).realize(
+        w, module=quotient, description=f"stage-{s} complex (x) R/I")
+    bases, maps = [{} for _ in range(s)], [{} for _ in range(s)]
+    for (r, t) in cx.basis:
+        for k in range(s):
+            src, _, block = boundary_block(cx, k, r, t)
+            if src:
+                bases[k][(r, t)], maps[k][(r, t)] = src, block
+    return quotient, bases, maps
+
+
 def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
                              window: DegreeWindow | None = None) -> ExactnessReport:
     """Check the induced boundary complex on Tor(R/I, I^k/I^{k+1}) nodes.
@@ -451,7 +478,7 @@ def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
     reducing mod I), so chains are homology and the checks are pure rank
     bookkeeping: composites vanish, interior nodes are exact, and the kernel
     of the first map is exactly the base quotient at homological degree 0.
-    """
+    at_stage(k) of the result is the audit at a lower stage k."""
     if not ring.coefficients.is_field:
         raise InputError("exactness audit needs field coefficients")
     if s < 2:
@@ -460,26 +487,14 @@ def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
     if not report.ok:
         raise RegularityError(report)
     w = window or ring.window
-    quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
-    cx = tower_free(ring, ideal, s, w).realize(
-        w, module=quotient, description=f"stage-{s} complex (x) R/I")
-    bases, maps = [{} for _ in range(s)], [{} for _ in range(s - 1)]
-    for (r, t) in cx.basis:
-        for k in range(s):
-            src, _, block = boundary_block(cx, k, r, t)
-            if src:
-                bases[k][(r, t)] = src
-                if k < s - 1:
-                    maps[k][(r, t)] = block
+    quotient, bases, maps = _level_blocks(ring, ideal, s, w)
     coeffs = ring.coefficients
     failures: list[ExactnessFailure] = []
-    composite_zero = True
     for k in range(s - 2):
         for (r, t), m in maps[k].items():
             if m.rows and not maps[k + 1][(r - 1, t)].compose(m, coeffs).is_zero():
-                composite_zero = False
-                failures.append(ExactnessFailure(k, r, t, "composite of boundaries is nonzero"))
-    interior_exact = True
+                failures.append(ExactnessFailure(
+                    k, r, t, "composite of boundaries is nonzero", "composite", k + 3))
     for k in range(1, s - 1):
         for (r, t), entries in bases[k].items():
             dim = len(entries)
@@ -487,30 +502,19 @@ def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
             incoming = maps[k - 1].get((r + 1, t))
             rank_in = rank_over_field(incoming, coeffs) if incoming is not None else 0
             if dim - rank_out != rank_in:
-                interior_exact = False
                 failures.append(ExactnessFailure(
-                    k, r, t,
-                    f"kernel dimension {dim - rank_out} but incoming rank {rank_in}"))
-    end_ok = True
+                    k, r, t, f"kernel dimension {dim - rank_out} but incoming rank {rank_in}",
+                    "interior", k + 2))
     base_dims = {t: quotient.dim(t) for t in w.degrees()}
     for (r, t), entries in bases[0].items():
         kernel = len(entries) - rank_over_field(maps[0][(r, t)], coeffs)
         expected = base_dims.get(t, 0) if r == 0 else 0
         if kernel != expected:
-            end_ok = False
             failures.append(ExactnessFailure(
-                0, r, t, f"first-map kernel has dimension {kernel}, expected {expected}"))
+                0, r, t, f"first-map kernel has dimension {kernel}, expected {expected}",
+                "end", 2))
     node_dims = [{key: len(v) for key, v in b.items()} for b in bases]
-    return ExactnessReport(
-        s=s,
-        ring_desc=str(ring),
-        node_dims=node_dims,
-        composite_zero=composite_zero,
-        interior_exact=interior_exact,
-        end_kernel_is_base=end_ok,
-        base_dims=base_dims,
-        failures=failures,
-    )
+    return ExactnessReport(s, str(ring), node_dims, base_dims, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +575,16 @@ def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int,
     hom = homology_ranks(cx)
     brute = {key: entry.rank for key, entry in hom.items() if entry.rank}
     # pipeline (b): R/I at homological degree 0 plus coker of the last boundary
-    quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
-    stage = tower_free(ring, ideal, s, w).realize(
-        w, module=quotient, description=f"stage-{s} complex (x) R/I")
+    quotient, bases, maps = _level_blocks(ring, ideal, s, w)
     coeffs = ring.coefficients
     closed: dict[tuple[int, int], int] = {}
     for t in w.degrees():
         rank = quotient.dim(t)
         if rank:
             closed[(0, t)] = rank
-    for (r, t) in stage.basis:
-        _, top, incoming = boundary_block(stage, s - 2, r + 1, t)
-        coker = len(top) - rank_over_field(incoming, coeffs)
+    for (r, t), top in bases[s - 1].items():
+        incoming = maps[s - 2].get((r + 1, t))
+        coker = len(top) - (rank_over_field(incoming, coeffs) if incoming is not None else 0)
         if coker:
             closed[(r, t)] = closed.get((r, t), 0) + coker
     for key in sorted(set(brute) | set(closed)):
@@ -701,9 +703,6 @@ def _trivial_products_check(ring, ideal, s, w, brute):
     free_tensor = tensor_free(
         tower_free(ring, ideal, 1, w), tower_free(ring, ideal, s, w))
     cx = free_tensor.realize(w, description=f"Koszul (x) stage-{s} algebra")
-    rep = verify_differential(cx)
-    if not rep.ok:
-        raise DifferentialSquareError(rep)
     hom = homology_ranks(cx)
     for key, entry in sorted(hom.items()):
         if entry.rank != brute.get(key, 0):

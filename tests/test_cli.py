@@ -141,6 +141,75 @@ def test_exactness_command(tmp_path, capsys):
     assert "s=2" in text and "s=3" in text
 
 
+@pytest.mark.parametrize("name", ["diagonal_f2.spec", "diagonal_f3.spec"])
+def test_exactness_text_equals_separate_runs_per_stage(tmp_path, name):
+    from koszul.specfile import parse_spec
+    from koszul.tower import verify_partial_exactness
+
+    spec = parse_spec((SPECS_DIR / name).read_text())
+    assert run("exactness", "--spec", spec_arg(name), "--out", str(tmp_path)) == 0
+    expected = "\n\n".join(
+        str(verify_partial_exactness(spec.ring, spec.ideal, s))
+        for s in range(2, spec.window.stage_max + 1))
+    assert (tmp_path / "exactness.txt").read_text() == expected + "\n"
+
+
+def test_exactness_realizes_and_checks_regularity_once(tmp_path, monkeypatch):
+    import koszul.tower
+    from koszul.complexes import FreeComplex
+
+    calls = {"realize": 0, "regular": 0}
+    realize, regular = FreeComplex.realize, koszul.tower.check_regular_sequence
+
+    def counting_realize(*args, **kwargs):
+        calls["realize"] += 1
+        return realize(*args, **kwargs)
+
+    def counting_regular(*args, **kwargs):
+        calls["regular"] += 1
+        return regular(*args, **kwargs)
+
+    monkeypatch.setattr(FreeComplex, "realize", counting_realize)
+    monkeypatch.setattr(koszul.tower, "check_regular_sequence", counting_regular)
+    # diagonal_f2.spec has stage_max = 4: stages 2, 3 and 4 are audited
+    assert run("exactness", "--spec", spec_arg("diagonal_f2.spec"),
+               "--out", str(tmp_path)) == 0
+    assert "s=4" in (tmp_path / "exactness.txt").read_text()
+    assert calls == {"realize": 1, "regular": 1}
+
+
+@pytest.mark.parametrize("name, field", [
+    ("diagonal_f2.spec", "predicted_assoc_dim"),
+    ("integer_arithmetic.spec", "predicted_assoc_invariants"),
+])
+def test_tower_checks_the_associated_graded(tmp_path, monkeypatch, capsys, name, field):
+    # a Rees prediction off by one free generator must stop the tower
+    import dataclasses
+
+    import koszul.tower
+
+    honest = koszul.tower.power_quotient_dimension
+
+    def wrong(ring, ideal, s, t):
+        info = honest(ring, ideal, s, t)
+        value = getattr(info, field)
+        off = value + 1 if isinstance(value, int) else (value[0] + 1, value[1])
+        return dataclasses.replace(info, **{field: off})
+
+    monkeypatch.setattr(koszul.tower, "power_quotient_dimension", wrong)
+    assert run("tower", "s=2", "--spec", spec_arg(name), "--out", str(tmp_path)) == 1
+    assert "mathematical failure" in capsys.readouterr().err
+    witness = json.loads((tmp_path / "witness.json").read_text())
+    assert witness["kind"] == "assoc-graded"
+    inner = witness["witness"]
+    assert (inner["stage"], inner["t"]) == (2, 0)
+    if field == "predicted_assoc_dim":
+        assert inner["predicted"] == inner["found"] + 1
+    else:
+        assert inner["predicted"] == [inner["found"][0] + 1, inner["found"][1]]
+    assert not (tmp_path / "tower_s2.csv").exists()
+
+
 def test_cotor_command_matches_frozen_table(tmp_path):
     spec = tmp_path / "base.spec"
     spec.write_text("[ring]\ncoefficients = F2\n"

@@ -11,6 +11,7 @@ from koszul.complexes import (
     HOMOLOGICAL,
     UNIT_LABEL,
     BasisLabel,
+    DifferentialSquareError,
     FreeComplex,
     format_basis_element,
     homology_basis_at,
@@ -226,6 +227,56 @@ def test_verify_differential_catches_corruption():
     assert not report.ok
     assert any(v.kind == "square" for v in report.violations)
     assert "(2,4)" in str(report) or any(v.s == 2 and v.t == 4 for v in report.violations)
+
+
+def _nonzero_square(ring):
+    """c <- b <- a with d(b) = x c and d(a) = x b, so d(d(a)) = x^2 c."""
+    cx = FreeComplex(ring, HOMOLOGICAL)
+    x = ring.generator("x")
+    c = cx.add_generator(BasisLabel(), 0, 0)
+    b = cx.add_generator(BasisLabel(e_part=(1,)), 1, 2)
+    a = cx.add_generator(BasisLabel(e_part=(1, 2)), 2, 4)
+    cx.set_diff(b, [(x, c)])
+    cx.set_diff(a, [(x, b)])
+    return cx
+
+
+def test_realize_raises_on_nonzero_square():
+    ring = one_variable_ring(p=3)
+    with pytest.raises(DifferentialSquareError) as err:
+        _nonzero_square(ring).realize()
+    violations = err.value.report.violations
+    assert all(v.kind == "square" for v in violations)
+    # a reaches the window at t = 4 and again at 6 and 8 through x and x^2
+    assert [(v.s, v.t) for v in violations] == [(2, 4), (2, 6), (2, 8)]
+
+
+def test_tensor_of_a_broken_complex_is_a_differential_failure(monkeypatch):
+    import koszul.complexes
+
+    ring = one_variable_ring()
+    good = exterior_on(ring, [0]).realize()
+    monkeypatch.setattr(koszul.complexes, "tensor_free",
+                        lambda a, b: _nonzero_square(ring))
+    with pytest.raises(DifferentialSquareError):
+        tensor_complexes(good, good)
+
+
+def test_realized_complexes_carry_a_passing_differential_report():
+    ring = one_variable_ring(p=3)
+    ideal = IdealSpec((ring.generator("x"),))
+    c = exterior_on(ring, [0, 0]).realize()
+    realized = [
+        c,
+        tower_free(ring, ideal, 2).realize(),
+        tower_free(ring, ideal, 2).realize(module=QuotientModule(ring, [ring.generator("x")])),
+        tensor_complexes(c, c),
+        cobar_complex(HopfSpec(RingSpec(Coefficients.prime_field(2), (), DegreeWindow(0, 8, 2)),
+                               (("t1", 1), ("t2", 3))), DegreeWindow(0, 8, 2)),
+    ]
+    for cx in realized:
+        assert cx.differential is not None and cx.differential.ok
+    assert shift_complex(c, 1).differential is None
 
 
 def test_homology_basis_coordinates():

@@ -193,6 +193,48 @@ def test_partial_exactness_one_and_two_generators():
         assert rep.base_dims[0] == 1
 
 
+EXACTNESS_CASES = [
+    (2, (2,), 10, ("x1",), 4),
+    (2, (2, 4), 12, ("x1", "x2"), 4),
+    (2, (2, 2, 4, 4), 16, ("x1", "x2", "x3", "x4"), 4),
+    (3, (2, 4), 10, ("x1", "x2"), 3),
+]
+
+
+@pytest.mark.parametrize("p, degrees, t_max, entries, s", EXACTNESS_CASES)
+def test_exactness_at_lower_stages_reads_the_top_stage(p, degrees, t_max, entries, s):
+    ring = ring_f(p, degrees, t_max)
+    ideal = ideal_on(ring, *entries)
+    full = verify_partial_exactness(ring, ideal, s)
+    assert full.ok
+    for k in range(2, s + 1):
+        assert full.at_stage(k) == verify_partial_exactness(ring, ideal, k)
+    for k in (1, s + 1):
+        with pytest.raises(ValueError):
+            full.at_stage(k)
+
+
+def test_exactness_failures_are_kept_per_stage(monkeypatch):
+    # ranks one short make interior and end checks fail; each stage's report
+    # keeps exactly the failures of the checks that stage runs
+    import koszul.tower
+
+    honest = koszul.tower.rank_over_field
+    monkeypatch.setattr(koszul.tower, "rank_over_field",
+                        lambda m, c: max(honest(m, c) - 1, 0))
+    ring = ring_f(2, (2, 4), 12)
+    ideal = ideal_on(ring, "x1", "x2")
+    full = verify_partial_exactness(ring, ideal, 4)
+    assert {f.check for f in full.failures} == {"interior", "end"}
+    assert not full.interior_exact and not full.end_kernel_is_base and full.composite_zero
+    for k in (2, 3, 4):
+        assert full.at_stage(k) == verify_partial_exactness(ring, ideal, k)
+    assert full.at_stage(2).interior_exact
+    assert not full.at_stage(3).interior_exact
+    assert all(f.stage <= 3 for f in full.at_stage(3).failures)
+    assert any(f.stage == 4 for f in full.failures)
+
+
 def test_partial_exactness_rejects_non_regular():
     ring = ring_f(2, (2,), 8)
     x1 = ring.generator("x1")

@@ -4,7 +4,8 @@ results (COUNTERS).  A target that no longer resolves drops its metrics
 silently in a traced run, and a counter that reads a renamed attribute fails
 only in a traced run, so a rename must fail here instead.  A wrapper that
 a stale module-level name bypasses records no calls; one traced smoke sample
-per workload catches that here too."""
+per workload catches that here too, and checks that d after d is audited
+exactly once per realized complex."""
 import functools
 import importlib
 import importlib.util
@@ -94,3 +95,5 @@ def test_traced_smoke_sample_has_no_stale_wrapper(name, tmp_path):
     assert got["ok"], got["reason"]
     assert got["missing"] == []
     assert run.stale_layers(workload, got["layers"]) == []
+    layers = got["layers"]
+    assert layers["complexes.verify_differential.calls"] == layers["complexes.realize.calls"]
