@@ -292,7 +292,7 @@ def completion_tower(ring: RingSpec, ideal: IdealSpec,
             for s, rel, finer in zip(stages, rels, rels[1:]):
                 lat = IntegerLattice(rel)
                 values.append(lat.cokernel_invariants())
-                if not all(lat.contains(col) for col in finer.columns()):
+                if not all(lat.contains(col) for col in finer.columns):
                     failures.append((s, t))
             values = tuple(values)
             limit_val = (monomial_count(ring, t), ())

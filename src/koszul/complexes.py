@@ -175,8 +175,8 @@ class FreeComplex:
         diff: dict[tuple[int, int], Matrix] = {}
         for (s, t), entries in basis.items():
             tgt_offs = offsets.get((s + step, t), {})
-            m = Matrix(len(basis.get((s + step, t), ())), len(entries))
-            for gid, col0 in offsets[(s, t)].items():
+            columns: list[dict] = []  # appended in basis order
+            for gid in offsets[(s, t)]:
                 d = t - internal[gid]
                 plan = []
                 for c, tgt in self.diff[gid]:
@@ -197,8 +197,8 @@ class FreeComplex:
                                 col[row + pos] = x
                             else:
                                 col.pop(row + pos, None)
-                    m.entries.update(((i, col0 + k), x) for i, x in col.items())
-            diff[(s, t)] = m
+                    columns.append(col)
+            diff[(s, t)] = Matrix(len(basis.get((s + step, t), ())), len(entries), columns)
         cx = BigradedComplex(
             coefficients=self.ring.coefficients,
             direction=self.direction,
@@ -323,7 +323,9 @@ def verify_differential(c: BigradedComplex) -> DifferentialReport:
             continue  # shape fault reported at the neighbour
         prod = m2.compose(m, c.coefficients)
         if not prod.is_zero():
-            (i, j), v = sorted(prod.entries.items())[0]
+            # the lowest row, then the lowest column, whatever the storage order
+            (i, j), v = min(((i, j), v) for j, col in enumerate(prod.columns)
+                            for i, v in col.items())
             label, mono = c.basis[(s, t)][j]
             violations.append(
                 DifferentialViolation(
@@ -458,13 +460,14 @@ def tensor_complexes(a: BigradedComplex, b: BigradedComplex) -> BigradedComplex:
 def shift_complex(c: BigradedComplex, k: int) -> BigradedComplex:
     """C[k]: basis at (s,t) is C at (s+k,t); the differential picks up (-1)^k."""
     basis = {(s - k, t): v for (s, t), v in c.basis.items()}
+    neg = c.coefficients.neg
     diff = {}
     for (s, t), m in c.diff.items():
         if k % 2 == 0:
             shifted = m
         else:
             shifted = Matrix(m.rows, m.cols,
-                             {key: c.coefficients.neg(v) for key, v in m.entries.items()})
+                             [{i: neg(v) for i, v in col.items()} for col in m.columns])
         diff[(s - k, t)] = shifted
     return BigradedComplex(
         coefficients=c.coefficients,
@@ -510,7 +513,7 @@ def homology_basis_at(c: BigradedComplex, s: int, t: int) -> HomologyBasis:
     out = c.matrix(s, t)
     into = c.matrix(s - c.step, t)
     span = VectorSpan(c.coefficients)
-    for col in into.columns():
+    for col in into.columns:
         span.insert(col)
     reps = []
     rep_slots = []

@@ -210,10 +210,6 @@ class CotorReport:
     window: DegreeWindow
     word_counts: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.differential.ok
-
     def __str__(self):
         lines = [f"cobar cohomology of {self.hopf_desc}",
                  str(self.differential),

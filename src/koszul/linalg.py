@@ -100,94 +100,87 @@ class Coefficients:
 
 
 class Matrix:
-    """Sparse exact matrix: entries keyed by (row, col), zeros never stored.
+    """Sparse exact matrix stored column by column: columns[j] is the sparse
+    column {row: value} of source basis element j, zeros never stored.
 
     Shape is explicit so zero matrices of every shape are distinguishable.
-    Columns index the source basis, rows the target basis.
+    Columns index the source basis, rows the target basis.  A matrix takes
+    the column dicts it is given without copying them; consumers only read
+    them.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, entries: dict | None = None):
+    def __init__(self, rows: int, cols: int, columns: list[dict] | None = None):
+        if columns is None:
+            columns = [{} for _ in range(cols)]
+        elif len(columns) != cols:
+            raise ValueError(f"{len(columns)} columns given for {cols}")
         self.rows = rows
         self.cols = cols
-        self.entries = {} if entries is None else dict(entries)
+        self.columns = columns
 
     @classmethod
     def from_rows(cls, data) -> "Matrix":
         """
-        >>> Matrix.from_rows([[1, 0], [0, 2]]).entries
-        {(0, 0): 1, (1, 1): 2}
+        >>> m = Matrix.from_rows([[1, 0], [3, 2]])
+        >>> m.columns
+        [{0: 1, 1: 3}, {1: 2}]
+        >>> m.entries
+        {(0, 0): 1, (1, 0): 3, (1, 1): 2}
         """
-        m = cls(len(data), len(data[0]) if data else 0)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                if v:
-                    m.entries[(i, j)] = v
-        return m
+        n = len(data[0]) if data else 0
+        return cls(len(data), n, [{i: row[j] for i, row in enumerate(data) if row[j]}
+                                  for j in range(n)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls(n, n, [{j: 1} for j in range(n)])
+
+    @property
+    def entries(self) -> dict:
+        """The nonzeros keyed by (row, col), column by column; a fresh dict."""
+        return {(i, j): v for j, col in enumerate(self.columns) for i, v in col.items()}
 
     def set(self, i: int, j: int, v) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
         if v:
-            self.entries[(i, j)] = v
+            self.columns[j][i] = v
         else:
-            self.entries.pop((i, j), None)
+            self.columns[j].pop(i, None)
 
     def get(self, i: int, j: int):
-        return self.entries.get((i, j), 0)
-
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def columns(self) -> list[dict]:
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
+        return self.columns[j].get(i, 0)
 
     def compose(self, other: "Matrix", coeffs: Coefficients) -> "Matrix":
         """self @ other, i.e. apply other first.
 
-        Row-wise (Gustavson) sparse product: other is bucketed by row once,
-        and each row i of self accumulates w * other[k, :] over its entries
-        (i, k, w) in one dict, which is normalized once per entry and flushed
-        before the next row starts.  Only nonzeros are stored, in row-major
-        order (rows ascending, columns ascending within a row).
+        Column-wise (Gustavson) sparse product: column j of the result
+        accumulates v * self[:, k] over the entries (k, v) of other's column
+        j in one dict, normalized once per entry.  Only nonzeros are stored.
         """
         if other.rows != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} after {other.rows}x{other.cols}")
-        other_rows: dict[int, list] = {}
-        for (k, j), v in other.entries.items():
-            other_rows.setdefault(k, []).append((j, v))
-        self_rows: dict[int, list] = {}
-        for (i, k), w in self.entries.items():
-            self_rows.setdefault(i, []).append((k, w))
         norm = coeffs.normalize
-        out = Matrix(self.rows, other.cols)
-        entries = out.entries
-        for i in sorted(self_rows):
+        mine = self.columns
+        out = []
+        for col in other.columns:
             acc: dict[int, object] = {}
-            for k, w in self_rows[i]:
-                for j, v in other_rows.get(k, ()):
-                    acc[j] = acc.get(j, 0) + w * v
-            for j in sorted(acc):
-                x = norm(acc[j])
-                if x:
-                    entries[(i, j)] = x
-        return out
+            for k, v in col.items():
+                for i, w in mine[k].items():
+                    acc[i] = acc.get(i, 0) + w * v
+            out.append({i: y for i, x in acc.items() if (y := norm(x))})
+        return Matrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.columns)
 
     def to_rows(self) -> list[list]:
         data = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            data[i][j] = v
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                data[i][j] = v
         return data
 
     def __eq__(self, other):
@@ -195,20 +188,21 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        return f"Matrix({self.rows}x{self.cols}, {sum(map(len, self.columns))} entries)"
 
 
 def matrix_vector(m: Matrix, vec: dict, coeffs: Coefficients) -> dict:
-    """Apply m to a sparse column vector; result is sparse and normalized."""
+    """Apply m to a sparse column vector: the sum of the columns it touches,
+    scaled; the result is sparse and normalized."""
     out: dict[int, object] = {}
-    for (i, j), w in m.entries.items():
-        x = vec.get(j)
+    for j, x in vec.items():
         if x:
-            out[i] = out.get(i, coeffs.zero) + w * x
+            for i, w in m.columns[j].items():
+                out[i] = out.get(i, coeffs.zero) + w * x
     return _normalized(coeffs, out)
 
 
@@ -311,12 +305,12 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
         raise ValueError("rank over a field only; use smith_normal_form over Z")
     p = coeffs.p
     if p == 2:
-        bits = [0] * m.cols
-        for (i, j), v in m.entries.items():
-            if v & 1:
-                bits[j] |= 1 << i
         lows: dict[int, int] = {}  # lowest set bit -> pivot column
-        for x in bits:
+        for col in m.columns:
+            x = 0
+            for i, v in col.items():
+                if v & 1:
+                    x |= 1 << i
             while x:
                 low = x & -x
                 y = lows.get(low)
@@ -325,11 +319,8 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
                     break
                 x ^= y
         return len(lows)
-    cols: list[dict] = [{} for _ in range(m.cols)]
-    for (i, j), v in m.entries.items():
-        cols[j][i] = v
     leads: dict[int, dict] = {}  # lowest row -> pivot column, entry there 1
-    for col in cols:
+    for col in m.columns:
         v = {i: y for i, x in col.items() if (y := x % p if p else x)}
         while v:
             lead = min(v)
@@ -363,15 +354,11 @@ def kernel_basis(m: Matrix, coeffs: Coefficients) -> list[dict]:
     c = coeffs
     span = VectorSpan(c)
     kernel = []
-    for j, col in enumerate(m.columns()):
+    for j, col in enumerate(m.columns):
         residual, combo = span.reduce(col)
         if not span._adjoin(residual, combo):
             kernel.append({j: c.one, **{k: c.neg(a) for k, a in combo.items()}})
     return kernel
-
-
-def nullity(m: Matrix, coeffs: Coefficients) -> int:
-    return len(kernel_basis(m, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +411,8 @@ def smith_with_transforms(m: Matrix, need_transforms: bool = True):
     need_transforms).  Exact big-integer arithmetic throughout, in two phases
     (Kaczynski-Mrozek-Slusarek 1998, Dumas-Saunders-Villard 2001):
 
-    * Sparse: rows are {col: value} dicts with a row set per column.  The
+    * Sparse: the row operations need a row view, so the columns of m are
+      turned into rows, {col: value} dicts, with a row set per column.  The
       next pivot is a +-1 entry of least Markowitz cost (r-1)(c-1), so
       singletons go first.  Row operations clear its column; the column
       operations that clear its row touch no other row, so they only enter
@@ -436,12 +424,13 @@ def smith_with_transforms(m: Matrix, need_transforms: bool = True):
     """
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
-    for (i, j), v in m.entries.items():
-        if not isinstance(v, int):
-            raise ValueError("integer matrix required")
-        if v:
-            rows.setdefault(i, {})[j] = v
-            col_rows.setdefault(j, set()).add(i)
+    for j, col in enumerate(m.columns):
+        for i, v in col.items():
+            if not isinstance(v, int):
+                raise ValueError("integer matrix required")
+            if v:
+                rows.setdefault(i, {})[j] = v
+                col_rows.setdefault(j, set()).add(i)
     z = Coefficients.integers()
     s_rows = {i: {i: 1} for i in range(m.rows)} if need_transforms else None
     t_cols = {j: {j: 1} for j in range(m.cols)} if need_transforms else None
@@ -529,11 +518,11 @@ def smith_with_transforms(m: Matrix, need_transforms: bool = True):
     done = {j for _, j, _ in pivots}.union(left_cols)
     t_out.extend(t_cols[j] for j in range(m.cols) if j not in done)
 
-    smat = Matrix(m.rows, m.rows, {(a, i): v for a, row in enumerate(s_out)
-                                   for i, v in sorted(row.items())})
-    tmat = Matrix(m.cols, m.cols, {(j, a): v for a, col in enumerate(t_out)
-                                   for j, v in col.items()})
-    return tuple(raw), smat, tmat
+    s_cols: list[dict] = [{} for _ in range(m.rows)]
+    for a, row in enumerate(s_out):
+        for i, v in row.items():
+            s_cols[i][a] = v
+    return tuple(raw), Matrix(m.rows, m.rows, s_cols), Matrix(m.cols, m.cols, t_out)
 
 
 def _dense_smith(a: list[list[int]], need_transforms: bool):
@@ -621,7 +610,7 @@ def rational_rank(m: Matrix) -> int:
     1
     """
     leads: dict[int, dict] = {}  # lowest row -> pivot column
-    for col in m.columns():
+    for col in m.columns:
         v = {i: x for i, x in col.items() if x}
         while v:
             lead = min(v)
@@ -640,7 +629,7 @@ def rational_rank(m: Matrix) -> int:
 def integer_kernel_basis(m: Matrix) -> list[dict]:
     """Lattice basis of the integer kernel (columns of T past the rank)."""
     d, _, t = smith_with_transforms(m)
-    return [col for col in t.columns()[len(d):] if col]
+    return [col for col in t.columns[len(d):] if col]
 
 
 class IntegerLattice:
@@ -649,9 +638,6 @@ class IntegerLattice:
     def __init__(self, m: Matrix):
         self.m = m
         self.d, self.s, self.t = smith_with_transforms(m)
-        self._s_by_col: dict[int, list[tuple[int, int]]] = {}
-        for (i, j), w in self.s.entries.items():
-            self._s_by_col.setdefault(j, []).append((i, w))
 
     @property
     def rank(self) -> int:
@@ -669,7 +655,7 @@ class IntegerLattice:
         sx: dict[int, int] = {}
         for j, x in v.items():
             if x:
-                for i, w in self._s_by_col.get(j, ()):
+                for i, w in self.s.columns[j].items():
                     sx[i] = sx.get(i, 0) + w * x
         d = self.d
         return all(not val or (i < len(d) and val % d[i] == 0) for i, val in sx.items())
@@ -694,13 +680,8 @@ def lattice_quotient_invariants(a: Matrix, b: Matrix) -> tuple[int, tuple[int, .
     r = lat.rank
     # coordinates of b's columns in the lattice basis: rows of S*b scaled by 1/d_i
     sb = lat.s.compose(b, Coefficients.integers())
-    coords = Matrix(r, b.cols)
-    for (i, j), v in sb.entries.items():
-        if i < r:
-            if v % lat.d[i]:
-                raise ValueError("second lattice is not contained in the first")
-            coords.set(i, j, v // lat.d[i])
-        elif v:
-            raise ValueError("second lattice is not contained in the first")
-    dd = smith_normal_form(coords)
+    if any(i >= r or v % lat.d[i] for col in sb.columns for i, v in col.items()):
+        raise ValueError("second lattice is not contained in the first")
+    coords = [{i: v // lat.d[i] for i, v in col.items()} for col in sb.columns]
+    dd = smith_normal_form(Matrix(r, b.cols, coords))
     return r - len(dd), tuple(v for v in dd if v > 1)

@@ -444,11 +444,7 @@ def _relation_multiples(ring: RingSpec, relations, t: int):
 def relation_matrix(ring: RingSpec, relations: list[Element], t: int) -> Matrix:
     """Columns are the degree-t multiples of the relations, in monomial coords."""
     cols = list(_relation_multiples(ring, relations, t))
-    out = Matrix(monomial_count(ring, t), len(cols))
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            out.set(i, j, v)
-    return out
+    return Matrix(monomial_count(ring, t), len(cols), cols)
 
 
 @dataclass

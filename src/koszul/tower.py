@@ -160,10 +160,8 @@ def boundary_block(cx: BigradedComplex, level: int, r: int, t: int):
     tgt = cx.basis.get((r - 1, t), [])
     c0, c1 = _level_run(src, level)
     r0, r1 = _level_run(tgt, level + 1)
-    block = Matrix(r1 - r0, c1 - c0)
-    for (i, j), v in cx.matrix(r, t).entries.items():
-        if r0 <= i < r1 and c0 <= j < c1:
-            block.entries[(i - r0, j - c0)] = v
+    block = Matrix(r1 - r0, c1 - c0, [{i - r0: v for i, v in col.items() if r0 <= i < r1}
+                                      for col in cx.matrix(r, t).columns[c0:c1]])
     return src[c0:c1], tgt[r0:r1], block
 
 
@@ -198,8 +196,7 @@ class TowerReport:
     @property
     def ok(self) -> bool:
         return (
-            self.differential.ok
-            and not self.h0_mismatches
+            not self.h0_mismatches
             and not self.higher_nonzero
             and self.augmentation_composite_zero is not False
             and self.augmentation_surjective is not False
@@ -211,7 +208,7 @@ class TowerReport:
 
         lines = [
             f"stage s={self.s} resolution over {self.ring_desc}",
-            f"  d^2 = 0 everywhere in window: {mark(self.differential.ok)}",
+            "  d^2 = 0 everywhere in window: PASS",  # realize raises otherwise
             f"  H_0 equals R/I^{self.s} degreewise: {mark(not self.h0_mismatches)}",
             f"  H_n = 0 for n > 0 in window: {mark(not self.higher_nonzero)}",
         ]
@@ -309,11 +306,9 @@ def _augmentation_checks(ring, ideal, s, w, cx):
     surjective = True
     for t in w.degrees():
         entries = cx.basis.get((0, t), [])
-        aug = Matrix(quotient.dim(t), len(entries))
-        for col, (label, mono) in enumerate(entries):
-            value, = quotient.reduce(multiples(ring, u_of[label.u_part], [mono], t), t)
-            for row, v in value.items():
-                aug.set(row, col, v)
+        aug = Matrix(quotient.dim(t), len(entries),
+                     [quotient.reduce(multiples(ring, u_of[label.u_part], [mono], t), t)[0]
+                      for label, mono in entries])
         if not aug.compose(cx.matrix(1, t), coeffs).is_zero():
             composite_zero = False
         if rank_over_field(aug, coeffs) != quotient.dim(t):

@@ -22,7 +22,7 @@ from koszul.complexes import (
     verify_differential,
 )
 from koszul.cotor import HopfSpec, cobar_complex, cobar_free
-from koszul.linalg import Coefficients
+from koszul.linalg import Coefficients, Matrix
 from koszul.rings import (
     DegreeWindow,
     Element,
@@ -229,6 +229,27 @@ def test_verify_differential_catches_corruption():
     assert "(2,4)" in str(report) or any(v.s == 2 and v.t == 4 for v in report.violations)
 
 
+def test_square_witness_names_lowest_row_then_lowest_column():
+    # d.d is made nonzero at (row 0, column 1) and (row 1, column 0): the
+    # witness names row 0 of column 1, however the product's nonzeros are stored
+    ring = RingSpec(Coefficients.prime_field(3), (("x1", 2), ("x2", 2), ("x3", 2)),
+                    DegreeWindow(0, 4, 3))
+    ideal = IdealSpec(tuple(ring.generator(n) for n in ("x1", "x2", "x3")))
+    c = tower_free(ring, ideal, 1).realize()
+    inner, outer = c.matrix(2, 4), c.matrix(1, 4)  # (2,4) -> (1,4) -> (0,4)
+    assert min(inner.rows, inner.cols, outer.rows) >= 2
+    inner, outer = Matrix(inner.rows, inner.cols), Matrix(outer.rows, outer.cols)
+    inner.set(1, 0, 1)
+    inner.set(0, 1, 2)
+    outer.set(0, 0, 1)
+    outer.set(1, 1, 1)
+    c.diff[(2, 4)], c.diff[(1, 4)] = inner, outer
+    assert outer.compose(inner, ring.coefficients).entries == {(1, 0): 1, (0, 1): 2}
+    label, mono = c.basis[(2, 4)][1]
+    got = [(v.kind, v.detail) for v in verify_differential(c).violations if (v.s, v.t) == (2, 4)]
+    assert got == [("square", f"d(d({label}|{mono})) has entry 2 at target row 0")]
+
+
 def _nonzero_square(ring):
     """c <- b <- a with d(b) = x c and d(a) = x b, so d(d(a)) = x^2 c."""
     cx = FreeComplex(ring, HOMOLOGICAL)
@@ -290,7 +311,7 @@ def test_homology_basis_coordinates():
     hb4 = homology_basis_at(c, 1, 4)
     assert len(hb4.reps) == 0
     # x*(e1 + e2) is the boundary of e1e2 at t = 4
-    assert hb4.is_boundary(c.matrix(2, 4).column(0))
+    assert hb4.is_boundary(c.matrix(2, 4).columns[0])
 
 
 def test_realize_enumerates_each_degree_once(monkeypatch):

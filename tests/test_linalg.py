@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszul import linalg
@@ -18,7 +18,7 @@ from koszul.linalg import (
     integer_kernel_basis,
     kernel_basis,
     lattice_quotient_invariants,
-    nullity,
+    matrix_vector,
     rank_over_field,
     rational_rank,
     smith_normal_form,
@@ -56,6 +56,20 @@ def test_smith_frozen_examples():
     assert smith_normal_form(Matrix.identity(3)) == (1, 1, 1)
 
 
+def _matrix(rows, cols, entries):
+    """A Matrix from its nonzeros keyed by (row, col)."""
+    m = Matrix(rows, cols)
+    for (i, j), v in entries.items():
+        m.set(i, j, v)
+    return m
+
+
+def _edge_matrices():
+    """0 x n and n x 0 shapes, all-empty columns, and empty columns around
+    a full one."""
+    return [Matrix(0, 3), Matrix(3, 0), Matrix(2, 3), Matrix(3, 3, [{}, {0: 2, 2: -3}, {}])]
+
+
 def _random_matrix(rng, rows, cols, lo=-4, hi=4):
     m = Matrix(rows, cols)
     for i in range(rows):
@@ -67,28 +81,29 @@ def _random_matrix(rng, rows, cols, lo=-4, hi=4):
 
 def test_rank_equals_transpose_rank():
     rng = random.Random(7)
-    for _ in range(30):
-        m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+    for m in _edge_matrices() + [_random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+                                 for _ in range(30)]:
         for c in (F2, F3, Q):
-            mm = m if c is not Q else Matrix(m.rows, m.cols, {k: Fraction(v) for k, v in m.entries.items()})
-            mt = Matrix(mm.cols, mm.rows, {(j, i): v for (i, j), v in mm.entries.items()})
+            mm = m if c is not Q else _matrix(m.rows, m.cols, {k: Fraction(v) for k, v in m.entries.items()})
+            mt = _matrix(mm.cols, mm.rows, {(j, i): v for (i, j), v in mm.entries.items()})
             assert rank_over_field(mm, c) == rank_over_field(mt, c)
 
 
 def test_rank_plus_nullity():
-    # nullity comes from the column-reduction kernel routine, not from rank
+    # the nullity comes from the column-reduction kernel routine, not from rank
     rng = random.Random(11)
-    for _ in range(30):
-        m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+    for m in _edge_matrices() + [_random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+                                 for _ in range(30)]:
         for c in (F2, F3):
-            assert rank_over_field(m, c) + nullity(m, c) == m.cols
+            assert rank_over_field(m, c) + len(kernel_basis(m, c)) == m.cols
 
 
 def test_kernel_vectors_are_killed():
     rng = random.Random(13)
-    for _ in range(20):
-        m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+    for m in _edge_matrices() + [_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+                                 for _ in range(20)]:
         for c in (F3, Q):
+            assert len(kernel_basis(m, c)) == m.cols - rank_over_field(m, c)
             for vec in kernel_basis(m, c):
                 out = {}
                 for (i, j), v in m.entries.items():
@@ -175,7 +190,7 @@ def test_lattice_membership_random():
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         lat = IntegerLattice(m)
         # random integer combinations of the columns must be members
-        cols = m.columns()
+        cols = m.columns
         for _ in range(5):
             v: dict[int, int] = {}
             for col in cols:
@@ -250,7 +265,7 @@ def _sparse_matrix(draw, name, rows, cols):
     columns arise whenever a position set misses them."""
     cells = [(i, j) for i in range(rows) for j in range(cols)]
     picked = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
-    return Matrix(rows, cols, {ij: draw(_NONZERO[name]) for ij in picked})
+    return _matrix(rows, cols, {ij: draw(_NONZERO[name]) for ij in picked})
 
 
 @st.composite
@@ -273,16 +288,24 @@ def _dense_product(a: Matrix, b: Matrix, c) -> dict:
 
 @settings(max_examples=300, deadline=None)
 @given(_composable())
+@example(("F3", Matrix(0, 3), Matrix(3, 2)))
+@example(("Q", Matrix(2, 3), Matrix(3, 0)))
+@example(("Z", Matrix(2, 3), Matrix.from_rows([[1, 0], [0, 0], [2, 0]])))
+@example(("Z", Matrix.from_rows([[1, 0, 2], [0, 0, 3]]), Matrix.from_rows([[0, 1], [0, 0], [0, 0]])))
 def test_compose_matches_dense_product(case):
     name, a, b = case
     c = _RINGS[name]
     prod = a.compose(b, c)
+    dense = _dense_product(a, b, c)
     assert (prod.rows, prod.cols) == (a.rows, b.cols)
-    assert prod.entries == _dense_product(a, b, c)
-    # zeros, including sums that cancel, are never stored; order is row-major
+    assert prod.entries == dense
+    # entries are normalized, and zeros, including sums that cancel, are never stored
     assert all(prod.entries.values())
-    assert list(prod.entries) == sorted(prod.entries)
     assert all(c.normalize(v) == v and type(v) is type(c.one) for v in prod.entries.values())
+    # applied to column j of b, which touches only some columns of a,
+    # matrix_vector gives column j of the dense product
+    for j, col in enumerate(b.columns):
+        assert matrix_vector(a, col, c) == {i: v for (i, jj), v in dense.items() if jj == j}
 
 
 @settings(deadline=None)
@@ -324,7 +347,7 @@ def _integer_matrix(draw):
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     cells = [(i, j) for i in range(rows) for j in range(cols)]
     picked = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
-    return Matrix(rows, cols, {ij: draw(_SNF_ENTRIES[kind]) for ij in picked})
+    return _matrix(rows, cols, {ij: draw(_SNF_ENTRIES[kind]) for ij in picked})
 
 
 def _dense_chain(m: Matrix) -> tuple[int, ...]:
@@ -337,6 +360,10 @@ def _dense_chain(m: Matrix) -> tuple[int, ...]:
 
 @settings(max_examples=300, deadline=None)
 @given(_integer_matrix())
+@example(Matrix(0, 3))
+@example(Matrix(3, 0))
+@example(Matrix(2, 3))
+@example(Matrix(3, 3, [{}, {0: 2, 2: -3}, {}]))
 def test_smith_with_transforms_properties(m):
     raw, s, t = smith_with_transforms(m)
     assert (s.rows, s.cols, t.rows, t.cols) == (m.rows, m.rows, m.cols, m.cols)
@@ -353,7 +380,7 @@ def test_smith_with_transforms_properties(m):
 @given(_integer_matrix(), st.sampled_from([2, 3]))
 def test_universal_coefficients_against_snf(m, p):
     # rank over F_p counts the invariant factors that p does not divide
-    mod_p = Matrix(m.rows, m.cols, {k: v % p for k, v in m.entries.items() if v % p})
+    mod_p = _matrix(m.rows, m.cols, {k: v % p for k, v in m.entries.items()})
     d = smith_normal_form(m)
     assert rank_over_field(mod_p, Coefficients.prime_field(p)) == sum(1 for v in d if v % p)
 
@@ -420,7 +447,7 @@ def test_lattice_membership_against_cokernel_oracle(m, combo, shift):
     for i in range(m.rows):
         v[i] = v.get(i, 0) + shift[i]
     v = {i: x for i, x in v.items() if x}
-    wider = Matrix(m.rows, m.cols + 1, m.entries)
+    wider = _matrix(m.rows, m.cols + 1, m.entries)
     for i, x in v.items():
         wider.set(i, m.cols, x)
     expected = cokernel_invariants(wider) == cokernel_invariants(m)
@@ -451,12 +478,15 @@ def _tall_integer_matrix(draw):
         else:
             col = {}
         columns.append({i: v for i, v in col.items() if v})
-    return Matrix(rows, cols, {(i, j): v for j, col in enumerate(columns)
-                               for i, v in col.items()})
+    return Matrix(rows, cols, columns)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_tall_integer_matrix(), st.lists(st.integers(1, 6), min_size=12, max_size=12))
+@example(Matrix(0, 3), [1] * 12)
+@example(Matrix(3, 0), [1] * 12)
+@example(Matrix(2, 3), [1] * 12)
+@example(Matrix(3, 3, [{}, {0: 2, 2: -3}, {}]), [1, 2, 3] * 4)
 def test_rank_over_field_against_kernels_and_snf(m, denominators):
     d = smith_normal_form(m)
     for c in (F2, F3, Q):
@@ -467,8 +497,8 @@ def test_rank_over_field_against_kernels_and_snf(m, denominators):
             assert rank == sum(1 for v in d if v % c.p)
     assert rational_rank(m) == len(d)
     # scaling column j by 1/denominators[j] leaves the rank over Q unchanged
-    scaled = Matrix(m.rows, m.cols, {(i, j): Fraction(v, denominators[j])
-                                     for (i, j), v in m.entries.items()})
+    scaled = Matrix(m.rows, m.cols, [{i: Fraction(v, denominators[j]) for i, v in col.items()}
+                                     for j, col in enumerate(m.columns)])
     assert rank_over_field(scaled, Q) == len(d)
 
 
@@ -481,7 +511,7 @@ def test_f2_rank_uses_neither_span_nor_normalize(monkeypatch):
     ring = RingSpec(F2, (("x1", 2), ("x2", 2), ("x3", 4)), DegreeWindow(0, 12, 3, stage_max=3))
     ideal = IdealSpec(tuple(ring.generator(n) for n in ("x1", "x2", "x3")))
     diffs = [d for d in tower_free(ring, ideal, 3).realize().diff.values() if d.entries]
-    unreduced = Matrix(70, 3, {(0, 0): 3, (69, 0): -1, (69, 1): 5, (0, 2): 2})
+    unreduced = Matrix(70, 3, [{0: 3, 69: -1}, {69: 5}, {0: 2}])
     matrices = diffs + [unreduced]
     expected = [m.cols - len(kernel_basis(m, F2)) for m in matrices]
     assert max(m.rows for m in diffs) > 64 and sum(expected) > len(diffs)
