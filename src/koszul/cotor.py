@@ -12,6 +12,7 @@ nonzero on the resulting table, which is the checkable content of
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
@@ -20,6 +21,7 @@ from .complexes import (
     BasisLabel,
     BigradedComplex,
     DifferentialReport,
+    DifferentialSquareError,
     FreeComplex,
     HomologyEntry,
     OracleMismatchError,
@@ -99,10 +101,12 @@ def _unshuffle_sign(p: tuple[int, ...], q: tuple[int, ...]) -> int:
 def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
     """Reduced cobar complex as a free complex over the base ring.
 
-    Generators at cohomological level s are words of s coideal letters with
-    total internal degree at most t_max (degree-zero letters do not exist, so
-    this cut loses nothing inside the window).  Levels run one step past
-    w.s_max so that cohomology through s_max is certain; when even the
+    Generators at cohomological level s are the words of s coideal letters
+    whose internal degree reaches the window through some base monomial
+    (degree-zero letters do not exist, so a cut at t_max loses nothing inside
+    the window); for t_min <= 0 that is every word of degree at most t_max.
+    Levels run one step past w.s_max, and all of them are listed even where
+    no word lands, so that cohomology through s_max is certain; when even the
     cheapest word of length s_max + 2 overflows the window the complex is
     marked complete and every entry is certain.
 
@@ -124,23 +128,31 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
             "inverted generator are served by closed-form tables only")
     lets = coideal_letters(h)
     ldeg = {L: letter_degree(h, L) for L in lets}
+    # word degrees that reach the window through some base monomial; every
+    # differential keeps the word degree, so the generators kept are closed
+    reach = {d for d in range(w.t_max + 1)
+             if any(monomial_count(h.base, t - d) for t in w.degrees() if t >= d)}
     min_letter = min(h.degrees) if h.primitives else 0
     s_build = w.s_max + 1
+    # steps[s][d]: letters, in coideal order, taking level s - 1 degree d toward reach
+    live, steps = reach, {}
+    for s in range(s_build, 0, -1):
+        steps[s] = {d: [L for L in lets if d + ldeg[L] in live] for d in range(w.t_max + 1)}
+        live = reach | {d for d, ext in steps[s].items() if ext}
     complete = (not h.primitives) or (s_build + 1) * min_letter > w.t_max
     fc = FreeComplex(h.base, COHOMOLOGICAL,
                      complete_above=complete, complete_below=True)
-    ids = {(): fc.add_generator(UNIT_LABEL, 0, 0)}  # word -> generator id
+    if not complete:  # every level through s_build is known, even an empty one
+        fc.levels = {s: [] for s in range(s_build + 1)}
+    ids = {}  # word -> generator id
     level: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 0)]
-    for s in range(1, s_build + 1):
-        grown = []
+    for s in range(s_build + 1):
+        if s:
+            level = [(word + (L,), d + ldeg[L])
+                     for word, d in level for L in steps[s].get(d, ())]
         for word, d in level:
-            for L in lets:
-                nd = d + ldeg[L]
-                if nd <= w.t_max:
-                    grown.append((word + (L,), nd))
-        for word, d in grown:
-            ids[word] = fc.add_generator(BasisLabel(word=word), s, d)
-        level = grown
+            if d in reach:
+                ids[word] = fc.add_generator(BasisLabel(word=word) if s else UNIT_LABEL, s, d)
     # per letter: its splittings P*Q, each with its unshuffle sign times
     # (-1)^(1 + |P|); the prefix sign is applied per position below
     splits = {L: [] for L in lets}
@@ -221,12 +233,28 @@ class CotorReport:
 def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
     """Cohomology of the cobar complex, checked against the closed form.
 
-    Raises DifferentialSquareError if the built differential fails d.d = 0,
-    and OracleMismatchError on the first bidegree where brute-force
-    cohomology and the polynomial count disagree (rank or torsion).
+    Every differential keeps t, so one internal degree at a time is built,
+    realized (so audited), reduced and dropped.  Raises
+    DifferentialSquareError once every slice is audited, with all violations
+    in (s, t) order, and OracleMismatchError on the first bidegree where
+    brute-force cohomology and the polynomial count disagree (rank or torsion).
     """
-    cx = cobar_complex(h, w)
-    raw = homology_ranks(cx)
+    raw: dict[tuple[int, int], HomologyEntry] = {}
+    violations = []
+    sizes: dict[int, dict[int, int]] = {}  # level -> word degree -> words
+    for t in w.degrees():
+        try:
+            cx = cobar_complex(h, DegreeWindow(t, t, w.s_max, w.stage_max))
+        except DifferentialSquareError as err:
+            violations += err.report.violations
+            continue
+        raw.update(homology_ranks(cx))
+        for s, gids in cx.free.levels.items():
+            sizes.setdefault(s, {}).update(Counter(cx.free.internal[g] for g in gids))
+        del cx  # drop this slice before building the next
+    if violations:
+        raise DifferentialSquareError(
+            DifferentialReport(False, sorted(violations, key=lambda v: (v.s, v.t))))
     closed = closed_form_ranks(h, w)
     table: dict[tuple[int, int], HomologyEntry] = {}
     for (s, t), entry in sorted(raw.items()):
@@ -249,8 +277,8 @@ def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
             raise OracleMismatchError(
                 "closed form predicts a class the cobar complex lacks",
                 {"kind": "cotor", "s": s, "t": t, "brute": 0, "closed": want})
-    counts = {s: len(ids) for s, ids in sorted(cx.free.levels.items())}
-    return CotorReport(str(h), table, closed, cx.differential, w, counts)
+    counts = {s: sum(c.values()) for s, c in sorted(sizes.items())}
+    return CotorReport(str(h), table, closed, DifferentialReport(True, []), w, counts)
 
 
 def _class_name(primitive_name: str) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 
 from .complexes import (
     HOMOLOGICAL,
@@ -306,9 +306,11 @@ def _augmentation_checks(ring, ideal, s, w, cx):
     surjective = True
     for t in w.degrees():
         entries = cx.basis.get((0, t), [])
-        aug = Matrix(quotient.dim(t), len(entries),
-                     [quotient.reduce(multiples(ring, u_of[label.u_part], [mono], t), t)[0]
-                      for label, mono in entries])
+        columns = []  # one multiples + reduce per run of a generator's monomials
+        for label, run in groupby(entries, key=lambda e: e[0]):
+            columns += quotient.reduce(
+                multiples(ring, u_of[label.u_part], [mono for _, mono in run], t), t)
+        aug = Matrix(quotient.dim(t), len(entries), columns)
         if not aug.compose(cx.matrix(1, t), coeffs).is_zero():
             composite_zero = False
         if rank_over_field(aug, coeffs) != quotient.dim(t):

@@ -4,14 +4,20 @@ Frozen oracles: hand-expanded reduced coproduct of a two-index letter over
 F_3, polynomial monomial counts for one and two generators, and a fabricated
 rank table with a reachable differential as the negative control.
 """
+import json
+import tracemalloc
+
 import pytest
 
+from koszul.cli import main
 from koszul.complexes import (
     BasisLabel,
+    DifferentialSquareError,
     OracleMismatchError,
     homology_ranks,
     verify_differential,
 )
+import koszul.cotor
 from koszul.cotor import (
     ADAMS_PATTERN,
     KUNNETH_PATTERN,
@@ -236,3 +242,104 @@ def test_kunneth_pattern_on_an_exterior_table():
     assert verdict.ok
     assert isinstance(verdict, CollapseVerdict)
 
+
+F2, F3, Z = Coefficients.prime_field(2), Coefficients.prime_field(3), Coefficients.integers()
+
+
+def _whole_window(h, w):
+    """Table, word counts and differential text of one complex over the
+    whole window: the reference that cotor_ranks, slice by slice, must match."""
+    cx = cobar_complex(h, w)
+    table = {k: v for k, v in homology_ranks(cx).items() if k[0] <= w.s_max and v.rank}
+    counts = {s: len(ids) for s, ids in sorted(cx.free.levels.items())}
+    return table, counts, str(cx.differential)
+
+
+@pytest.mark.parametrize("coefficients, generators, degrees, w", [
+    (F2, (), (1, 3, 5, 7), DegreeWindow(0, 16, 5)),
+    (F3, (), (1, 3, 5), DegreeWindow(0, 12, 4)),
+    (Z, (), (3, 5), DegreeWindow(0, 16, 4)),
+    (F2, (("x1", 2),), (1, 3), DegreeWindow(0, 12, 3)),
+    (F2, (), (1, 3, 5), DegreeWindow(4, 14, 4)),
+    (F2, (("x1", 2),), (3, 5), DegreeWindow(5, 14, 2)),
+    (F2, (("x1", 2),), (1, 3), DegreeWindow(-2, 6, 2)),
+    # slice t = 7 holds [t2] at s = 1 and no word at s = 2 = s_max + 1
+    (F2, (), (1, 7), DegreeWindow(0, 9, 1)),
+])
+def test_slices_match_the_whole_window(coefficients, generators, degrees, w):
+    h = HopfSpec(RingSpec(coefficients, generators, w),
+                 tuple((f"t{i}", d) for i, d in enumerate(degrees, 1)))
+    report = cotor_ranks(h, w)
+    table, counts, text = _whole_window(h, w)
+    assert report.table == table
+    assert report.word_counts == counts
+    assert str(report.differential) == text
+
+
+def test_a_slice_knows_its_empty_levels():
+    w = DegreeWindow(0, 9, 1)
+    h = HopfSpec(unit_base(2, 9, s_max=1), (("t1", 1), ("t2", 7)))
+    cx = cobar_complex(h, DegreeWindow(7, 7, 1))
+    assert not cx.complete_above and cx.free.levels[2] == []
+    assert homology_ranks(cx)[(1, 7)].certain
+    assert cotor_ranks(h, w).table[(1, 7)].rank == 1
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_slices_bound_peak_memory():
+    w = DegreeWindow(0, 18, 5)
+    h = HopfSpec(unit_base(2, 18, s_max=5),
+                 tuple((f"t{i}", d) for i, d in enumerate((1, 3, 5, 7), 1)))
+    whole = _traced_peak(lambda: homology_ranks(cobar_complex(h, w)))
+    sliced = _traced_peak(lambda: cotor_ranks(h, w))
+    assert sliced <= 0.6 * whole
+
+
+# d(d) of the cobar complex over F3[] on primitives 1, 3, 5 at t <= 12,
+# s_max = 4, once the sign of splitting t(1,2) into t(1)|t(2) is flipped:
+# (3, 11) comes after (2, 12), in (s, t) order, not in slice order
+FLIPPED_SIGN_VIOLATIONS = [
+    (1, 9, "d(d([t(1,2,3)]|())) has entry 2 at target row 0"),
+    (2, 10, "d(d([t(1)|t(1,2,3)]|())) has entry 2 at target row 0"),
+    (2, 12, "d(d([t(1,2,3)|t(2)]|())) has entry 2 at target row 6"),
+    (3, 11, "d(d([t(1)|t(1)|t(1,2,3)]|())) has entry 2 at target row 0"),
+]
+
+
+def _flip_one_sign(monkeypatch):
+    real = koszul.cotor._unshuffle_sign
+    monkeypatch.setattr(
+        koszul.cotor, "_unshuffle_sign",
+        lambda p, q: -real(p, q) if (p, q) == ((1,), (2,)) else real(p, q))
+
+
+def test_square_failure_audits_every_slice(monkeypatch):
+    _flip_one_sign(monkeypatch)
+    w = DegreeWindow(0, 12, 4)
+    h = HopfSpec(RingSpec(F3, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
+    with pytest.raises(DifferentialSquareError) as err:
+        cotor_ranks(h, w)
+    violations = err.value.report.violations
+    assert [(v.s, v.t, v.detail) for v in violations] == FLIPPED_SIGN_VIOLATIONS
+    assert {v.kind for v in violations} == {"square"}
+
+
+def test_square_failure_exits_one_with_every_violation(monkeypatch, tmp_path):
+    _flip_one_sign(monkeypatch)
+    spec = tmp_path / "f3.spec"
+    spec.write_text("[ring]\ncoefficients = F3\ngenerators =\n\n"
+                    "[window]\nt_min = 0\nt_max = 12\ns_max = 4\nstage_max = 4\n")
+    out = tmp_path / "run"
+    assert main(["cotor", "primitives=1,3,5", "--spec", str(spec), "--out", str(out)]) == 1
+    witness = json.loads((out / "witness.json").read_text())
+    assert witness["kind"] == "differential-square"
+    assert [(v["s"], v["t"], v["detail"]) for v in witness["violations"]] == \
+        FLIPPED_SIGN_VIOLATIONS

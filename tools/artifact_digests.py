@@ -37,6 +37,9 @@ COMMANDS = (
     ("e2",),
     ("cotor",),
     ("cotor", "primitives=1,3"),
+    # its own window, with t_min > 0: cotor_ranks builds only the words
+    # that reach each internal degree of it
+    ("cotor", "primitives=1,3,5", "--window", "4,14,4,4"),
 )
 
 # specs whose own window is too large for a quick run of every command
