@@ -65,10 +65,10 @@ class BasisLabel:
     u_part: tuple[int, ...] = ()
     word: tuple[tuple[int, ...], ...] = ()
 
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.e_part, self.e_part[1:])):
+    def __post_init__(self):  # cobar words carry empty parts: nothing to scan
+        if self.e_part and any(a >= b for a, b in zip(self.e_part, self.e_part[1:])):
             raise ValueError(f"exterior part {self.e_part} must be strictly increasing")
-        if any(a > b for a, b in zip(self.u_part, self.u_part[1:])):
+        if self.u_part and any(a > b for a, b in zip(self.u_part, self.u_part[1:])):
             raise ValueError(f"power multi-index {self.u_part} must be weakly increasing")
 
     def __str__(self):
@@ -147,7 +147,10 @@ class FreeComplex:
         degree's module basis; boundary_block and every witness rely on this
         order.  Each multiplication map (coefficient, source degree, target
         degree) is formed once by rings.multiples, goes through mod.reduce
-        once and is shared by all columns.  d after d is checked here and only
+        once and is shared by all columns.  Its entries are normalized and
+        nonzero (Element normalizes, and both reduce methods drop zeros), so
+        an entry is stored as given and normalized only where two terms land
+        on the same row.  d after d is checked here and only
         here: a failing verify_differential raises DifferentialSquareError, a
         passing one is kept as the result's `differential`.
         """
@@ -163,13 +166,14 @@ class FreeComplex:
             for gid in self.levels[s]:
                 buckets.setdefault(internal[gid], []).append(gid)
             for t in w.degrees():
-                ids = sorted(gid for d, run in buckets.items() if mod.dim(t - d) for gid in run)
+                bases = {d: monos for d in buckets if (monos := mod.basis(t - d))}
+                ids = sorted(gid for d in bases for gid in buckets[d])
                 if ids:
                     entries: list = []
                     offs = offsets[(s, t)] = {}
                     for gid in ids:
                         offs[gid] = len(entries)
-                        entries.extend([(labels[gid], m) for m in mod.basis(t - internal[gid])])
+                        entries.extend([(labels[gid], m) for m in bases[internal[gid]]])
                     basis[(s, t)] = entries
         tables: dict[tuple[int, int, int], list] = {}
         diff: dict[tuple[int, int], Matrix] = {}
@@ -178,6 +182,7 @@ class FreeComplex:
             columns: list[dict] = []  # appended in basis order
             for gid in offsets[(s, t)]:
                 d = t - internal[gid]
+                monos = mod.basis(d)
                 plan = []
                 for c, tgt in self.diff[gid]:
                     row = tgt_offs.get(tgt)
@@ -185,18 +190,19 @@ class FreeComplex:
                         continue  # target slot empty at this t
                     key = (id(c), d, t - internal[tgt])  # builders share coefficients
                     if key not in tables:
-                        tables[key] = mod.reduce(multiples(self.ring, c, mod.basis(d), key[2]),
-                                                 key[2])
+                        tables[key] = mod.reduce(multiples(self.ring, c, monos, key[2]), key[2])
                     plan.append((row, tables[key]))
-                for k in range(mod.dim(d)):
+                for k in range(len(monos)):
                     col: dict[int, object] = {}  # row -> entry; zeros leave, as in Matrix.set
                     for row, table in plan:
                         for pos, v in table[k].items():
-                            x = normalize(col.get(row + pos, 0) + v)
-                            if x:
-                                col[row + pos] = x
+                            r = row + pos
+                            if r not in col:
+                                col[r] = v
+                            elif x := normalize(col[r] + v):
+                                col[r] = x
                             else:
-                                col.pop(row + pos, None)
+                                del col[r]
                     columns.append(col)
             diff[(s, t)] = Matrix(len(basis.get((s + step, t), ())), len(entries), columns)
         cx = BigradedComplex(

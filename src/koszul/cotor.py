@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .complexes import (
@@ -54,11 +55,13 @@ class HopfSpec:
                 raise InputError(
                     f"primitive {name} has degree {d}; positive odd required")
 
-    @property
+    # computed once, as in RingSpec: cached_property writes the instance
+    # __dict__ directly, so the frozen dataclass's __eq__/__hash__ ignore it
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.primitives)
 
-    @property
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.primitives)
 
@@ -134,11 +137,13 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
              if any(monomial_count(h.base, t - d) for t in w.degrees() if t >= d)}
     min_letter = min(h.degrees) if h.primitives else 0
     s_build = w.s_max + 1
-    # steps[s][d]: letters, in coideal order, taking level s - 1 degree d toward reach
+    # steps[s][d]: letters, in coideal order, taking level s - 1 degree d toward
+    # reach; only degrees with at least one such letter are kept
     live, steps = reach, {}
     for s in range(s_build, 0, -1):
-        steps[s] = {d: [L for L in lets if d + ldeg[L] in live] for d in range(w.t_max + 1)}
-        live = reach | {d for d, ext in steps[s].items() if ext}
+        steps[s] = {d: ext for d in range(w.t_max + 1)
+                    if (ext := [L for L in lets if d + ldeg[L] in live])}
+        live = reach | steps[s].keys()
     complete = (not h.primitives) or (s_build + 1) * min_letter > w.t_max
     fc = FreeComplex(h.base, COHOMOLOGICAL,
                      complete_above=complete, complete_below=True)
@@ -153,25 +158,27 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
         for word, d in level:
             if d in reach:
                 ids[word] = fc.add_generator(BasisLabel(word=word) if s else UNIT_LABEL, s, d)
-    # per letter: its splittings P*Q, each with its unshuffle sign times
-    # (-1)^(1 + |P|); the prefix sign is applied per position below
+    # per letter: its splittings as (P, Q) pairs, each with the unit of its
+    # unshuffle sign times (-1)^(1 + |P|) and the negated unit; the prefix
+    # sign picks one of the two per position below
+    units = {1: h.base.constant(1), -1: h.base.constant(-1)}
     splits = {L: [] for L in lets}
     for L in lets:
         for mask in range(1, (1 << len(L)) - 1):
             p = tuple(x for b, x in enumerate(L) if mask >> b & 1)
             q = tuple(x for b, x in enumerate(L) if not mask >> b & 1)
-            splits[L].append((p, q, _unshuffle_sign(p, q) * (-1) ** (1 + letter_degree(h, p))))
-    units = {1: h.base.constant(1), -1: h.base.constant(-1)}
+            sign = _unshuffle_sign(p, q) * (-1) ** (1 + ldeg[p])
+            splits[L].append(((p, q), units[sign], units[-sign]))
     for word, gid in ids.items():
         if len(word) + 1 > s_build:
             break  # top guard level: targets were not built
-        terms, prefix = [], 1  # prefix = (-1)^(sum_{j<i} (|g_j| + 1))
+        terms, flip = [], False  # flip: (-1)^(sum_{j<i} (|g_j| + 1)) is -1
         for i, letter in enumerate(word):
             head, tail = word[:i], word[i + 1:]
-            terms += [(units[sign * prefix], ids[head + (p, q) + tail])
-                      for p, q, sign in splits[letter]]
+            for pq, plus, minus in splits[letter]:
+                terms.append((minus if flip else plus, ids[head + pq + tail]))
             if ldeg[letter] % 2 == 0:
-                prefix = -prefix
+                flip = not flip
         fc.set_diff(gid, terms)
     return fc
 

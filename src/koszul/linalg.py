@@ -158,19 +158,28 @@ class Matrix:
 
         Column-wise (Gustavson) sparse product: column j of the result
         accumulates v * self[:, k] over the entries (k, v) of other's column
-        j in one dict, normalized once per entry.  Only nonzeros are stored.
+        j in one dict, normalized once per entry.  Over F2 the columns of
+        self are packed into ints (_f2_bits) and column j is the XOR of those
+        at the odd entries of other's column j.  Only nonzeros are stored.
         """
         if other.rows != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} after {other.rows}x{other.cols}")
-        norm = coeffs.normalize
-        mine = self.columns
-        out = []
+        mine, out = self.columns, []
+        if coeffs.p == 2:
+            bits = [_f2_bits(col) for col in mine]
+            for col in other.columns:
+                x = 0
+                for k, v in col.items():
+                    if v & 1:
+                        x ^= bits[k]
+                out.append({i: 1 for i, b in enumerate(bin(x)[:1:-1]) if b == "1"})  # bit i: row i
+            return Matrix(self.rows, other.cols, out)
         for col in other.columns:
             acc: dict[int, object] = {}
             for k, v in col.items():
                 for i, w in mine[k].items():
                     acc[i] = acc.get(i, 0) + w * v
-            out.append({i: y for i, x in acc.items() if (y := norm(x))})
+            out.append(_normalized(coeffs, acc))
         return Matrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
@@ -285,6 +294,15 @@ class VectorSpan:
         return not residual
 
 
+def _f2_bits(col: dict) -> int:
+    """A sparse column over F2 as one int, bit i set when entry i is odd."""
+    x = 0
+    for i, v in col.items():
+        if v & 1:
+            x |= 1 << i
+    return x
+
+
 def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
     """Rank by column elimination that keeps no coordinates; rejects Z.
 
@@ -307,10 +325,7 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
     if p == 2:
         lows: dict[int, int] = {}  # lowest set bit -> pivot column
         for col in m.columns:
-            x = 0
-            for i, v in col.items():
-                if v & 1:
-                    x |= 1 << i
+            x = _f2_bits(col)
             while x:
                 low = x & -x
                 y = lows.get(low)

@@ -262,6 +262,24 @@ def _nonzero_square(ring):
     return cx
 
 
+@pytest.mark.parametrize("p, scalars, entry", [
+    (2, (1, 1), None), (2, (1, 1, 1), 1),
+    (3, (1, 1), 2), (3, (1, -1), None), (3, (1, 1, 1), None), (3, (2, 2, 1), 2),
+])
+def test_realize_adds_terms_that_land_on_one_row(p, scalars, entry):
+    # every term k*x*c of d(b) lands on the row of c*x at each t: the sum is
+    # normalized there, and a sum that cancels leaves no entry behind
+    ring = one_variable_ring(p)
+    cx = FreeComplex(ring, HOMOLOGICAL)
+    c = cx.add_generator(BasisLabel(), 0, 0)
+    b = cx.add_generator(BasisLabel(e_part=(1,)), 1, 2)
+    x = ring.generator("x")
+    cx.set_diff(b, [(x.scaled(k), c) for k in scalars])
+    realized = cx.realize()
+    for t in (2, 4, 6, 8):
+        assert realized.matrix(1, t).columns == [{} if entry is None else {0: entry}]
+
+
 def test_realize_raises_on_nonzero_square():
     ring = one_variable_ring(p=3)
     with pytest.raises(DifferentialSquareError) as err:

@@ -34,7 +34,7 @@ from koszul.cotor import (
     parity_violations,
 )
 from koszul.linalg import Coefficients
-from koszul.rings import DegreeWindow, RingSpec
+from koszul.rings import DegreeWindow, RingSpec, monomial_count
 
 
 def unit_base(p, t_max, t_min=0, s_max=6):
@@ -274,6 +274,33 @@ def test_slices_match_the_whole_window(coefficients, generators, degrees, w):
     assert report.table == table
     assert report.word_counts == counts
     assert str(report.differential) == text
+
+
+def _words_reaching(fc, t):
+    """Per level, in id order, each word reaching degree t through a base
+    monomial, with its differential as (coefficient terms, target word)."""
+    out = {}
+    for s, gids in sorted(fc.levels.items()):
+        words = [(fc.labels[g].word, [(c.terms, fc.labels[tgt].word) for c, tgt in fc.diff[g]])
+                 for g in gids if monomial_count(fc.ring, t - fc.internal[g])]
+        if words:
+            out[s] = words
+    return out
+
+
+@pytest.mark.parametrize("generators", [(), (("x", 2),)])
+def test_each_slice_is_the_whole_window_restricted_to_its_degree(generators):
+    # over F3 a sign is visible: -1 is stored as 2
+    w = DegreeWindow(0, 12, 4)
+    h = HopfSpec(RingSpec(F3, generators, w), (("t1", 1), ("t2", 3), ("t3", 5)))
+    whole = cobar_free(h, w)
+    signs = set()
+    for t in w.degrees():
+        got = _words_reaching(cobar_free(h, DegreeWindow(t, t, w.s_max, w.stage_max)), t)
+        assert got == _words_reaching(whole, t)
+        signs |= {v for words in got.values() for _, diff in words
+                  for terms, _ in diff for v in terms.values()}
+    assert signs == {1, 2}
 
 
 def test_a_slice_knows_its_empty_levels():

@@ -308,6 +308,34 @@ def test_compose_matches_dense_product(case):
         assert matrix_vector(a, col, c) == {i: v for (i, jj), v in dense.items() if jj == j}
 
 
+@st.composite
+def _unreduced_f2_pair(draw):
+    """Composable integer matrices with even, odd and negative entries, read
+    over F2; the canonical generators above draw only 1 there."""
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = st.integers(-4, 4).filter(bool)
+
+    def sparse(rows, cols):
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        picked = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+        return _matrix(rows, cols, {ij: draw(entry) for ij in picked})
+
+    return sparse(n, k), sparse(k, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unreduced_f2_pair())
+@example((Matrix.from_rows([[2, -1], [3, -4]]), Matrix.from_rows([[-3], [5]])))
+@example((Matrix.from_rows([[1, -1]]), Matrix.from_rows([[3], [-5]])))  # 1 + 1 cancels
+@example((_matrix(70, 2, {(69, 0): -1, (0, 1): 3, (69, 1): 1}), Matrix.from_rows([[1], [-3]])))
+def test_f2_compose_reads_unreduced_entries_by_parity(case):
+    a, b = case
+    prod = a.compose(b, F2)
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert prod.entries == _dense_product(a, b, F2)
+    assert all(v == 1 and type(v) is int for v in prod.entries.values())
+
+
 @settings(deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 def test_compose_rejects_shape_mismatch(n, k, k2, m):
