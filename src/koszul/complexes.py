@@ -109,11 +109,10 @@ class FreeComplex:
     """
 
     def __init__(self, ring: RingSpec, direction: str = HOMOLOGICAL,
-                 complete_above: bool = True, complete_below: bool = True):
+                 complete_above: bool = True):
         self.ring = ring
         self.direction = direction
         self.complete_above = complete_above
-        self.complete_below = complete_below
         self.levels: dict[int, list[int]] = {}
         self.labels: list = []
         self.internal: list[int] = []
@@ -127,8 +126,9 @@ class FreeComplex:
         self.diff.append([])
         return gid
 
-    def set_diff(self, source: int, terms):
-        self.diff[source] = [(c, tgt) for c, tgt in terms if not c.is_zero()]
+    def set_diff(self, source: int, terms: list[tuple[Element, int]]):
+        """Stored as given: realize turns a zero coefficient into empty columns."""
+        self.diff[source] = terms
 
     def hom_degrees(self) -> list[int]:
         return sorted(self.levels)
@@ -213,7 +213,6 @@ class FreeComplex:
             window=w,
             s_levels=self.hom_degrees(),
             complete_above=self.complete_above,
-            complete_below=self.complete_below,
             free=self,
             module=mod,
             description=description,
@@ -259,7 +258,7 @@ class BigradedComplex:
 
     def __init__(self, coefficients: Coefficients, direction: str, basis: dict,
                  diff: dict, window: DegreeWindow, s_levels: list[int],
-                 complete_above: bool = True, complete_below: bool = True,
+                 complete_above: bool = True,
                  free: FreeComplex | None = None, module=None, description: str = ""):
         self.coefficients = coefficients
         self.direction = direction
@@ -268,7 +267,6 @@ class BigradedComplex:
         self.window = window
         self.s_levels = s_levels
         self.complete_above = complete_above
-        self.complete_below = complete_below
         self.free = free
         self.module = module
         self.description = description
@@ -294,19 +292,12 @@ class BigradedComplex:
     def s_max_built(self) -> int:
         return max(self.s_levels) if self.s_levels else 0
 
-    @property
-    def s_min_built(self) -> int:
-        return min(self.s_levels) if self.s_levels else 0
-
     def level_known(self, s: int) -> bool:
-        """Is the chain module at homological level s fully described?"""
-        if not self.s_levels:
-            return self.complete_above and self.complete_below
-        if s > self.s_max_built:
+        """Is the chain module at homological level s fully described?  Levels
+        below the built range and gaps between built levels are zero."""
+        if not self.s_levels or s > self.s_max_built:
             return self.complete_above
-        if s < self.s_min_built:
-            return self.complete_below
-        return True  # gaps between built levels are structurally zero
+        return True
 
 
 def verify_differential(c: BigradedComplex) -> DifferentialReport:
@@ -418,8 +409,7 @@ def tensor_free(a: FreeComplex, b: FreeComplex) -> FreeComplex:
     if a.direction != b.direction:
         raise ValueError("tensor factors disagree on direction")
     out = FreeComplex(a.ring, a.direction,
-                      complete_above=a.complete_above and b.complete_above,
-                      complete_below=a.complete_below and b.complete_below)
+                      complete_above=a.complete_above and b.complete_above)
     hom_a = {ga: sa for sa, ids in a.levels.items() for ga in ids}
     hom_b = {gb: sb for sb, ids in b.levels.items() for gb in ids}
     pairs = [(ga, gb) for sa in a.hom_degrees() for ga in a.levels[sa]
@@ -483,7 +473,6 @@ def shift_complex(c: BigradedComplex, k: int) -> BigradedComplex:
         window=c.window,
         s_levels=[s - k for s in c.s_levels],
         complete_above=c.complete_above,
-        complete_below=c.complete_below,
         free=None,
         module=c.module,
         description=f"{c.description}[{k}]",
@@ -494,19 +483,21 @@ def shift_complex(c: BigradedComplex, k: int) -> BigradedComplex:
 class HomologyBasis:
     """Representatives of homology classes at one bidegree, with coordinates.
 
-    reps are sparse vectors in the chain basis; coords(v) expresses a cycle v
-    in the representative classes (v must reduce to zero modulo image+reps).
+    reps are sparse vectors in the chain basis.  span holds the boundaries,
+    untagged, then rep r with tag -1-r, so coords(v) reads the coordinates
+    of a cycle v in the representative classes off its tags (v must reduce
+    to zero modulo image+reps).
     """
 
     reps: list[dict]
     span: VectorSpan
-    rep_slots: list[int]
 
     def coords(self, v: dict) -> list:
-        residual, combo = self.span.reduce(v)
-        if residual:
+        reduced = self.span.reduce(v)
+        if any(i >= 0 for i in reduced):
             raise ValueError("vector is not a cycle modulo the recorded image")
-        return [combo.get(slot, self.span.coeffs.zero) for slot in self.rep_slots]
+        c = self.span.coeffs
+        return [c.neg(reduced.get(-1 - r, c.zero)) for r in range(len(self.reps))]
 
     def is_boundary(self, v: dict) -> bool:
         return all(not x for x in self.coords(v))
@@ -522,10 +513,7 @@ def homology_basis_at(c: BigradedComplex, s: int, t: int) -> HomologyBasis:
     for col in into.columns:
         span.insert(col)
     reps = []
-    rep_slots = []
     for vec in kernel_basis(out, c.coefficients):
-        slot = span.n_inserted
-        if span.insert(vec):
+        if span.insert({**vec, -1 - len(reps): 1}):
             reps.append(vec)
-            rep_slots.append(slot)
-    return HomologyBasis(reps, span, rep_slots)
+    return HomologyBasis(reps, span)

@@ -145,8 +145,7 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
                     if (ext := [L for L in lets if d + ldeg[L] in live])}
         live = reach | steps[s].keys()
     complete = (not h.primitives) or (s_build + 1) * min_letter > w.t_max
-    fc = FreeComplex(h.base, COHOMOLOGICAL,
-                     complete_above=complete, complete_below=True)
+    fc = FreeComplex(h.base, COHOMOLOGICAL, complete_above=complete)
     if not complete:  # every level through s_build is known, even an empty one
         fc.levels = {s: [] for s in range(s_build + 1)}
     ids = {}  # word -> generator id

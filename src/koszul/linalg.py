@@ -9,7 +9,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
+from operator import neg, truediv
 
 
 def is_prime(n: int) -> bool:
@@ -31,6 +33,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _mod(p: int, x) -> int:
+    return int(x) % p
+
+
+def _neg_mod(p: int, a) -> int:
+    return -a % p
+
+
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _no_inverse(a):
+    raise ValueError("no inverses over the integers")
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Ground coefficients: a prime field F_p, the rationals Q, or the integers Z."""
@@ -39,13 +57,23 @@ class Coefficients:
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("prime_field", "rationals", "integers"):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        p = self.p
         if self.kind == "prime_field":
-            if self.p is None or not is_prime(self.p):
-                raise ValueError(f"prime field needs a prime, got {self.p!r}")
-        elif self.p is not None:
+            if p is None or not is_prime(p):
+                raise ValueError(f"prime field needs a prime, got {p!r}")
+            ops = (partial(_mod, p), partial(_neg_mod, p), partial(pow, exp=-1, mod=p), 0, 1)
+        elif self.kind not in ("rationals", "integers"):
+            raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        elif p is not None:
             raise ValueError("p only makes sense for prime fields")
+        elif self.kind == "rationals":
+            ops = (_fraction, neg, partial(truediv, Fraction(1)), Fraction(0), Fraction(1))
+        else:
+            ops = (int, neg, _no_inverse, 0, 1)
+        # normalize (to 0..p-1, Fraction or int), neg, inv, zero and one are
+        # chosen once; module-level functions and partials keep them picklable
+        for name, op in zip(("normalize", "neg", "inv", "zero", "one"), ops):
+            object.__setattr__(self, name, op)
 
     @classmethod
     def prime_field(cls, p: int) -> "Coefficients":
@@ -62,36 +90,6 @@ class Coefficients:
     @property
     def is_field(self) -> bool:
         return self.kind != "integers"
-
-    def normalize(self, x):
-        """Bring a scalar to canonical form (0..p-1, Fraction, or int)."""
-        if self.kind == "prime_field":
-            return int(x) % self.p
-        if self.kind == "rationals":
-            return x if isinstance(x, Fraction) else Fraction(x)
-        return int(x)
-
-    def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.kind == "prime_field" else c
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "prime_field" else -a
-
-    def inv(self, a):
-        if self.kind == "prime_field":
-            return pow(int(a), -1, self.p)
-        if self.kind == "rationals":
-            return Fraction(1) / a
-        raise ValueError("no inverses over the integers")
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "rationals" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "rationals" else 1
 
     def __str__(self):
         if self.kind == "prime_field":
@@ -236,62 +234,50 @@ def _vec_axpy(coeffs: Coefficients, v: dict, c, w: dict) -> dict:
 class VectorSpan:
     """Incrementally built echelon basis of a subspace of k^n (field coefficients).
 
-    Each stored pivot row remembers how it was assembled from the inserted
-    vectors, so reducing against the span also yields coordinates; that is
-    what homology-class coordinates and quotient normal forms run on.
+    pivots maps each pivot's lead, its lowest key, to its row scaled to a
+    leading 1; reduce(v) is the unique normal form of v modulo the span.
+    Negative keys are tags: they never pivot, and reduction carries them
+    along.  To keep coordinates, give inserted vector k a tag entry 1 at key
+    -1-k; the tags of reduce(v) then hold minus v's combination of the
+    inserted vectors (Cohen, GTM 138, 2.3).
     """
 
     def __init__(self, coeffs: Coefficients):
         if not coeffs.is_field:
             raise ValueError("VectorSpan needs field coefficients")
         self.coeffs = coeffs
-        self.pivots: dict[int, tuple[dict, dict]] = {}  # pivot col -> (row, combo)
-        self.n_inserted = 0
+        self.pivots: dict[int, dict] = {}  # lead -> row
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, v: dict) -> tuple[dict, dict]:
-        """Return (residual, combo) with v = residual + sum combo[k] * inserted_k."""
-        c = self.coeffs
+    def reduce(self, v: dict) -> dict:
+        """The normal form of v: no key of it is a pivot lead."""
+        c, pivots = self.coeffs, self.pivots
         v = _normalized(c, v)
-        combo: dict[int, object] = {}
         while True:
             hit = None
             for i in v:
-                if i in self.pivots:
+                if i in pivots:
                     hit = i if hit is None or i < hit else hit
             if hit is None:
-                return v, combo
-            row, rcombo = self.pivots[hit]
-            factor = v[hit]  # pivot rows are normalized to leading coefficient 1
-            v = _vec_axpy(c, v, c.neg(factor), row)
-            combo = _vec_axpy(c, combo, factor, rcombo)
+                return v
+            v = _vec_axpy(c, v, c.neg(v[hit]), pivots[hit])
 
     def insert(self, v: dict) -> bool:
         """Adjoin v; True if it enlarged the span."""
-        return self._adjoin(*self.reduce(v))
-
-    def _adjoin(self, residual: dict, combo: dict) -> bool:
-        """Record the next inserted vector from its reduction (residual, combo);
-        it becomes a pivot row unless the residual is zero."""
-        idx = self.n_inserted
-        self.n_inserted += 1
-        if not residual:
+        v = self.reduce(v)
+        lead = min((i for i in v if i >= 0), default=None)
+        if lead is None:
             return False
-        lead = min(residual)
         c = self.coeffs
-        scale = c.inv(residual[lead])
-        row = {i: c.mul(scale, x) for i, x in residual.items()}
-        rcombo = {k: c.mul(c.neg(scale), x) for k, x in combo.items()}
-        rcombo[idx] = scale  # residual = v - combo terms, so flip the combo sign
-        self.pivots[lead] = (row, rcombo)
+        scale = c.inv(v[lead])
+        self.pivots[lead] = {i: c.normalize(scale * x) for i, x in v.items()}
         return True
 
     def contains(self, v: dict) -> bool:
-        residual, _ = self.reduce(v)
-        return not residual
+        return not self.reduce(v)
 
 
 def _f2_bits(col: dict) -> int:
@@ -321,8 +307,7 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
     """
     if not coeffs.is_field:
         raise ValueError("rank over a field only; use smith_normal_form over Z")
-    p = coeffs.p
-    if p == 2:
+    if coeffs.p == 2:
         lows: dict[int, int] = {}  # lowest set bit -> pivot column
         for col in m.columns:
             x = _f2_bits(col)
@@ -334,22 +319,20 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
                     break
                 x ^= y
         return len(lows)
+    norm, inv = coeffs.normalize, coeffs.inv
     leads: dict[int, dict] = {}  # lowest row -> pivot column, entry there 1
     for col in m.columns:
-        v = {i: y for i, x in col.items() if (y := x % p if p else x)}
+        v = _normalized(coeffs, col)
         while v:
             lead = min(v)
             row = leads.get(lead)
             if row is None:
-                inv = pow(v[lead], -1, p) if p else 1 / Fraction(v[lead])
-                leads[lead] = {i: x * inv % p if p else x * inv for i, x in v.items()}
+                scale = inv(v[lead])
+                leads[lead] = {i: norm(x * scale) for i, x in v.items()}
                 break
             f = v[lead]
             for i, x in row.items():
-                y = v.get(i, 0) - f * x
-                if p:
-                    y %= p
-                if y:
+                if y := norm(v.get(i, 0) - f * x):
                     v[i] = y
                 else:
                     del v[i]
@@ -360,19 +343,18 @@ def kernel_basis(m: Matrix, coeffs: Coefficients) -> list[dict]:
     """Basis of ker(m) from the columns of m inserted into a VectorSpan in
     order (independent of rank_over_field).
 
-    A column j that reduces to zero is sum_k a_k col_k over the earlier pivot
-    columns k, so e_j - sum_k a_k e_k is its kernel vector: one per dependent
-    column, each column reduced once.
+    Column j goes in with tag -1-j.  If it reduces to tags alone, it is
+    sum_k a_k col_k over the earlier pivot columns k, and its tags are
+    e_j - sum_k a_k e_k, its kernel vector: one per dependent column.
     """
     if not coeffs.is_field:
         raise ValueError("kernel basis over a field only")
-    c = coeffs
-    span = VectorSpan(c)
+    span = VectorSpan(coeffs)
     kernel = []
     for j, col in enumerate(m.columns):
-        residual, combo = span.reduce(col)
-        if not span._adjoin(residual, combo):
-            kernel.append({j: c.one, **{k: c.neg(a) for k, a in combo.items()}})
+        v = span.reduce({**col, -1 - j: 1})
+        if not span.insert(v):
+            kernel.append({-1 - i: x for i, x in v.items()})
     return kernel
 
 
@@ -675,6 +657,20 @@ class IntegerLattice:
         d = self.d
         return all(not val or (i < len(d) and val % d[i] == 0) for i, val in sx.items())
 
+    def quotient_invariants(self, b: Matrix) -> tuple[int, tuple[int, ...]]:
+        """(free rank, torsion factors > 1) of this lattice / col-lattice(b);
+        requires col(b) inside this lattice."""
+        if self.m.rows != b.rows:
+            raise ValueError("ambient ranks differ")
+        r = self.rank
+        # coordinates of b's columns in the lattice basis: rows of S*b scaled by 1/d_i
+        sb = self.s.compose(b, Coefficients.integers())
+        if any(i >= r or v % self.d[i] for col in sb.columns for i, v in col.items()):
+            raise ValueError("second lattice is not contained in the first")
+        coords = [{i: v // self.d[i] for i, v in col.items()} for col in sb.columns]
+        dd = smith_normal_form(Matrix(r, b.cols, coords))
+        return r - len(dd), tuple(v for v in dd if v > 1)
+
 
 def cokernel_invariants(m: Matrix) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion factors > 1) of Z^rows / column-lattice(m).
@@ -689,14 +685,4 @@ def cokernel_invariants(m: Matrix) -> tuple[int, tuple[int, ...]]:
 
 def lattice_quotient_invariants(a: Matrix, b: Matrix) -> tuple[int, tuple[int, ...]]:
     """Invariants of col-lattice(a) / col-lattice(b); requires col(b) inside col(a)."""
-    if a.rows != b.rows:
-        raise ValueError("ambient ranks differ")
-    lat = IntegerLattice(a)
-    r = lat.rank
-    # coordinates of b's columns in the lattice basis: rows of S*b scaled by 1/d_i
-    sb = lat.s.compose(b, Coefficients.integers())
-    if any(i >= r or v % lat.d[i] for col in sb.columns for i, v in col.items()):
-        raise ValueError("second lattice is not contained in the first")
-    coords = [{i: v // lat.d[i] for i, v in col.items()} for col in sb.columns]
-    dd = smith_normal_form(Matrix(r, b.cols, coords))
-    return r - len(dd), tuple(v for v in dd if v > 1)
+    return IntegerLattice(a).quotient_invariants(b)

@@ -21,7 +21,7 @@ from .linalg import (
     VectorSpan,
     cokernel_invariants,
     integer_kernel_basis,
-    lattice_quotient_invariants,
+    rank_over_field,
 )
 
 
@@ -420,7 +420,7 @@ class QuotientModule:
         """Normal forms of degree-t monomial-coordinate vectors, in quotient
         coordinates."""
         span, _, pos_of = self._at(t)
-        return [{pos_of[p]: v for p, v in span.reduce(vec)[0].items()} for vec in vecs]
+        return [{pos_of[p]: v for p, v in span.reduce(vec).items()} for vec in vecs]
 
     def contains_span(self, other_relations: list[Element], t: int) -> bool:
         """Do the other relations' degree-t multiples land in this span?"""
@@ -509,11 +509,9 @@ def power_quotient_dimension(
     # integer coefficients: quotient and associated graded via lattices
     rel_s = relation_matrix(ring, gens_s, t)
     rel_s1 = relation_matrix(ring, gens_s1, t)
-    inv_q = cokernel_invariants(rel_s)
-    if rel_s.cols == 0:
-        assoc_inv = (0, ())
-    else:
-        assoc_inv = lattice_quotient_invariants(rel_s, rel_s1)
+    lat_s = IntegerLattice(rel_s)  # one SNF gives both the quotient and I^s/I^{s+1}
+    inv_q = lat_s.cokernel_invariants()
+    assoc_inv = lat_s.quotient_invariants(rel_s1) if rel_s.cols else (0, ())
     rel_1: dict[int, tuple[int, tuple[int, ...]]] = {}
     parts = []
     for J in power_multi_indices(len(ideal), s):
@@ -584,11 +582,8 @@ def check_regular_sequence(ring: RingSpec, ideal: IdealSpec, window: DegreeWindo
                 dim_src = q.dim(t)
                 if dim_src == 0:
                     continue
-                span = VectorSpan(c)
-                rank = 0
-                for col in q.reduce(multiples(ring, u, q.basis(t), t + d), t + d):
-                    if span.insert(col):
-                        rank += 1
+                cols = q.reduce(multiples(ring, u, q.basis(t), t + d), t + d)
+                rank = rank_over_field(Matrix(q.dim(t + d), dim_src, cols), c)
                 if rank != dim_src:
                     failures.append(
                         RegularityFailure(k, t, f"multiplication drops rank {dim_src} -> {rank}")

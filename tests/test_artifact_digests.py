@@ -19,8 +19,18 @@ def test_one_line_per_command_and_repeatable():
     spec = ROOT / "specs" / "principal_f2.spec"
     lines = list(tool.digest_lines(ROOT, [spec]))
     assert [line.split("  ", 2)[1:] for line in lines] == [
-        ["principal_f2.spec", " ".join(command)] for command in tool.COMMANDS]
+        ["principal_f2.spec", " ".join(command)] for command in tool.COMMANDS
+    ] + [["principal_f2.spec", tool.TOR_POWER[0]]]
     digests = [line.split("  ")[0] for line in lines]
     assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in digests)
     assert len(set(digests)) == len(digests)  # no two commands' outputs coincide
     assert tool.run_digest(ROOT, spec, tool.COMMANDS[0]) == digests[0]
+
+
+def test_tor_power_runs_on_every_spec_with_an_ideal_over_a_field():
+    from koszul.specfile import parse_spec
+
+    specs = {p.name: parse_spec(p.read_text()) for p in (ROOT / "specs").glob("*.spec")}
+    assert sorted(_tool().FIELD_SPECS) == sorted(
+        name for name, spec in specs.items()
+        if spec.ideal is not None and spec.ring.coefficients.is_field)

@@ -4,7 +4,12 @@ Frozen answers here are computed by hand on complexes small enough to do on
 paper: one- and two-variable exterior differentials, an integer multiply-by-2
 complex, and quotient-module realizations with known annihilators.
 """
+import functools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszul.complexes import (
     COHOMOLOGICAL,
@@ -22,7 +27,7 @@ from koszul.complexes import (
     verify_differential,
 )
 from koszul.cotor import HopfSpec, cobar_complex, cobar_free
-from koszul.linalg import Coefficients, Matrix
+from koszul.linalg import Coefficients, Matrix, matrix_vector
 from koszul.rings import (
     DegreeWindow,
     Element,
@@ -265,6 +270,7 @@ def _nonzero_square(ring):
 @pytest.mark.parametrize("p, scalars, entry", [
     (2, (1, 1), None), (2, (1, 1, 1), 1),
     (3, (1, 1), 2), (3, (1, -1), None), (3, (1, 1, 1), None), (3, (2, 2, 1), 2),
+    (3, (3,), None),
 ])
 def test_realize_adds_terms_that_land_on_one_row(p, scalars, entry):
     # every term k*x*c of d(b) lands on the row of c*x at each t: the sum is
@@ -330,6 +336,44 @@ def test_homology_basis_coordinates():
     assert len(hb4.reps) == 0
     # x*(e1 + e2) is the boundary of e1e2 at t = 4
     assert hb4.is_boundary(c.matrix(2, 4).columns[0])
+
+
+@functools.cache
+def _koszul_of_x_x(name):
+    """The Koszul complex of the non-regular sequence (x, x) over k[x, y, z]:
+    H_0 = k[y, z] and H_1 = k[y, z](e1 - e2), next to boundaries."""
+    c = Coefficients.prime_field(3) if name == "F3" else Coefficients.rationals()
+    ring = RingSpec(c, (("x", 2), ("y", 2), ("z", 2)), DegreeWindow(0, 8))
+    return exterior_on(ring, [0, 0]).realize()
+
+
+def _combination(c, terms):
+    out = {}
+    for k, vec in terms:
+        for i, x in vec.items():
+            out[i] = c.normalize(out.get(i, 0) + k * x)
+    return {i: x for i, x in out.items() if x}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["F3", "Q"]), st.integers(0, 2), st.integers(0, 4), st.data())
+def test_homology_coordinates_recover_a_combination_plus_a_boundary(name, s, half_t, data):
+    cx = _koszul_of_x_x(name)
+    c, t = cx.coefficients, 2 * half_t
+    scalar = (st.integers(0, 2) if c.p else
+              st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+    hb = homology_basis_at(cx, s, t)
+    into = cx.matrix(s - cx.step, t)
+    coords = [c.normalize(data.draw(scalar)) for _ in hb.reps]
+    boundary = matrix_vector(into, {j: data.draw(scalar) for j in range(into.cols)}, c)
+    v = _combination(c, [*zip(coords, hb.reps), (1, boundary)])
+    assert hb.coords(v) == coords
+    assert hb.is_boundary(v) == (not any(coords))
+    # adding a chain that d does not kill leaves a non-cycle
+    for j, col in enumerate(cx.matrix(s, t).columns):
+        if col:
+            with pytest.raises(ValueError):
+                hb.coords(_combination(c, [(1, v), (1, {j: 1})]))
 
 
 def test_realize_enumerates_each_degree_once(monkeypatch):

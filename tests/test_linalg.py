@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen small oracles plus seeded-random invariants."""
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -226,13 +227,22 @@ def test_vector_span_coordinates():
     span = VectorSpan(Q)
     v1 = {0: Fraction(1), 1: Fraction(2)}
     v2 = {1: Fraction(1)}
-    assert span.insert(v1)
-    assert span.insert(v2)
-    # reduce v1 + 3*v2 and recover the combination
+    assert span.insert({**v1, -1: 1})  # inserted vector k carries tag -1-k
+    assert span.insert({**v2, -2: 1})
+    # reduce v1 + 3*v2: nothing is left but the tags, which hold minus the
+    # combination
     target = {0: Fraction(1), 1: Fraction(5)}
-    residual, combo = span.reduce(target)
-    assert not residual
-    assert combo == {0: Fraction(1), 1: Fraction(3)}
+    assert span.reduce(target) == {-1: Fraction(-1), -2: Fraction(-3)}
+
+
+@pytest.mark.parametrize("c", [F2, F3, Q, Z], ids=str)
+def test_coefficients_survive_pickle_after_use(c):
+    # the scalar operations are chosen once per instance, and an instance
+    # must still pickle (and compare and hash as before) once it has used them
+    assert c.normalize(-7) == c.normalize(c.normalize(-7))
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and hash(back) == hash(c) and str(back) == str(c)
+    assert back.normalize(-7) == c.normalize(-7) and back.neg(back.one) == c.neg(c.one)
 
 
 def test_vector_span_dependent_insert():
@@ -544,14 +554,18 @@ def test_f2_rank_uses_neither_span_nor_normalize(monkeypatch):
     expected = [m.cols - len(kernel_basis(m, F2)) for m in matrices]
     assert max(m.rows for m in diffs) > 64 and sum(expected) > len(diffs)
     calls = []
-    for cls, name in ((VectorSpan, "insert"), (Coefficients, "normalize")):
-        real = getattr(cls, name)
+    real_insert, real_normalize = VectorSpan.insert, F2.normalize
 
-        def counting(self, *args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(self, *args)
+    def insert(self, v):
+        calls.append("insert")
+        return real_insert(self, v)
 
-        monkeypatch.setattr(cls, name, counting)
+    def normalize(x):
+        calls.append("normalize")
+        return real_normalize(x)
+
+    monkeypatch.setattr(VectorSpan, "insert", insert)
+    monkeypatch.setitem(vars(F2), "normalize", normalize)  # chosen per instance
     assert [rank_over_field(m, F2) for m in matrices] == expected
     assert calls == []
     VectorSpan(F2).insert({0: 1})

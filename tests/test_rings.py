@@ -181,7 +181,7 @@ def test_multiples_and_reduce_match_element_products(case):
     pos = {p: k for k, p in enumerate(keep)}
     q = QuotientModule(r, relations)
     assert q.basis(t) == [monomial_basis(r, t)[p] for p in keep]
-    assert q.reduce(vecs, t) == [{pos[p]: v for p, v in span.reduce(vec)[0].items()}
+    assert q.reduce(vecs, t) == [{pos[p]: v for p, v in span.reduce(vec).items()}
                                  for vec in expected]
 
 

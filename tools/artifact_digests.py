@@ -5,10 +5,11 @@ Usage, from any directory:
     python3 tools/artifact_digests.py > digests.txt
 
 Runs each command of COMMANDS on every spec in the checkout's ``specs/``,
-each in a fresh interpreter that imports ``koszul`` from the checkout's
-``src/``.  A run happens in an empty temporary directory holding a copy of
-its spec, with relative ``--spec`` and ``--out`` paths, so nothing in its
-output depends on where the checkout lives.  Each output line is
+and TOR_POWER, a library call that no command makes, on each of
+FIELD_SPECS, each in a fresh interpreter that imports ``koszul`` from the
+checkout's ``src/``.  A run happens in an empty temporary directory holding
+a copy of its spec, with relative ``--spec`` and ``--out`` paths, so nothing
+in its output depends on where the checkout lives.  Each output line is
 
     <sha256>  <spec file>  <command>
 
@@ -45,18 +46,38 @@ COMMANDS = (
 # specs whose own window is too large for a quick run of every command
 WINDOWS = {"example_b.spec": "0,14,6,4"}
 
+# the report text of tor_against_power, which keeps homology coordinates,
+# on the specs with an ideal over a field
+TOR_POWER = ("tor_against_power s=2", """\
+import sys
+from koszul.specfile import parse_spec
+from koszul.tower import tor_against_power
+spec = parse_spec(open(sys.argv[1]).read())
+try:
+    print(tor_against_power(spec.ring, spec.ideal, 2))
+except Exception as err:  # a traceback would name the checkout's path
+    sys.exit(f"{type(err).__name__}: {err}")
+""")
+FIELD_SPECS = ("diagonal_f2.spec", "diagonal_f3.spec", "principal_f2.spec",
+               "rational_pair.spec")
+
 
 def run_digest(root: Path, spec: Path, command: tuple[str, ...]) -> str:
     """sha256 of one run of ``koszul <command> --spec <spec>`` from root."""
+    args = ["-m", "koszul.cli", *command, "--spec", spec.name, "--out", "out"]
+    if spec.name in WINDOWS:
+        args += ["--window", WINDOWS[spec.name]]
+    return _digest(root, spec, args)
+
+
+def _digest(root: Path, spec: Path, args: list[str]) -> str:
+    """sha256 of one run of ``python <args>`` next to a copy of spec."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / spec.name).write_bytes(spec.read_bytes())
-        argv = [sys.executable, "-m", "koszul.cli", *command,
-                "--spec", spec.name, "--out", "out"]
-        if spec.name in WINDOWS:
-            argv += ["--window", WINDOWS[spec.name]]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+        done = subprocess.run([sys.executable, *args], cwd=work, env=env,
+                              capture_output=True)
         h = hashlib.sha256()
         for part in (str(done.returncode).encode(), done.stdout, done.stderr):
             h.update(len(part).to_bytes(8, "big") + part)
@@ -71,6 +92,9 @@ def digest_lines(root: Path, specs: list[Path]):
     for spec in specs:
         for command in COMMANDS:
             yield f"{run_digest(root, spec, command)}  {spec.name}  {' '.join(command)}"
+        if spec.name in FIELD_SPECS:
+            label, script = TOR_POWER
+            yield f"{_digest(root, spec, ['-c', script, spec.name])}  {spec.name}  {label}"
 
 
 def main() -> int:
