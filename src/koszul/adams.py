@@ -267,7 +267,7 @@ def completion_tower(ring: RingSpec, ideal: IdealSpec,
     is_field = ring.coefficients.is_field
     stages = range(1, w.stage_max + 1)
     if is_field:
-        quotients = {s: quotient_by_power(ring, ideal, s) for s in stages}
+        quotients = {s: quotient_by_power(ring, ideal, s) for s in range(1, w.stage_max + 2)}
     else:
         gens = [[g for _, g in power_generators(ideal, s)] for s in range(1, w.stage_max + 2)]
     certifiable = ring.inverted is None and all(d > 0 for d in ideal.degrees)
@@ -280,9 +280,7 @@ def completion_tower(ring: RingSpec, ideal: IdealSpec,
             values = tuple(quotients[s].dim(t) for s in stages)
             limit_val = monomial_count(ring, t)
             for s in stages:
-                finer = (quotients[s + 1].relations if s < w.stage_max
-                         else [g for _, g in power_generators(ideal, s + 1)])
-                if not quotients[s].contains_span(list(finer), t):
+                if not quotients[s].contains_span(quotients[s + 1].relations, t):
                     failures.append((s, t))
         else:
             # one lattice per stage gives its value and must contain the

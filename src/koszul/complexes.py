@@ -119,12 +119,17 @@ class FreeComplex:
         self.diff: list[list[tuple[Element, int]]] = []
 
     def add_generator(self, label, hom: int, internal: int) -> int:
-        gid = len(self.labels)
-        self.levels.setdefault(hom, []).append(gid)
-        self.labels.append(label)
-        self.internal.append(internal)
-        self.diff.append([])
-        return gid
+        return self.add_generators([label], hom, [internal])[0]
+
+    def add_generators(self, labels, hom: int, internals) -> list[int]:
+        """add_generator for each (label, internal degree) pair in turn;
+        returns the new ids, the very int objects levels holds."""
+        new = list(range(len(self.labels), len(self.labels) + len(internals)))
+        self.labels += labels
+        self.internal += internals
+        self.diff += [[] for _ in new]
+        self.levels.setdefault(hom, []).extend(new)
+        return new
 
     def set_diff(self, source: int, terms: list[tuple[Element, int]]):
         """Stored as given: realize turns a zero coefficient into empty columns."""

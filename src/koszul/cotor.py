@@ -65,6 +65,24 @@ class HopfSpec:
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.primitives)
 
+    @cached_property
+    def _cobar_letters(self):
+        """(coideal letters, letter -> degree, letter -> splittings), shared by
+        every slice cobar_free builds.  A splitting is a (P, Q) pair with the
+        unit of its unshuffle sign times (-1)^(1 + |P|) and the negated unit;
+        the prefix sign picks one of the two per position."""
+        lets = coideal_letters(self)
+        ldeg = {L: letter_degree(self, L) for L in lets}
+        units = {1: self.base.constant(1), -1: self.base.constant(-1)}
+        splits = {L: [] for L in lets}
+        for L in lets:
+            for mask in range(1, (1 << len(L)) - 1):
+                p = tuple(x for b, x in enumerate(L) if mask >> b & 1)
+                q = tuple(x for b, x in enumerate(L) if not mask >> b & 1)
+                sign = _unshuffle_sign(p, q) * (-1) ** (1 + ldeg[p])
+                splits[L].append(((p, q), units[sign], units[-sign]))
+        return lets, ldeg, splits
+
     def __str__(self):
         prims = ", ".join(f"{n}:{d}" for n, d in self.primitives)
         return f"exterior coalgebra({prims}) over {self.base}"
@@ -101,6 +119,14 @@ def _unshuffle_sign(p: tuple[int, ...], q: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
+def _word_label(word: tuple[tuple[int, ...], ...]) -> BasisLabel:
+    """Equal to BasisLabel(word=word) without the frozen dataclass __init__:
+    e_part and u_part keep their empty class defaults."""
+    label = object.__new__(BasisLabel)
+    object.__setattr__(label, "word", word)  # no __dict__ read: values stay inline
+    return label
+
+
 def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
     """Reduced cobar complex as a free complex over the base ring.
 
@@ -129,8 +155,7 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
         raise InputError(
             "chain-level cobar needs a non-localized base; rings with an "
             "inverted generator are served by closed-form tables only")
-    lets = coideal_letters(h)
-    ldeg = {L: letter_degree(h, L) for L in lets}
+    lets, ldeg, splits = h._cobar_letters
     # word degrees that reach the window through some base monomial; every
     # differential keeps the word degree, so the generators kept are closed
     reach = {d for d in range(w.t_max + 1)
@@ -154,20 +179,10 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
         if s:
             level = [(word + (L,), d + ldeg[L])
                      for word, d in level for L in steps[s].get(d, ())]
-        for word, d in level:
-            if d in reach:
-                ids[word] = fc.add_generator(BasisLabel(word=word) if s else UNIT_LABEL, s, d)
-    # per letter: its splittings as (P, Q) pairs, each with the unit of its
-    # unshuffle sign times (-1)^(1 + |P|) and the negated unit; the prefix
-    # sign picks one of the two per position below
-    units = {1: h.base.constant(1), -1: h.base.constant(-1)}
-    splits = {L: [] for L in lets}
-    for L in lets:
-        for mask in range(1, (1 << len(L)) - 1):
-            p = tuple(x for b, x in enumerate(L) if mask >> b & 1)
-            q = tuple(x for b, x in enumerate(L) if not mask >> b & 1)
-            sign = _unshuffle_sign(p, q) * (-1) ** (1 + ldeg[p])
-            splits[L].append(((p, q), units[sign], units[-sign]))
+        if kept := [(word, d) for word, d in level if d in reach]:
+            words, degs = zip(*kept)
+            labels = map(_word_label, words) if s else [UNIT_LABEL]
+            ids.update(zip(words, fc.add_generators(labels, s, degs)))
     for word, gid in ids.items():
         if len(word) + 1 > s_build:
             break  # top guard level: targets were not built

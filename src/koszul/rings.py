@@ -9,6 +9,7 @@ degreewise exact regardless of the bound.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -318,6 +319,18 @@ class IdealSpec:
     def degrees(self) -> tuple[int, ...]:
         return tuple(u.degree() for u in self.sequence)
 
+    @cached_property
+    def _powers(self) -> dict:
+        """What every degree of a run shares, built once per ideal as
+        RingSpec._tables is per ring: the generators of I^k by k, R/I^k by
+        (ring, k), and the integer invariants of (R/I)_t by (ring, "R/I", t)."""
+        return {}
+
+    def _shared(self, key, build):
+        if key not in self._powers:
+            self._powers[key] = build()
+        return self._powers[key]
+
     def __len__(self):
         return len(self.sequence)
 
@@ -329,21 +342,15 @@ def power_multi_indices(n_gens: int, s: int) -> list[tuple[int, ...]]:
     return [tuple(c) for c in itertools.combinations_with_replacement(range(1, n_gens + 1), s)]
 
 
-def power_generators(ideal: IdealSpec, s: int) -> list[tuple[tuple[int, ...], Element]]:
-    """Generators u_J of I^s, indexed by weakly increasing multi-indices."""
-    out = []
-    for J in power_multi_indices(len(ideal), s):
-        prod = None
-        for j in J:
-            u = ideal.sequence[j - 1]
-            prod = u if prod is None else prod * u
-        if prod is None:  # s == 0: the unit ideal
-            if ideal.sequence:
-                prod = ideal.sequence[0].ring.one()
-            else:
-                raise ValueError("empty ideal has no ambient ring for s=0")
-        out.append((J, prod))
-    return out
+def power_generators(ideal: IdealSpec, s: int) -> tuple[tuple[tuple[int, ...], Element], ...]:
+    """Generators u_J of I^s, indexed by weakly increasing multi-indices;
+    formed once per ideal and power."""
+    if s == 0 and not ideal.sequence:
+        raise ValueError("empty ideal has no ambient ring for s=0")
+    return ideal._shared(s, lambda: tuple(
+        (J, functools.reduce(operator.mul, [ideal.sequence[j - 1] for j in J]) if J
+         else ideal.sequence[0].ring.one())  # s == 0: the unit ideal
+        for J in power_multi_indices(len(ideal), s)))
 
 
 def multiples(ring: RingSpec, g: Element, monos, t: int) -> list[dict[int, object]]:
@@ -430,8 +437,11 @@ class QuotientModule:
 
 
 def quotient_by_power(ring: RingSpec, ideal: IdealSpec, s: int) -> QuotientModule:
-    rels = [g for _, g in power_generators(ideal, s)] if s > 0 else [ring.one()]
-    return QuotientModule(ring, rels, name=f"R/I^{s}")
+    """R/I^s, one per (ring, s) on the ideal: every degree and caller shares
+    its echelons."""
+    return ideal._shared((ring, s), lambda: QuotientModule(
+        ring, [g for _, g in power_generators(ideal, s)] if s > 0 else [ring.one()],
+        name=f"R/I^{s}"))
 
 
 def _relation_multiples(ring: RingSpec, relations, t: int):
@@ -492,34 +502,25 @@ def power_quotient_dimension(
         raise WindowError(f"degree {t} outside window [{ring.window.t_min}, {ring.window.t_max}]")
     if s < 0:
         raise ValueError("power must be nonnegative")
-    gens_s = [g for _, g in power_generators(ideal, s)] if s > 0 else [ring.one()]
-    gens_s1 = [g for _, g in power_generators(ideal, s + 1)]
-    c = ring.coefficients
-    if c.is_field:
-        q_s = QuotientModule(ring, gens_s)
-        q_s1 = QuotientModule(ring, gens_s1)
-        q_1 = QuotientModule(ring, list(ideal.sequence))
+    if ring.coefficients.is_field:
+        q_s, q_s1, q_1 = (quotient_by_power(ring, ideal, k) for k in (s, s + 1, 1))
         dim_q = q_s.dim(t)
         assoc = q_s1.dim(t) - dim_q  # rank I^s_t - rank I^{s+1}_t
-        predicted = 0
-        for J in power_multi_indices(len(ideal), s):
-            dJ = sum(ideal.degrees[j - 1] for j in J)
-            predicted += q_1.dim(t - dJ)
+        predicted = sum(q_1.dim(t - sum(ideal.degrees[j - 1] for j in J))
+                        for J in power_multi_indices(len(ideal), s))
         return PowerQuotientInfo(s, t, dim_q, None, assoc, None, predicted, None)
     # integer coefficients: quotient and associated graded via lattices
+    gens_s = [g for _, g in power_generators(ideal, s)] if s > 0 else [ring.one()]
     rel_s = relation_matrix(ring, gens_s, t)
-    rel_s1 = relation_matrix(ring, gens_s1, t)
+    rel_s1 = relation_matrix(ring, [g for _, g in power_generators(ideal, s + 1)], t)
     lat_s = IntegerLattice(rel_s)  # one SNF gives both the quotient and I^s/I^{s+1}
     inv_q = lat_s.cokernel_invariants()
     assoc_inv = lat_s.quotient_invariants(rel_s1) if rel_s.cols else (0, ())
-    rel_1: dict[int, tuple[int, tuple[int, ...]]] = {}
     parts = []
     for J in power_multi_indices(len(ideal), s):
-        dJ = sum(ideal.degrees[j - 1] for j in J)
-        td = t - dJ
-        if td not in rel_1:
-            rel_1[td] = cokernel_invariants(relation_matrix(ring, list(ideal.sequence), td))
-        parts.append(rel_1[td])
+        td = t - sum(ideal.degrees[j - 1] for j in J)
+        parts.append(ideal._shared((ring, "R/I", td), lambda: cokernel_invariants(
+            relation_matrix(ring, ideal.sequence, td))))
     predicted_inv = _merge_invariants(parts)
     return PowerQuotientInfo(s, t, None, inv_q, None, assoc_inv, None, predicted_inv)
 

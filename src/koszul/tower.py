@@ -354,7 +354,7 @@ def tor_diagonal(ring: RingSpec, ideal: IdealSpec,
     if not ring.coefficients.is_field:
         raise InputError("Tor tables against quotients need field coefficients")
     w = window or ring.window
-    quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
+    quotient = quotient_by_power(ring, ideal, 1)
     cx = build_koszul(ring, ideal, w, module=quotient)
     diff_vanishes = all(m.is_zero() for m in cx.diff.values())
     hom = homology_ranks(cx)
@@ -455,7 +455,7 @@ class ExactnessReport:
 def _level_blocks(ring: RingSpec, ideal: IdealSpec, s: int, w: DegreeWindow):
     """(R/I, bases, maps) of tower_free(s) over R/I: bases[k][(r, t)] lists level
     k's entries at (r, t), maps[k][(r, t)] their boundary to level k + 1 at (r - 1, t)."""
-    quotient = QuotientModule(ring, list(ideal.sequence), name="R/I")
+    quotient = quotient_by_power(ring, ideal, 1)
     cx = tower_free(ring, ideal, s, w).realize(
         w, module=quotient, description=f"stage-{s} complex (x) R/I")
     bases, maps = [{} for _ in range(s)], [{} for _ in range(s)]

@@ -36,6 +36,7 @@ from koszul.rings import (
     RingSpec,
     check_regular_sequence,
     power_generators,
+    power_multi_indices,
     quotient_by_power,
 )
 from koszul.tower import tower_free
@@ -445,14 +446,19 @@ def test_multiplication_maps_form_no_element_product(monkeypatch):
     assert all(any(m.entries for m in c.diff.values()) for c in realized)
     assert check_regular_sequence(f3, ideals[f3]).ok
     assert calls == []
-    # the augmentation check multiplies only to build the generators u_J
-    tower._augmentation_checks(f2, ideals[f2], 3, w, realized[0])
-    made = len(calls)
+    # the augmentation check multiplies only to build the generators u_J of
+    # I^0..I^3, and each u_J once per (ideal, power): on a fresh ideal that is
+    # one product per factor past the first; on a used one, none at all
+    fresh = IdealSpec(ideals[f2].sequence)
+    tower._augmentation_checks(f2, fresh, 3, w, realized[0])
+    assert len(calls) == sum(len(J) - 1 for k in range(1, 4)
+                             for J in power_multi_indices(3, k)) > 0
     calls.clear()
-    quotient_by_power(f2, ideals[f2], 3)
-    for k in range(3):
-        power_generators(ideals[f2], k)
-    assert made == len(calls) > 0
+    tower._augmentation_checks(f2, fresh, 3, w, realized[0])
+    quotient_by_power(f2, fresh, 3)
+    for k in range(4):
+        power_generators(fresh, k)
+    assert calls == []
 
 
 def _counting_reductions(monkeypatch, names):

@@ -1,6 +1,8 @@
 """Graded rings: monomial enumeration, quotient dimensions, regularity."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -330,3 +332,68 @@ def test_quotient_by_power_window_independent_of_order():
     # I^2 = (x1^2, x1 x2, x2^2): degree 4 survivors are x2 only
     assert q.dim(4) == 1
     assert q.basis(4) == [(0, 1)]
+
+
+@st.composite
+def _regular_sequences(draw):
+    """(ring, sequence, (s, t) pairs): powers of distinct variables and one
+    unit times a further variable, in a drawn order, with (s, t) pairs in
+    drawn order (repeats allowed)."""
+    coeffs = draw(st.sampled_from([F2, F3, Q, Z]))
+    n = draw(st.integers(2, 3))
+    degs = draw(st.lists(st.sampled_from([2, 4]), min_size=n, max_size=n))
+    r = _ring(coeffs, [(f"x{i}", d) for i, d in enumerate(degs, start=1)],
+              DegreeWindow(0, 12, 4, 4))
+    units = {F2: [1], F3: [1, 2], Q: [Fraction(-1, 2), 3], Z: [1, -1]}[coeffs]
+    unit_at = draw(st.integers(0, n - 1))
+    seq = []
+    for i, name in enumerate(r.names):
+        if i == unit_at:
+            seq.append(r.generator(name).scaled(draw(st.sampled_from(units))))
+        else:
+            seq.append(_power(r.generator(name), draw(st.integers(1, 2))))
+    seq = draw(st.permutations(seq))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 12)),
+                          min_size=1, max_size=8))
+    return r, tuple(seq), pairs
+
+
+def _power(u, e):
+    out = u
+    for _ in range(e - 1):
+        out = out * u
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_regular_sequences())
+def test_shared_power_tables_change_no_output(case):
+    # one IdealSpec read in any order of (s, t) gives what a fresh one gives,
+    # and the sequence is regular, so I^s/I^{s+1} meets its Rees prediction
+    r, seq, pairs = case
+    shared = IdealSpec(seq)
+    for s, t in pairs:
+        info = power_quotient_dimension(r, shared, s, t)
+        assert info == power_quotient_dimension(r, IdealSpec(seq), s, t)
+        assert info.assoc_matches_prediction
+
+
+def test_quotient_by_power_is_shared_per_ring_and_power():
+    gens = [("x1", 2), ("x2", 4)]
+    r = _ring(F3, gens)
+    i = IdealSpec((r.generator("x1"), r.generator("x2")))
+    # an equal ring and power give the very same quotient, so its echelons
+    assert quotient_by_power(_ring(F3, gens), i, 2) is quotient_by_power(r, i, 2)
+    assert quotient_by_power(r, i, 1) is not quotient_by_power(r, i, 2)
+    # the tables live on the ideal instance: an equal ideal builds its own
+    assert quotient_by_power(r, IdealSpec(i.sequence), 2) is not quotient_by_power(r, i, 2)
+    # two localized rings that differ only in window differ in neg_bound, so
+    # in their monomial tables: each gets its own quotient
+    narrow = _ring(F3, gens, DegreeWindow(0, 8, 4, 4), inverted="x2")
+    wide = _ring(F3, gens, DegreeWindow(-8, 8, 4, 4), inverted="x2")
+    assert narrow.neg_bound != wide.neg_bound
+    j = IdealSpec((narrow.generator("x1"),))
+    q_narrow, q_wide = quotient_by_power(narrow, j, 1), quotient_by_power(wide, j, 1)
+    assert q_narrow is not q_wide
+    # (R/x1)_{-16} is spanned by x2^-4, which only the wider floor admits
+    assert (q_narrow.dim(-16), q_wide.dim(-16)) == (0, 1)
