@@ -152,10 +152,15 @@ class FreeComplex:
         degree's module basis; boundary_block and every witness rely on this
         order.  Each multiplication map (coefficient, source degree, target
         degree) is formed once by rings.multiples, goes through mod.reduce
-        once and is shared by all columns.  Its entries are normalized and
-        nonzero (Element normalizes, and both reduce methods drop zeros), so
-        an entry is stored as given and normalized only where two terms land
-        on the same row.  d after d is checked here and only
+        once and is shared by all columns; a coefficient that is plus or minus
+        one of mod's relations gives the zero map, which is neither formed
+        nor reduced.  Each module degree's basis is read once per (s, t).
+        Entries are normalized and nonzero (Element normalizes, and both
+        reduce methods drop zeros), so an entry is stored as given and
+        normalized only where two terms land on the same row.  A bidegree
+        whose target level s + step has no basis at t gets a 0-row matrix
+        without visiting its generators, and the audit's compose and the
+        field rank return at once on it.  d after d is checked here and only
         here: a failing verify_differential raises DifferentialSquareError, a
         passing one is kept as the result's `differential`.
         """
@@ -164,8 +169,10 @@ class FreeComplex:
         normalize = self.ring.coefficients.normalize
         step = -1 if self.direction == HOMOLOGICAL else 1
         labels, internal = self.labels, self.internal
+        null = {h for g in getattr(mod, "relations", ()) for h in (g, -g)}
         basis: dict[tuple[int, int], list] = {}
         offsets: dict[tuple[int, int], dict[int, int]] = {}  # (s,t) -> id -> row
+        module_bases: dict[tuple[int, int], dict] = {}  # (s,t) -> internal -> mod basis
         for s in self.hom_degrees():
             buckets: dict[int, list[int]] = {}
             for gid in self.levels[s]:
@@ -180,23 +187,31 @@ class FreeComplex:
                         offs[gid] = len(entries)
                         entries.extend([(labels[gid], m) for m in bases[internal[gid]]])
                     basis[(s, t)] = entries
-        tables: dict[tuple[int, int, int], list] = {}
+                    module_bases[(s, t)] = bases
+        tables: dict[tuple[int, int, int], list | None] = {}
         diff: dict[tuple[int, int], Matrix] = {}
         for (s, t), entries in basis.items():
-            tgt_offs = offsets.get((s + step, t), {})
+            tgt_offs = offsets.get((s + step, t))
+            if tgt_offs is None:  # nothing at level s + step: no generator to visit
+                diff[(s, t)] = Matrix(0, len(entries))
+                continue
+            bases = module_bases[(s, t)]
             columns: list[dict] = []  # appended in basis order
             for gid in offsets[(s, t)]:
                 d = t - internal[gid]
-                monos = mod.basis(d)
+                monos = bases[internal[gid]]
                 plan = []
                 for c, tgt in self.diff[gid]:
                     row = tgt_offs.get(tgt)
                     if row is None:
                         continue  # target slot empty at this t
                     key = (id(c), d, t - internal[tgt])  # builders share coefficients
-                    if key not in tables:
-                        tables[key] = mod.reduce(multiples(self.ring, c, monos, key[2]), key[2])
-                    plan.append((row, tables[key]))
+                    table = tables.get(key, False)
+                    if table is False:  # None: c is (minus) a relation of mod
+                        table = tables[key] = None if null and c in null else mod.reduce(
+                            multiples(self.ring, c, monos, key[2]), key[2])
+                    if table is not None:
+                        plan.append((row, table))
                 for k in range(len(monos)):
                     col: dict[int, object] = {}  # row -> entry; zeros leave, as in Matrix.set
                     for row, table in plan:
@@ -222,7 +237,7 @@ class FreeComplex:
             module=mod,
             description=description,
         )
-        del tables, offsets  # not needed by the audit; freed to keep its peak memory
+        del tables, offsets, module_bases  # not needed by the audit; freed to keep its peak memory
         cx.differential = verify_differential(cx)
         if not cx.differential.ok:
             raise DifferentialSquareError(cx.differential)

@@ -10,7 +10,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, isqrt
 from operator import neg, truediv
 
 
@@ -19,18 +19,7 @@ def is_prime(n: int) -> bool:
     >>> [k for k in range(2, 20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def _mod(p: int, x) -> int:
@@ -162,6 +151,8 @@ class Matrix:
         """
         if other.rows != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} after {other.rows}x{other.cols}")
+        if not self.rows:  # nothing to land on: the zero matrix, for every kind
+            return Matrix(0, other.cols)
         mine, out = self.columns, []
         if coeffs.p == 2:
             bits = [_f2_bits(col) for col in mine]
@@ -170,7 +161,7 @@ class Matrix:
                 for k, v in col.items():
                     if v & 1:
                         x ^= bits[k]
-                out.append({i: 1 for i, b in enumerate(bin(x)[:1:-1]) if b == "1"})  # bit i: row i
+                out.append(dict.fromkeys(_ones(x), 1) if x else {})
             return Matrix(self.rows, other.cols, out)
         for col in other.columns:
             acc: dict[int, object] = {}
@@ -239,14 +230,19 @@ class VectorSpan:
     Negative keys are tags: they never pivot, and reduction carries them
     along.  To keep coordinates, give inserted vector k a tag entry 1 at key
     -1-k; the tags of reduce(v) then hold minus v's combination of the
-    inserted vectors (Cohen, GTM 138, 2.3).
+    inserted vectors (Cohen, GTM 138, 2.3).  Over F2 (chosen once per
+    instance) a row is two ints, bit i of the first for key i and bit k of
+    the second for tag -1-k, and a reduction step is two XORs (M4RI,
+    Albrecht-Bard-Hart, ACM TOMS 2010), with the pivots, rows and normal
+    forms that the dict rows of F_p and Q would give.
     """
 
     def __init__(self, coeffs: Coefficients):
         if not coeffs.is_field:
             raise ValueError("VectorSpan needs field coefficients")
         self.coeffs = coeffs
-        self.pivots: dict[int, dict] = {}  # lead -> row
+        self.pivots: dict[int, dict | tuple[int, int]] = {}  # lead -> row
+        self._bits, self._leads = coeffs.p == 2, 0  # over F2, _leads has bit i for lead i
 
     @property
     def rank(self) -> int:
@@ -254,27 +250,43 @@ class VectorSpan:
 
     def reduce(self, v: dict) -> dict:
         """The normal form of v: no key of it is a pivot lead."""
+        if self._bits:  # bit i: key i, bit k of the tags: key -1-k
+            x, tags = self._reduce_bits(v)
+            return dict.fromkeys(_ones(x) + [~k for k in _ones(tags)], 1)
         c, pivots = self.coeffs, self.pivots
         v = _normalized(c, v)
-        while True:
-            hit = None
-            for i in v:
-                if i in pivots:
-                    hit = i if hit is None or i < hit else hit
-            if hit is None:
-                return v
+        while (hit := min((i for i in v if i in pivots), default=None)) is not None:
             v = _vec_axpy(c, v, c.neg(v[hit]), pivots[hit])
+        return v
+
+    def _reduce_bits(self, v: dict) -> tuple[int, int]:
+        """reduce over F2 on (key bits, tag bits), the lowest pivot lead first."""
+        x = tags = 0
+        for i, a in v.items():
+            if a & 1:
+                if i >= 0:
+                    x |= 1 << i
+                else:
+                    tags |= 1 << ~i  # ~i == -1-i
+        pivots, leads = self.pivots, self._leads
+        while hit := x & leads:
+            row, tag_row = pivots[(hit & -hit).bit_length() - 1]
+            x, tags = x ^ row, tags ^ tag_row
+        return x, tags
 
     def insert(self, v: dict) -> bool:
         """Adjoin v; True if it enlarged the span."""
-        v = self.reduce(v)
-        lead = min((i for i in v if i >= 0), default=None)
-        if lead is None:
-            return False
-        c = self.coeffs
-        scale = c.inv(v[lead])
-        self.pivots[lead] = {i: c.normalize(scale * x) for i, x in v.items()}
-        return True
+        if self._bits:
+            x, tags = self._reduce_bits(v)
+            if x:
+                self.pivots[(x & -x).bit_length() - 1] = (x, tags)
+                self._leads |= x & -x
+            return x != 0
+        v, c = self.reduce(v), self.coeffs
+        if (lead := min((i for i in v if i >= 0), default=None)) is not None:
+            scale = c.inv(v[lead])
+            self.pivots[lead] = {i: c.normalize(scale * x) for i, x in v.items()}
+        return lead is not None
 
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)
@@ -287,6 +299,15 @@ def _f2_bits(col: dict) -> int:
         if v & 1:
             x |= 1 << i
     return x
+
+
+def _ones(x: int) -> list[int]:
+    """The positions of the set bits of x >= 0, lowest first."""
+    s, out, i = bin(x)[:1:-1], [], 0
+    while (i := s.find("1", i)) >= 0:
+        out.append(i)
+        i += 1
+    return out
 
 
 def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
@@ -307,6 +328,8 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
     """
     if not coeffs.is_field:
         raise ValueError("rank over a field only; use smith_normal_form over Z")
+    if not m.rows:
+        return 0
     if coeffs.p == 2:
         lows: dict[int, int] = {}  # lowest set bit -> pivot column
         for col in m.columns:
@@ -681,8 +704,3 @@ def cokernel_invariants(m: Matrix) -> tuple[int, tuple[int, ...]]:
     d = smith_normal_form(m)
     free = m.rows - len(d)
     return free, tuple(v for v in d if v > 1)
-
-
-def lattice_quotient_invariants(a: Matrix, b: Matrix) -> tuple[int, tuple[int, ...]]:
-    """Invariants of col-lattice(a) / col-lattice(b); requires col(b) inside col(a)."""
-    return IntegerLattice(a).quotient_invariants(b)

@@ -33,7 +33,7 @@ from koszul.cotor import (
     e2_closed_form,
     parity_violations,
 )
-from koszul.linalg import Coefficients
+from koszul.linalg import Coefficients, Matrix
 from koszul.rings import DegreeWindow, RingSpec, monomial_count
 
 
@@ -417,3 +417,18 @@ def test_hoisted_splittings_are_per_instance(monkeypatch):
     assert after == before
     assert plus_unit(after) == -honest
     assert plus_unit(before) == honest  # built once, before the patch
+
+
+def test_guard_level_gets_a_zero_row_matrix_of_the_same_shape():
+    # the level past s_max has no outgoing differential: realize gives it a
+    # 0-row matrix with one empty column per word, the shape the general
+    # loop built column by column
+    w = DegreeWindow(9, 9, 3)
+    h = HopfSpec(unit_base(2, 9, s_max=3), (("t1", 1), ("t2", 3), ("t3", 5)))
+    cx = cobar_complex(h, w)
+    guard = w.s_max + 1
+    assert cx.dim(guard, 9) > 0 and not cx.dim(guard + 1, 9)
+    assert cx.diff[(guard, 9)] == Matrix(0, cx.dim(guard, 9))
+    assert cx.differential.ok
+    below = cx.diff[(w.s_max, 9)]
+    assert (below.rows, below.cols) == (cx.dim(guard, 9), cx.dim(w.s_max, 9))

@@ -18,7 +18,6 @@ from koszul.linalg import (
     cokernel_invariants,
     integer_kernel_basis,
     kernel_basis,
-    lattice_quotient_invariants,
     matrix_vector,
     rank_over_field,
     rational_rank,
@@ -215,11 +214,11 @@ def test_lattice_quotient_invariants():
     # (3^s)/(3^{s+1}) inside Z: cyclic of order 3
     a = Matrix.from_rows([[9]])
     b = Matrix.from_rows([[27]])
-    assert lattice_quotient_invariants(a, b) == (0, (3,))
+    assert IntegerLattice(a).quotient_invariants(b) == (0, (3,))
     # 2Z^2 / 4Z^2
     a = Matrix.from_rows([[2, 0], [0, 2]])
     b = Matrix.from_rows([[4, 0], [0, 4]])
-    free, tors = lattice_quotient_invariants(a, b)
+    free, tors = IntegerLattice(a).quotient_invariants(b)
     assert free == 0 and sorted(tors) == [2, 2]
 
 
@@ -569,4 +568,118 @@ def test_f2_rank_uses_neither_span_nor_normalize(monkeypatch):
     assert [rank_over_field(m, F2) for m in matrices] == expected
     assert calls == []
     VectorSpan(F2).insert({0: 1})
-    assert "insert" in calls and "normalize" in calls  # the patches are live
+    assert calls == ["insert"]  # the patches are live: the span calls insert,
+    matrix_vector(Matrix(1, 1, [{0: 1}]), {0: 1}, F2)  # matrix_vector normalizes
+    assert calls == ["insert", "normalize"]
+
+
+class _ListSpan:
+    """Reference echelon over F2 on 0/1 lists, sharing no code with linalg:
+    a row is (key list, tag list); reduction clears the lowest key that is a
+    lead, then the next, until none is left."""
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m, self.rows = n, m, {}  # lead -> (keys, tags)
+
+    def reduce(self, keys: list, tags: list):
+        keys, tags = list(keys), list(tags)
+        while hits := [i for i in range(self.n) if keys[i] and i in self.rows]:
+            row, tag_row = self.rows[hits[0]]
+            keys = [a ^ b for a, b in zip(keys, row)]
+            tags = [a ^ b for a, b in zip(tags, tag_row)]
+        return keys, tags
+
+    def insert(self, keys: list, tags: list) -> bool:
+        keys, tags = self.reduce(keys, tags)
+        if 1 not in keys:
+            return False
+        self.rows[keys.index(1)] = (keys, tags)
+        return True
+
+    def as_dict(self, keys: list, tags: list) -> dict:
+        return {**{i: 1 for i, a in enumerate(keys) if a},
+                **{-1 - k: 1 for k, a in enumerate(tags) if a}}
+
+
+@st.composite
+def _f2_vectors(draw):
+    """Vectors over F2 on more than 64 keys, so bit rows span several
+    machine words, each with raw entries whose parity is what counts."""
+    n = draw(st.integers(65, 140))
+    m = draw(st.integers(0, 6))
+    raw = st.integers(-3, 3)
+
+    def vector():
+        keys = draw(st.lists(st.tuples(st.integers(0, n - 1), raw), max_size=12))
+        tags = draw(st.lists(st.tuples(st.integers(0, m - 1), raw), max_size=3)) if m else []
+        v = {**dict(keys), **{-1 - k: a for k, a in tags}}
+        parity = ([0] * n, [0] * m)
+        for i, a in v.items():
+            if i >= 0:
+                parity[0][i] = a & 1
+            else:
+                parity[1][-1 - i] = a & 1
+        return v, parity
+
+    inserted = [vector() for _ in range(draw(st.integers(0, 40)))]
+    probes = [vector() for _ in range(draw(st.integers(1, 8)))]
+    return n, m, inserted, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_f2_vectors())
+def test_f2_bit_span_matches_a_list_elimination(case):
+    n, m, inserted, probes = case
+    span, ref = VectorSpan(F2), _ListSpan(n, m)
+    for v, (keys, tags) in inserted:
+        assert span.insert(v) == ref.insert(keys, tags)
+        assert sorted(span.pivots) == sorted(ref.rows)  # the same leads, in order
+        assert span.rank == len(ref.rows)
+    for v, (keys, tags) in probes + inserted:
+        normal = ref.as_dict(*ref.reduce(keys, tags))
+        assert span.reduce(v) == normal  # tags included
+        assert span.contains(v) == (not normal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(65, 130), st.integers(1, 25), st.data())
+def test_f2_kernel_basis_matches_a_list_elimination(rows, cols, data):
+    cells = st.lists(st.integers(0, rows - 1), max_size=6)
+    # later columns repeat sums of earlier ones, so the kernel is not empty
+    columns = []
+    for _ in range(cols):
+        if columns and data.draw(st.booleans()):
+            picks = data.draw(st.lists(st.sampled_from(range(len(columns))), max_size=3))
+            col: dict = {}
+            for j in picks:
+                for i in columns[j]:
+                    col[i] = col.get(i, 0) + 1
+            columns.append({i: a for i, a in col.items() if a % 2})
+        else:
+            columns.append({i: 1 for i in data.draw(cells)})
+    ref, expected = _ListSpan(rows, cols), []
+    for j, col in enumerate(columns):
+        keys = [1 if i in col else 0 for i in range(rows)]
+        tags = [1 if k == j else 0 for k in range(cols)]
+        if not ref.insert(keys, tags):
+            _, tags = ref.reduce(keys, tags)
+            expected.append({k: 1 for k, a in enumerate(tags) if a})
+    assert kernel_basis(Matrix(rows, cols, columns), F2) == expected
+
+
+@pytest.mark.parametrize("c", [F2, F3, Q, Z], ids=str)
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_zero_row_left_factor_composes_like_the_general_product(c, n):
+    # a 0-row left factor returns at once; the result is the general
+    # product's: no rows, one empty column per column of the right factor
+    right = _matrix(n, 3, {(i, j): (i + j) % 3 for i in range(n) for j in range(3)})
+    prod = Matrix(0, n).compose(right, c)
+    assert (prod.rows, prod.cols, prod.entries) == (0, 3, _dense_product(Matrix(0, n), right, c))
+    assert prod == Matrix(0, 3)
+    padded = Matrix(1, n).compose(right, c)  # one zero row: the general code
+    assert padded.columns == prod.columns
+    if c.is_field:
+        assert rank_over_field(Matrix(0, n), c) == 0 == rank_over_field(Matrix(1, n), c)
+    else:
+        with pytest.raises(ValueError):
+            rank_over_field(Matrix(0, n), c)
