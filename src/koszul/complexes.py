@@ -152,24 +152,22 @@ class FreeComplex:
         degree's module basis; boundary_block and every witness rely on this
         order.  Each multiplication map (coefficient, source degree, target
         degree) is formed once by rings.multiples, goes through mod.reduce
-        once and is shared by all columns; a coefficient that is plus or minus
-        one of mod's relations gives the zero map, which is neither formed
-        nor reduced.  Each module degree's basis is read once per (s, t).
-        Entries are normalized and nonzero (Element normalizes, and both
-        reduce methods drop zeros), so an entry is stored as given and
-        normalized only where two terms land on the same row.  A bidegree
-        whose target level s + step has no basis at t gets a 0-row matrix
-        without visiting its generators, and the audit's compose and the
-        field rank return at once on it.  d after d is checked here and only
-        here: a failing verify_differential raises DifferentialSquareError, a
-        passing one is kept as the result's `differential`.
+        once and is shared by all columns.  Each module degree's basis is
+        read once per (s, t).  Entries are normalized and nonzero (Element
+        normalizes, and both reduce methods drop zeros), so an entry is
+        stored as given and normalized only where two terms land on the same
+        row.  A bidegree whose target level s + step has no basis at t gets a
+        0-row matrix without visiting its generators, and the audit's compose
+        and the field rank return at once on it.  d after d is checked here
+        and only here: a failing verify_differential raises
+        DifferentialSquareError, a passing one is kept as the result's
+        `differential`.
         """
         w = window or self.ring.window
         mod = module or FreeModuleBasis(self.ring)
         normalize = self.ring.coefficients.normalize
         step = -1 if self.direction == HOMOLOGICAL else 1
         labels, internal = self.labels, self.internal
-        null = {h for g in getattr(mod, "relations", ()) for h in (g, -g)}
         basis: dict[tuple[int, int], list] = {}
         offsets: dict[tuple[int, int], dict[int, int]] = {}  # (s,t) -> id -> row
         module_bases: dict[tuple[int, int], dict] = {}  # (s,t) -> internal -> mod basis
@@ -188,7 +186,7 @@ class FreeComplex:
                         entries.extend([(labels[gid], m) for m in bases[internal[gid]]])
                     basis[(s, t)] = entries
                     module_bases[(s, t)] = bases
-        tables: dict[tuple[int, int, int], list | None] = {}
+        tables: dict[tuple[int, int, int], list] = {}
         diff: dict[tuple[int, int], Matrix] = {}
         for (s, t), entries in basis.items():
             tgt_offs = offsets.get((s + step, t))
@@ -206,12 +204,9 @@ class FreeComplex:
                     if row is None:
                         continue  # target slot empty at this t
                     key = (id(c), d, t - internal[tgt])  # builders share coefficients
-                    table = tables.get(key, False)
-                    if table is False:  # None: c is (minus) a relation of mod
-                        table = tables[key] = None if null and c in null else mod.reduce(
-                            multiples(self.ring, c, monos, key[2]), key[2])
-                    if table is not None:
-                        plan.append((row, table))
+                    if key not in tables:
+                        tables[key] = mod.reduce(multiples(self.ring, c, monos, key[2]), key[2])
+                    plan.append((row, tables[key]))
                 for k in range(len(monos)):
                     col: dict[int, object] = {}  # row -> entry; zeros leave, as in Matrix.set
                     for row, table in plan:

@@ -10,7 +10,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, isqrt
+from math import gcd
 from operator import neg, truediv
 
 
@@ -19,7 +19,18 @@ def is_prime(n: int) -> bool:
     >>> [k for k in range(2, 20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def _mod(p: int, x) -> int:
@@ -120,10 +131,6 @@ class Matrix:
         return cls(len(data), n, [{i: row[j] for i, row in enumerate(data) if row[j]}
                                   for j in range(n)])
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [{j: 1} for j in range(n)])
-
     @property
     def entries(self) -> dict:
         """The nonzeros keyed by (row, col), column by column; a fresh dict."""
@@ -173,13 +180,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self.columns)
-
-    def to_rows(self) -> list[list]:
-        data = [[0] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                data[i][j] = v
-        return data
 
     def __eq__(self, other):
         return (
@@ -255,9 +255,14 @@ class VectorSpan:
             return dict.fromkeys(_ones(x) + [~k for k in _ones(tags)], 1)
         c, pivots = self.coeffs, self.pivots
         v = _normalized(c, v)
-        while (hit := min((i for i in v if i in pivots), default=None)) is not None:
+        while True:
+            hit = None
+            for i in v:
+                if i in pivots:
+                    hit = i if hit is None or i < hit else hit
+            if hit is None:
+                return v
             v = _vec_axpy(c, v, c.neg(v[hit]), pivots[hit])
-        return v
 
     def _reduce_bits(self, v: dict) -> tuple[int, int]:
         """reduce over F2 on (key bits, tag bits), the lowest pivot lead first."""
@@ -282,11 +287,14 @@ class VectorSpan:
                 self.pivots[(x & -x).bit_length() - 1] = (x, tags)
                 self._leads |= x & -x
             return x != 0
-        v, c = self.reduce(v), self.coeffs
-        if (lead := min((i for i in v if i >= 0), default=None)) is not None:
-            scale = c.inv(v[lead])
-            self.pivots[lead] = {i: c.normalize(scale * x) for i, x in v.items()}
-        return lead is not None
+        v = self.reduce(v)
+        lead = min((i for i in v if i >= 0), default=None)
+        if lead is None:
+            return False
+        c = self.coeffs
+        scale = c.inv(v[lead])
+        self.pivots[lead] = {i: c.normalize(scale * x) for i, x in v.items()}
+        return True
 
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)

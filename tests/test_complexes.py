@@ -507,51 +507,3 @@ def test_oracle_mismatch_survives_pickling():
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is OracleMismatchError
     assert str(back) == "ranks differ" and back.witness == err.witness
-
-
-class _WithoutRelations:
-    """A quotient module that hides its relations, so realize reduces every
-    multiplication map through it."""
-
-    def __init__(self, quotient):
-        self.quotient = quotient
-
-    def dim(self, t):
-        return self.quotient.dim(t)
-
-    def basis(self, t):
-        return self.quotient.basis(t)
-
-    def reduce(self, vecs, t):
-        return self.quotient.reduce(vecs, t)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_relation_coefficients_give_zero_maps_without_a_reduction(monkeypatch, p):
-    # over R/I each Koszul coefficient is plus or minus a relation, so its
-    # multiplication maps vanish: realize neither forms nor reduces them, and
-    # every matrix equals the one that reducing each map gives
-    ring = RingSpec(Coefficients.prime_field(p), (("x1", 2), ("x2", 2), ("x3", 4)),
-                    DegreeWindow(0, 12, 3, stage_max=3))
-    ideal = IdealSpec(tuple(ring.generator(n) for n in ("x1", "x2", "x3")))
-    quotient = quotient_by_power(ring, ideal, 1)
-    stage = tower_free(ring, ideal, 3)
-    koszul = tower_free(ring, ideal, 1)
-    want = {name: free.realize(module=_WithoutRelations(quotient))
-            for name, free in (("stage", stage), ("koszul", koszul))}
-    calls = []
-    real = QuotientModule.reduce
-
-    def reduce(self, vecs, t):
-        calls.append(t)
-        return real(self, vecs, t)
-
-    monkeypatch.setattr(QuotientModule, "reduce", reduce)
-    got = koszul.realize(module=quotient)
-    assert calls == []  # every Koszul coefficient is a relation
-    assert got.basis == want["koszul"].basis and got.diff == want["koszul"].diff
-    assert all(m.is_zero() for m in got.diff.values())
-    got = stage.realize(module=quotient)
-    assert calls  # the index-insertion units still go through reduce
-    assert got.basis == want["stage"].basis and got.diff == want["stage"].diff
-    assert any(not m.is_zero() for m in got.diff.values())

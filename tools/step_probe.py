@@ -3,7 +3,7 @@
 Usage:
 
     python3 tools/step_probe.py PARENT CHANGE --scratch DIR \\
-        [--step NAME ...] [--seed N] [--rounds N] [--smoke]
+        [--seed N] [--rounds N] [--smoke]
 
 PARENT and CHANGE are git revisions (for uncommitted work, the commit that
 ``git stash create`` prints), exported with ``git archive`` into
@@ -68,15 +68,14 @@ def run_once(main, argv: list[str]) -> tuple[float, int, str]:
     return seconds, code, text.getvalue()
 
 
-def probe(roots: dict[str, Path], work: Path, steps: list[str] | None = None,
-          seed: int = 0, rounds: int = 15, smoke: bool = False) -> list[dict]:
+def probe(roots: dict[str, Path], work: Path, seed: int = 0, rounds: int = 15,
+          smoke: bool = False) -> list[dict]:
     """Per step: both sides' run times, medians and the rounds the change won."""
     workloads = load_module("perfbench_workloads",
                             roots["parent"] / "perfbench" / "workloads.py")
     mains = {side: load_cli(roots[side], side).main for side in SIDES}
     report = []
-    for name in steps or list(workloads.STEPS):
-        step = workloads.STEPS[name]
+    for name, step in workloads.STEPS.items():
         text, extra = step.invocation(seed, smoke)
         spec = work / f"{name}.spec"
         spec.write_text(text, encoding="utf-8")
@@ -107,8 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change")
     parser.add_argument("--scratch", type=Path, required=True,
                         help="directory that receives the two exports")
-    parser.add_argument("--step", action="append",
-                        help="benchmark step name (repeatable; default: every step)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--smoke", action="store_true",
@@ -120,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         export(rev, roots[side])
     work = scratch / "probe"
     work.mkdir(exist_ok=True)
-    report = probe(roots, work, args.step, args.seed, args.rounds, args.smoke)
+    report = probe(roots, work, args.seed, args.rounds, args.smoke)
     for entry in report:
         ms = entry["median_ms"]
         print(f"{entry['step']}: parent {ms['parent']} ms, change {ms['change']} ms, "
