@@ -20,20 +20,19 @@ on a degree window:
   plain-text configuration grammar, CSV/SVG artifacts, and the command line.
 """
 
+from types import ModuleType as _ModuleType
+
 from .adams import (
     EXAMPLE_NAMES,
     CompletionReport,
     DegreeTower,
     ExampleConfig,
-    ModuleCompletionReport,
     adams_e2_table,
     completion_tower,
     example_base,
     example_hopf,
     kernel_sequence_model,
     kunneth_indices,
-    kunneth_presentation,
-    module_completion,
 )
 from .charts import csv_text, parse_csv, read_csv, svg_text, write_csv, write_svg
 from .complexes import (
@@ -45,8 +44,6 @@ from .complexes import (
     homology_basis_at,
     homology_ranks,
     nonzero_table,
-    shift_complex,
-    tensor_complexes,
     tensor_free,
     verify_differential,
 )
@@ -91,6 +88,7 @@ from .tower import (
     verify_partial_exactness,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in vars().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 
 __version__ = "0.1.0"

@@ -22,23 +22,16 @@ entries over a non-localized ring).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import OracleMismatchError
-from .cotor import (
-    ADAMS_PATTERN,
-    E2Presentation,
-    HopfSpec,
-    collapse_audit,
-    e2_closed_form,
-)
+from .cotor import E2Presentation, HopfSpec, collapse_audit, e2_closed_form
 from .linalg import Coefficients, IntegerLattice, is_prime
 from .rings import (
     DegreeWindow,
     IdealSpec,
     InputError,
     RingSpec,
-    _merge_invariants,
     monomial_count,
     power_generators,
     quotient_by_power,
@@ -95,20 +88,6 @@ def kunneth_indices(c: ExampleConfig) -> tuple[int, ...]:
     return tuple(j for j in range(c.j_max + 1) if j != c.p ** c.n - 1)
 
 
-@dataclass(frozen=True)
-class KunnethPresentation:
-    """Exterior presentation of a derived tensor square: one anticommuting
-    class t_j at bidegree (1, 2j) per kept index."""
-
-    base_desc: str
-    indices: tuple[int, ...]
-    generators: tuple[tuple[str, tuple[int, int]], ...]
-
-    def __str__(self):
-        gens = ", ".join(f"{n} at (1,{t})" for n, (_, t) in self.generators)
-        return f"exterior algebra over {self.base_desc} on {gens or '(nothing)'}"
-
-
 def example_base(c: ExampleConfig) -> RingSpec:
     """The base ring of an example's second page.
 
@@ -124,12 +103,6 @@ def example_base(c: ExampleConfig) -> RingSpec:
     if c.which == "B":
         return RingSpec(Coefficients.integers(), v, w, inverted=f"v{c.n}")
     return RingSpec(Coefficients.prime_field(c.p), v[-1:], w, inverted=f"v{c.n}")
-
-
-def kunneth_presentation(c: ExampleConfig) -> KunnethPresentation:
-    indices = kunneth_indices(c)
-    gens = tuple((f"t{j}", (1, 2 * j)) for j in indices)
-    return KunnethPresentation(str(example_base(c)), indices, gens)
 
 
 def example_hopf(c: ExampleConfig) -> HopfSpec:
@@ -148,7 +121,7 @@ def adams_e2_table(c: ExampleConfig) -> E2Presentation:
     """
     h = example_hopf(c)
     p = e2_closed_form(h, c.window)
-    p.collapse = collapse_audit(p, ADAMS_PATTERN)
+    p.collapse = collapse_audit(p)
     notes = [f"generator list truncated at j_max={c.j_max}; "
              "the table describes the truncated model only"]
     if c.which == "B":
@@ -218,10 +191,7 @@ class CompletionReport:
     """Degreewise record of the tower R/I <- R/I^2 <- ... over a window."""
 
     ring_desc: str
-    entry_degrees: tuple[int, ...]
     stage_max: int
-    window: DegreeWindow
-    field: bool
     towers: dict[int, DegreeTower]
     surjective: bool
     surjectivity_failures: tuple[tuple[int, int], ...] = ()
@@ -322,62 +292,10 @@ def completion_tower(ring: RingSpec, ideal: IdealSpec,
                                 certified, note)
     return CompletionReport(
         ring_desc=str(ring),
-        entry_degrees=ideal.degrees,
         stage_max=w.stage_max,
-        window=w,
-        field=is_field,
         towers=towers,
         surjective=not failures,
         surjectivity_failures=tuple(sorted(failures)),
         notes=tuple(notes),
     )
 
-
-@dataclass
-class ModuleCompletionReport:
-    """Completion of a free module with shifts: the base tower summed
-    degreewise over the shift offsets.  Degrees whose shifted lookups leave
-    the base window are omitted rather than guessed."""
-
-    shifts: tuple[int, ...]
-    field: bool
-    towers: dict[int, tuple]
-    stabilized_at: dict[int, int | None]
-    omitted_degrees: tuple[int, ...] = ()
-    notes: tuple[str, ...] = ()
-
-
-def _merge_values(parts, is_field):
-    if is_field:
-        return tuple(sum(vals) for vals in zip(*parts))
-    return tuple(_merge_invariants(vals) for vals in zip(*parts))
-
-
-def module_completion(shifts: tuple[int, ...], report: CompletionReport) -> ModuleCompletionReport:
-    """Reindex and sum a completion tower over a free module's shifts.
-
-    The degree-t component of the completed module is the direct sum of the
-    base tower at t - shift for each shift; stabilization is inherited as
-    the max of the parts' stages (None if any part lacks one).
-    """
-    if not shifts:
-        raise InputError("a free module needs at least one shift")
-    towers: dict[int, tuple] = {}
-    stab: dict[int, int | None] = {}
-    omitted: list[int] = []
-    for t in report.window.degrees():
-        parts = [report.towers.get(t - sh) for sh in shifts]
-        if any(p is None for p in parts):
-            omitted.append(t)
-            continue
-        towers[t] = _merge_values([p.values for p in parts], report.field)
-        stages = [p.stabilized_at for p in parts]
-        stab[t] = None if any(s is None for s in stages) else max(stages)
-    return ModuleCompletionReport(
-        shifts=tuple(shifts),
-        field=report.field,
-        towers=towers,
-        stabilized_at=stab,
-        omitted_degrees=tuple(omitted),
-        notes=report.notes,
-    )

@@ -330,7 +330,7 @@ def _cmd_e2(args, spec: SpecFile, out_dir: Path) -> int:
     config = ExampleConfig(which, p, j_max, window, n=n)
     tab = adams_e2_table(config)
     _emit_table(out_dir, "e2", tab.table, args.axes)
-    _write_text(out_dir / "e2.txt", _e2_text(tab))
+    _write_text(out_dir / "e2.txt", str(tab))
     violations = parity_violations(tab.table)
     print(f"E2 presentation for {config}: {tab.collapse.message}")
     if not tab.collapse.ok or violations:
@@ -343,24 +343,6 @@ def _cmd_e2(args, spec: SpecFile, out_dir: Path) -> int:
         })
         return 1
     return 0
-
-
-def _e2_text(tab) -> str:
-    lines = [f"polynomial E2 presentation over {tab.base_desc}"]
-    gens = ", ".join(f"{name} at ({s},{t})" for name, (s, t) in tab.generators)
-    lines.append(f"  polynomial generators: {gens if gens else '(none)'}")
-    if tab.collapse is not None:
-        lines.append(f"  collapse audit ({tab.collapse.pattern} pattern, "
-                     f"{tab.collapse.pairs_checked} pairs checked): "
-                     f"{tab.collapse.message}")
-    if tab.dual_operations:
-        duals = ", ".join(f"{name} in degree {d}" for name, d in tab.dual_operations)
-        lines.append(f"  dual operations: {duals}")
-        lines.append(f"  {tab.dual_note}")
-    lines.extend(f"  note: {note}" for note in tab.notes)
-    lines.append("  nonzero bidegrees in window: "
-                 f"{sum(1 for v in tab.table.values() if v)}")
-    return "\n".join(lines)
 
 
 def _cmd_complete(args, spec: SpecFile, out_dir: Path) -> int:

@@ -85,17 +85,6 @@ class BasisLabel:
 UNIT_LABEL = BasisLabel()
 
 
-def format_basis_element(label, mono: tuple[int, ...], ring: RingSpec) -> str:
-    if any(mono):
-        mono_str = "*".join(
-            (f"{n}^{e}" if e != 1 else n)
-            for (n, _), e in zip(ring.generators, mono)
-            if e
-        )
-        return f"{label}*{mono_str}" if str(label) != "1" else mono_str
-    return str(label)
-
-
 class FreeComplex:
     """Free graded complex: generators with degrees, differential by generator id.
 
@@ -229,7 +218,6 @@ class FreeComplex:
             s_levels=self.hom_degrees(),
             complete_above=self.complete_above,
             free=self,
-            module=mod,
             description=description,
         )
         del tables, offsets, module_bases  # not needed by the audit; freed to keep its peak memory
@@ -274,7 +262,7 @@ class BigradedComplex:
     def __init__(self, coefficients: Coefficients, direction: str, basis: dict,
                  diff: dict, window: DegreeWindow, s_levels: list[int],
                  complete_above: bool = True,
-                 free: FreeComplex | None = None, module=None, description: str = ""):
+                 free: FreeComplex | None = None, description: str = ""):
         self.coefficients = coefficients
         self.direction = direction
         self.basis = basis
@@ -283,7 +271,6 @@ class BigradedComplex:
         self.s_levels = s_levels
         self.complete_above = complete_above
         self.free = free
-        self.module = module
         self.description = description
         self.differential: DifferentialReport | None = None  # set by FreeComplex.realize
 
@@ -444,54 +431,6 @@ def tensor_free(a: FreeComplex, b: FreeComplex) -> FreeComplex:
                   for c, tgt in b.diff[gb]]
         out.set_diff(ids[(ga, gb)], terms)
     return out
-
-
-def tensor_complexes(a: BigradedComplex, b: BigradedComplex) -> BigradedComplex:
-    """Tensor over the common base ring, d(x@y) = dx@y + (-1)^s x@dy.
-
-    Both factors must carry their free-over-the-ring structure: the tensor is
-    formed on generator labels, not on realized bases (those are coefficient
-    bases, and tensoring them would be a tensor over the coefficients).
-    """
-    if a.free is None or b.free is None:
-        raise ValueError("tensor needs complexes realized from free descriptions")
-    for c in (a, b):
-        if c.module is not None and getattr(c.module, "relations", ()):
-            raise ValueError("tensor factors must be realized over the free module")
-    out = tensor_free(a.free, b.free)
-    w = DegreeWindow(
-        min(a.window.t_min, b.window.t_min),
-        min(a.window.t_max, b.window.t_max),
-        a.window.s_max,
-        a.window.stage_max,
-    )
-    return out.realize(w, description=f"({a.description})x({b.description})")
-
-
-def shift_complex(c: BigradedComplex, k: int) -> BigradedComplex:
-    """C[k]: basis at (s,t) is C at (s+k,t); the differential picks up (-1)^k."""
-    basis = {(s - k, t): v for (s, t), v in c.basis.items()}
-    neg = c.coefficients.neg
-    diff = {}
-    for (s, t), m in c.diff.items():
-        if k % 2 == 0:
-            shifted = m
-        else:
-            shifted = Matrix(m.rows, m.cols,
-                             [{i: neg(v) for i, v in col.items()} for col in m.columns])
-        diff[(s - k, t)] = shifted
-    return BigradedComplex(
-        coefficients=c.coefficients,
-        direction=c.direction,
-        basis=basis,
-        diff=diff,
-        window=c.window,
-        s_levels=[s - k for s in c.s_levels],
-        complete_above=c.complete_above,
-        free=None,
-        module=c.module,
-        description=f"{c.description}[{k}]",
-    )
 
 
 @dataclass

@@ -6,14 +6,13 @@ with one class per generator, sitting one cohomological filtration step up.
 This module builds the reduced cobar complex (tensor words in the
 augmentation coideal), takes its cohomology by brute force over a degree
 window, and checks the result against that closed form.  A collapse audit
-then confirms that no differential of a given bidegree pattern can be
+then confirms that no differential of the Adams bidegree pattern can be
 nonzero on the resulting table, which is the checkable content of
 "the spectral sequence degenerates for parity reasons".
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
@@ -241,7 +240,6 @@ class CotorReport:
     closed: dict[tuple[int, int], int]
     differential: DifferentialReport
     window: DegreeWindow
-    word_counts: dict[int, int] = field(default_factory=dict)
 
     def __str__(self):
         lines = [f"cobar cohomology of {self.hopf_desc}",
@@ -262,7 +260,6 @@ def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
     """
     raw: dict[tuple[int, int], HomologyEntry] = {}
     violations = []
-    sizes: dict[int, dict[int, int]] = {}  # level -> word degree -> words
     for t in w.degrees():
         try:
             cx = cobar_complex(h, DegreeWindow(t, t, w.s_max, w.stage_max))
@@ -270,8 +267,6 @@ def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
             violations += err.report.violations
             continue
         raw.update(homology_ranks(cx))
-        for s, gids in cx.free.levels.items():
-            sizes.setdefault(s, {}).update(Counter(cx.free.internal[g] for g in gids))
         del cx  # drop this slice before building the next
     if violations:
         raise DifferentialSquareError(
@@ -298,8 +293,7 @@ def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
             raise OracleMismatchError(
                 "closed form predicts a class the cobar complex lacks",
                 {"kind": "cotor", "s": s, "t": t, "brute": 0, "closed": want})
-    counts = {s: sum(c.values()) for s, c in sorted(sizes.items())}
-    return CotorReport(str(h), table, closed, DifferentialReport(True, []), w, counts)
+    return CotorReport(str(h), table, closed, DifferentialReport(True, []), w)
 
 
 def _class_name(primitive_name: str) -> str:
@@ -312,11 +306,10 @@ def _class_name(primitive_name: str) -> str:
 
 @dataclass
 class CollapseVerdict:
-    """Outcome of auditing one differential pattern against a rank table."""
+    """Outcome of the collapse audit of a rank table."""
 
     ok: bool
     message: str
-    pattern: str
     candidates: tuple[tuple[int, tuple[int, int], tuple[int, int]], ...]
     pairs_checked: int
 
@@ -349,19 +342,21 @@ class E2Presentation:
     dual_note: str = ""
     notes: tuple[str, ...] = ()
 
-    def rank(self, s: int, t: int) -> int:
-        return self.table.get((s, t), 0)
-
     def __str__(self):
-        gens = ", ".join(f"{n} at (1,{d})" for n, (_, d) in self.generators)
-        lines = [f"polynomial presentation over {self.base_desc}",
-                 f"generators: {gens if gens else '(none)'}",
-                 f"nonzero bidegrees in window: "
-                 f"{sum(1 for v in self.table.values() if v)}"]
+        gens = ", ".join(f"{name} at ({s},{t})" for name, (s, t) in self.generators)
+        lines = [f"polynomial E2 presentation over {self.base_desc}",
+                 f"  polynomial generators: {gens if gens else '(none)'}"]
         if self.collapse is not None:
-            lines.append(f"collapse audit: {self.collapse.message}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
+            lines.append(f"  collapse audit (adams pattern, "
+                         f"{self.collapse.pairs_checked} pairs checked): "
+                         f"{self.collapse.message}")
+        if self.dual_operations:
+            duals = ", ".join(f"{name} in degree {d}" for name, d in self.dual_operations)
+            lines.append(f"  dual operations: {duals}")
+            lines.append(f"  {self.dual_note}")
+        lines.extend(f"  note: {note}" for note in self.notes)
+        lines.append("  nonzero bidegrees in window: "
+                     f"{sum(1 for v in self.table.values() if v)}")
         return "\n".join(lines)
 
 
@@ -390,21 +385,10 @@ def e2_closed_form(h: HopfSpec, w: DegreeWindow) -> E2Presentation:
     )
 
 
-ADAMS_PATTERN = "adams"  # d_r: (s, t) -> (s + r, t + r - 1)
-KUNNETH_PATTERN = "kunneth"  # d_r: (s, t) -> (s - r, t + r - 1)
-
-
-def _pattern_target(pattern: str, r: int, s: int, t: int) -> tuple[int, int]:
-    if pattern == ADAMS_PATTERN:
-        return (s + r, t + r - 1)
-    if pattern == KUNNETH_PATTERN:
-        return (s - r, t + r - 1)
-    raise ValueError(f"unknown differential pattern {pattern!r}")
-
-
-def collapse_audit(p: E2Presentation, pattern: str = ADAMS_PATTERN) -> CollapseVerdict:
-    """Check that every pattern differential with window-interior source and
-    target has a zero target, for all page numbers r >= 2.
+def collapse_audit(p: E2Presentation) -> CollapseVerdict:
+    """Check that every Adams differential d_r: (s, t) -> (s + r, t + r - 1)
+    with window-interior source and target has a zero target, for all page
+    numbers r >= 2.
 
     Sources are the nonzero table entries; a candidate is recorded whenever
     the target bidegree is inside the window and also nonzero.  Targets
@@ -416,25 +400,16 @@ def collapse_audit(p: E2Presentation, pattern: str = ADAMS_PATTERN) -> CollapseV
     candidates = []
     checked = 0
     for s, t in sources:
-        r = 2
-        while True:
-            ts, tt = _pattern_target(pattern, r, s, t)
-            if tt > w.t_max:
-                break
-            if ts < 0 or ts > w.s_max:
-                if pattern == ADAMS_PATTERN or ts < 0:
-                    break
-                r += 1
-                continue
+        for r in range(2, min(w.s_max - s, w.t_max - t + 1) + 1):
+            ts, tt = s + r, t + r - 1
             if tt >= w.t_min:
                 checked += 1
                 if p.table.get((ts, tt), 0):
                     candidates.append((r, (s, t), (ts, tt)))
-            r += 1
     ok = not candidates
     message = ("collapses at E_2 within window" if ok
                else f"{len(candidates)} candidate differentials within window")
-    return CollapseVerdict(ok, message, pattern, tuple(candidates), checked)
+    return CollapseVerdict(ok, message, tuple(candidates), checked)
 
 
 def parity_violations(table: dict[tuple[int, int], int]) -> list[tuple[int, int]]:

@@ -15,8 +15,6 @@ from koszul.adams import (
     example_hopf,
     kernel_sequence_model,
     kunneth_indices,
-    kunneth_presentation,
-    module_completion,
 )
 from koszul.cotor import cotor_ranks, parity_violations
 from koszul.linalg import Coefficients
@@ -39,14 +37,6 @@ def test_index_sets_match_hand_enumeration():
     assert kunneth_indices(cfg("C", 2, 5, n=2)) == (0, 1, 2, 4, 5)
     assert kunneth_indices(cfg("C", 3, 4, n=1)) == (0, 1, 3, 4)
     assert kunneth_indices(cfg("A", 2, 3)) == (0, 1, 2, 3)
-
-
-def test_kunneth_presentation_places_classes_at_one_two_j():
-    kp = kunneth_presentation(cfg("B", 3, 4, n=1))
-    assert kp.indices == (1, 3, 4)
-    assert kp.generators == (
-        ("t1", (1, 2)), ("t3", (1, 6)), ("t4", (1, 8)),
-    )
 
 
 def test_config_validation():
@@ -129,21 +119,6 @@ def test_completion_requires_two_stages():
     ring = RingSpec(Coefficients.prime_field(2), (("x1", 2),), w)
     with pytest.raises(ValueError, match="stage_max"):
         completion_tower(ring, IdealSpec((ring.generator("x1"),)))
-
-
-def test_module_completion_sums_over_shifts():
-    w = DegreeWindow(0, 10, 3, stage_max=6)
-    ring = RingSpec(Coefficients.prime_field(2), (("x1", 2),), w)
-    rep = completion_tower(ring, IdealSpec((ring.generator("x1"),)))
-    two = module_completion((0, 2), rep)
-    assert two.towers[2] == (1, 2, 2, 2, 2, 2)
-    assert two.stabilized_at[2] == 2
-    assert two.omitted_degrees == (0, 1)
-    shifted = module_completion((4,), rep)
-    assert shifted.towers[4] == rep.towers[0].values
-    assert shifted.stabilized_at[4] == rep.towers[0].stabilized_at
-    with pytest.raises(ValueError, match="shift"):
-        module_completion((), rep)
 
 
 def test_kernel_model_of_family_a_gives_the_p_adic_degree_zero():

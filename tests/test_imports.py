@@ -2,11 +2,16 @@
 
 A stdlib-only stand-in for a linter's unused-import rule: each module under
 src/koszul/ except the package's re-exporting __init__.py is parsed with
-ast, and an imported name counts as used when the module names it anywhere
-outside its import statement.
+ast, and an imported name counts as used when the module reads it somewhere:
+a Name in Load context.  A Store target of the same name (a dataclass field
+called `field`, say) does not count.  The package's __all__ names every
+public object it re-exports and no submodule.
 """
 import ast
 from pathlib import Path
+from types import ModuleType
+
+import koszul
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "koszul"
 
@@ -29,7 +34,17 @@ def test_no_unused_imports():
     unused = []
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.name}:{line} {name}"
                    for name, line in sorted(_imported(tree).items()) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_all_lists_objects_not_submodules():
+    assert koszul.__all__
+    missing = [name for name in koszul.__all__ if not hasattr(koszul, name)]
+    assert not missing, "unresolved __all__ entries: " + ", ".join(missing)
+    modules = [name for name in koszul.__all__
+               if isinstance(getattr(koszul, name), ModuleType)]
+    assert not modules, "submodules in __all__: " + ", ".join(modules)
