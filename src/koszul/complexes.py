@@ -217,7 +217,6 @@ class FreeComplex:
             window=w,
             s_levels=self.hom_degrees(),
             complete_above=self.complete_above,
-            free=self,
             description=description,
         )
         del tables, offsets, module_bases  # not needed by the audit; freed to keep its peak memory
@@ -261,8 +260,7 @@ class BigradedComplex:
 
     def __init__(self, coefficients: Coefficients, direction: str, basis: dict,
                  diff: dict, window: DegreeWindow, s_levels: list[int],
-                 complete_above: bool = True,
-                 free: FreeComplex | None = None, description: str = ""):
+                 complete_above: bool = True, description: str = ""):
         self.coefficients = coefficients
         self.direction = direction
         self.basis = basis
@@ -270,7 +268,6 @@ class BigradedComplex:
         self.window = window
         self.s_levels = s_levels
         self.complete_above = complete_above
-        self.free = free
         self.description = description
         self.differential: DifferentialReport | None = None  # set by FreeComplex.realize
 

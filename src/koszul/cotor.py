@@ -5,7 +5,11 @@ graded base has a completely computable cohomology: a polynomial algebra
 with one class per generator, sitting one cohomological filtration step up.
 This module builds the reduced cobar complex (tensor words in the
 augmentation coideal), takes its cohomology by brute force over a degree
-window, and checks the result against that closed form.  A collapse audit
+window, and checks the result against that closed form.  The brute force
+depends on the coefficients: over F2 it is a minimal free resolution over
+the dual exterior algebra, whose product is the transpose of the cobar
+differential on one letter; over F_p for odd p, Q and Z it is the cobar
+complex itself, realized one internal degree at a time.  A collapse audit
 then confirms that no differential of the Adams bidegree pattern can be
 nonzero on the resulting table, which is the checkable content of
 "the spectral sequence degenerates for parity reasons".
@@ -28,6 +32,7 @@ from .complexes import (
     UNIT_LABEL,
     homology_ranks,
 )
+from .linalg import Matrix, VectorSpan, kernel_basis
 from .rings import DegreeWindow, InputError, RingSpec, monomial_count
 
 
@@ -202,6 +207,80 @@ def cobar_complex(h: HopfSpec, w: DegreeWindow) -> BigradedComplex:
     return free.realize(w, description=f"cobar complex of {str(h)}")
 
 
+def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], HomologyEntry]:
+    """Cotor over F2 from a minimal free resolution of F2 over the dual
+    exterior algebra A (Bruner, "Calculation of large Ext modules", 1989;
+    Priddy, "Koszul resolutions", 1970).  Ext^{s,d} counts the level-s
+    generators of degree d; over the base it is weighted by
+    monomial_count(base, t - d), since cobar coefficients are constants and
+    the cobar complex over the base is the one over F2 tensored with it.
+
+    A's product is the transpose of the cobar differential on one letter, the
+    reduced coproduct: e_P e_Q = e_L where [P|Q] occurs in d[L].  Levels are
+    built through s_max + 1, one internal degree at a time: the generators
+    new at (s, t) lift a basis of the kernel of d at (s - 1, t) modulo the
+    image of the older ones.  Flattened to one generator (g, J) per
+    A-generator g and monomial e_J, with d(e_J g) = e_J d(g), the resolution
+    is realized, so d after d is audited; its homology must be F2 at (0, 0)
+    alone, and no d(g) may have a term with J empty (minimality).
+    """
+    t_max = max(w.t_max, 0)
+    d1 = cobar_free(h, DegreeWindow(0, t_max, 1))
+    monos = [((), 0)] + [(d1.labels[g].word[0], d1.internal[g]) for g in d1.levels.get(1, ())]
+    prod = {((), K): K for K, _ in monos}  # (J, K) -> e_J e_K where nonzero
+    for gid in d1.levels.get(1, ()):
+        prod.update((d1.labels[tgt].word, d1.labels[gid].word[0]) for _, tgt in d1.diff[gid])
+    ring = RingSpec(h.base.coefficients, (), DegreeWindow(0, t_max, w.s_max + 1))
+    one, fc = ring.constant(1), FreeComplex(ring, complete_above=False)
+    fc.levels = {s: [] for s in range(w.s_max + 2)}  # known even where empty
+    flat, at, ext = {}, {}, {}  # (g, J) -> id; (s, t) -> ids; (s, d) -> count
+
+    def add_generator(s, t, boundary):  # boundary: ids at (s - 1, t)
+        if any(fc.labels[f][1] == () for f in boundary):
+            raise OracleMismatchError(
+                "minimal resolution has a boundary term with a unit coefficient",
+                {"kind": "resolution-minimality", "s": s, "t": t})
+        ext[(s, t)] = ext.get((s, t), 0) + 1
+        g = fc.generator_count()  # the id its own term e_() g gets
+        for J, dj in monos:
+            if t + dj <= t_max:
+                gid = flat[(g, J)] = fc.add_generator((g, J), s, t + dj)
+                at.setdefault((s, t + dj), []).append(gid)
+                terms = [flat.get((g2, prod.get((J, K))))
+                         for g2, K in map(fc.labels.__getitem__, boundary)]
+                fc.set_diff(gid, [(one, x) for x in terms if x is not None])
+
+    def matrix(s, t):  # d from (s, t) to (s - 1, t)
+        rows = {f: i for i, f in enumerate(at.get((s - 1, t), ()))}
+        src = at.get((s, t), ())
+        return Matrix(len(rows), len(src), [{rows[x]: 1 for _, x in fc.diff[f]} for f in src])
+
+    add_generator(0, 0, [])
+    for s in range(1, w.s_max + 2):
+        for t in range(t_max + 1):
+            # d from level 0 is the augmentation, injective at t = 0 only
+            kernel = kernel_basis(matrix(s - 1, t), ring.coefficients) if s > 1 or t else []
+            image = VectorSpan(ring.coefficients)
+            for col in matrix(s, t).columns:
+                image.insert(col)
+            src = at.get((s - 1, t), ())
+            for v in kernel:
+                if image.insert(v):
+                    add_generator(s, t, [src[i] for i in v])
+    cx = fc.realize(description=f"minimal resolution over the dual of {h}")
+    for (s, t), entry in homology_ranks(cx).items():
+        if s <= w.s_max and (entry.rank != int((s, t) == (0, 0)) or not entry.certain):
+            raise OracleMismatchError(
+                "minimal resolution is not exact below its top level",
+                {"kind": "resolution", "s": s, "t": t, "rank": entry.rank})
+    table = {}
+    for (s, d), n in ext.items():
+        if s <= w.s_max:  # level s_max + 1 only proves exactness at s_max
+            for t in w.degrees():
+                table[(s, t)] = table.get((s, t), 0) + n * monomial_count(h.base, t - d)
+    return {k: HomologyEntry(v) for k, v in table.items()}
+
+
 def closed_form_ranks(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], int]:
     """Rank table of the polynomial algebra over the base with one generator
     of bidegree (1, d) per primitive of degree d.
@@ -231,8 +310,9 @@ class CotorReport:
     """Brute-force cobar cohomology next to its polynomial closed form.
 
     Both tables cover s = 0..s_max and the window's internal degrees; every
-    brute entry is certain (the complex is built one level past s_max).  A
-    disagreement never reaches the report: cotor_ranks raises instead.
+    brute entry is certain (the minimal resolution over F2, or the cobar
+    complex otherwise, is built one level past s_max).  A disagreement never
+    reaches the report: cotor_ranks raises instead.
     """
 
     hopf_desc: str
@@ -252,25 +332,30 @@ class CotorReport:
 def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
     """Cohomology of the cobar complex, checked against the closed form.
 
-    Every differential keeps t, so one internal degree at a time is built,
-    realized (so audited), reduced and dropped.  Raises
-    DifferentialSquareError once every slice is audited, with all violations
-    in (s, t) order, and OracleMismatchError on the first bidegree where
-    brute-force cohomology and the polynomial count disagree (rank or torsion).
+    Over F2 it is read off a minimal resolution (_resolution_table), which
+    raises DifferentialSquareError or OracleMismatchError if its own audits
+    fail.  Over F_p for odd p, Q and Z every cobar differential keeps t, so
+    one internal degree at a time is built, realized (so audited), reduced
+    and dropped; DifferentialSquareError comes once every slice is audited,
+    with all violations in (s, t) order.  Either way OracleMismatchError is
+    raised on the first bidegree where brute-force cohomology and the
+    polynomial count disagree (rank or torsion).
     """
-    raw: dict[tuple[int, int], HomologyEntry] = {}
-    violations = []
-    for t in w.degrees():
-        try:
-            cx = cobar_complex(h, DegreeWindow(t, t, w.s_max, w.stage_max))
-        except DifferentialSquareError as err:
-            violations += err.report.violations
-            continue
-        raw.update(homology_ranks(cx))
-        del cx  # drop this slice before building the next
-    if violations:
-        raise DifferentialSquareError(
-            DifferentialReport(False, sorted(violations, key=lambda v: (v.s, v.t))))
+    if h.base.coefficients.p == 2:
+        raw = _resolution_table(h, w)
+    else:
+        raw, violations = {}, []
+        for t in w.degrees():
+            try:
+                cx = cobar_complex(h, DegreeWindow(t, t, w.s_max, w.stage_max))
+            except DifferentialSquareError as err:
+                violations += err.report.violations
+                continue
+            raw.update(homology_ranks(cx))
+            del cx  # drop this slice before building the next
+        if violations:
+            raise DifferentialSquareError(
+                DifferentialReport(False, sorted(violations, key=lambda v: (v.s, v.t))))
     closed = closed_form_ranks(h, w)
     table: dict[tuple[int, int], HomologyEntry] = {}
     for (s, t), entry in sorted(raw.items()):
@@ -324,7 +409,7 @@ class CollapseVerdict:
 
 @dataclass
 class E2Presentation:
-    """Polynomial description of a second page: base dims, generators, table.
+    """Polynomial description of a second page: generators and table.
 
     generators are (name, (1, degree)) pairs; the table is the closed-form
     rank count over the window.  dual_operations records the dual
@@ -333,7 +418,6 @@ class E2Presentation:
     """
 
     base_desc: str
-    base_dims: dict[int, int]
     generators: tuple[tuple[str, tuple[int, int]], ...]
     table: dict[tuple[int, int], int]
     window: DegreeWindow
@@ -366,8 +450,6 @@ def e2_closed_form(h: HopfSpec, w: DegreeWindow) -> E2Presentation:
     bidegree (1, primitive degree); the dual presentation is recorded as
     documentation fields."""
     table = closed_form_ranks(h, w)
-    base_dims = {t: monomial_count(h.base, t) for t in w.degrees()}
-    base_dims = {t: v for t, v in base_dims.items() if v}
     gens = tuple((_class_name(n), (1, d)) for n, d in h.primitives)
     duals = tuple((_class_name(n).replace("U", "Q", 1), d)
                   for n, d in h.primitives)
@@ -376,7 +458,6 @@ def e2_closed_form(h: HopfSpec, w: DegreeWindow) -> E2Presentation:
             "internal degree by that class's degree")
     return E2Presentation(
         base_desc=str(h.base),
-        base_dims=base_dims,
         generators=gens,
         table=table,
         window=w,

@@ -8,6 +8,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszul.cli import main
 from koszul.complexes import (
@@ -30,7 +32,7 @@ from koszul.cotor import (
     e2_closed_form,
     parity_violations,
 )
-from koszul.linalg import Coefficients, Matrix
+from koszul.linalg import Coefficients, Matrix, kernel_basis
 from koszul.rings import DegreeWindow, RingSpec, monomial_count
 
 
@@ -203,7 +205,6 @@ def test_e2_closed_form_names_generators_and_duals():
     p = e2_closed_form(h, w)
     assert p.generators == (("U1", (1, 3)), ("U2", (1, 5)))
     assert p.dual_operations == (("Q1", 3), ("Q2", 5))
-    assert p.base_dims == {0: 1}
     assert p.table == closed_form_ranks(h, w)
     assert parity_violations(p.table) == []
 
@@ -221,7 +222,7 @@ def test_collapse_audit_passes_on_a_parity_clean_table():
 def test_collapse_audit_finds_a_fabricated_differential():
     w = DegreeWindow(0, 15, 3)
     fake = E2Presentation(
-        "F_2", {0: 1}, (), {(1, 2): 1, (3, 3): 1}, w
+        "F_2", (), {(1, 2): 1, (3, 3): 1}, w
     )
     verdict = collapse_audit(fake)
     assert not verdict.ok
@@ -259,6 +260,71 @@ def test_slices_match_the_whole_window(coefficients, generators, degrees, w):
     assert str(report.differential) == text
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from((1, 3, 5, 7, 9)), min_size=1, max_size=4, unique=True),
+       st.one_of(st.just(()), st.sampled_from((2, 4, 6, 8)).map(lambda d: (("x1", d),))),
+       st.integers(-2, 4), st.data())
+def test_f2_resolution_matches_the_whole_window_cobar(degrees, generators, t_min, data):
+    # random coalgebras, bases and windows: the minimal resolution that
+    # cotor_ranks builds over F2 against the cobar complex itself
+    w = DegreeWindow(t_min, data.draw(st.integers(t_min, 14)), data.draw(st.integers(0, 4)))
+    h = HopfSpec(RingSpec(F2, generators, w),
+                 tuple((f"t{i}", d) for i, d in enumerate(degrees, 1)))
+    assert cotor_ranks(h, w).table == _whole_window(h, w)[0]
+
+
+def test_only_f2_takes_the_resolution(monkeypatch):
+    # over F2 the cobar complex is read once, for its differential on one
+    # letter; over F3 it is realized one internal degree at a time
+    real, windows = koszul.cotor.cobar_free, []
+    monkeypatch.setattr(koszul.cotor, "cobar_free", lambda h, w: windows.append(w) or real(h, w))
+    w = DegreeWindow(0, 12, 4)
+    for coefficients in (F2, F3):
+        cotor_ranks(HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3))), w)
+    assert windows == [DegreeWindow(0, 12, 1)] + [
+        DegreeWindow(t, t, 4, w.stage_max) for t in w.degrees()]
+
+
+def _drop_splittings(monkeypatch, drop):
+    """Every coalgebra built from here on loses the splittings (P, Q) that
+    drop picks, in the cobar complex and so in the product read off it."""
+    real = HopfSpec._cobar_letters.func
+
+    def letters(h):
+        lets, ldeg, splits = real(h)
+        return lets, ldeg, {L: [x for x in sp if not drop(x[0])] for L, sp in splits.items()}
+    monkeypatch.setattr(HopfSpec, "_cobar_letters", property(letters))
+
+
+@pytest.mark.parametrize("drop, error", [
+    # e1 e2 = 0 while e2 e1 = e12: the product is not associative
+    (lambda pq: pq == ((1,), (2,)), DifferentialSquareError),
+    # e2 multiplies everything to zero: an exact resolution of another algebra
+    (lambda pq: (2,) in pq, OracleMismatchError),
+])
+def test_a_broken_coproduct_reaches_the_f2_resolution(monkeypatch, drop, error):
+    w = DegreeWindow(0, 12, 4)
+    h = HopfSpec(RingSpec(F2, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
+    _drop_splittings(monkeypatch, drop)
+    with pytest.raises(error):
+        cotor_ranks(h, w)
+
+
+@pytest.mark.parametrize("kernel, kind", [
+    # a lost cycle is homology the resolution should not have
+    (lambda m, c: kernel_basis(m, c)[:-1], "resolution"),
+    # every vector a "cycle": a new generator's boundary has a unit term
+    (lambda m, c: [{j: 1} for j in range(m.cols)], "resolution-minimality"),
+])
+def test_a_broken_resolution_is_caught(monkeypatch, kernel, kind):
+    monkeypatch.setattr(koszul.cotor, "kernel_basis", kernel)
+    w = DegreeWindow(0, 12, 4)
+    h = HopfSpec(RingSpec(F2, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
+    with pytest.raises(OracleMismatchError) as err:
+        cotor_ranks(h, w)
+    assert err.value.witness["kind"] == kind
+
+
 def _words_reaching(fc, t):
     """Per level, in id order, each word reaching degree t through a base
     monomial, with its differential as (coefficient terms, target word)."""
@@ -290,7 +356,7 @@ def test_a_slice_knows_its_empty_levels():
     w = DegreeWindow(0, 9, 1)
     h = HopfSpec(unit_base(2, 9, s_max=1), (("t1", 1), ("t2", 7)))
     cx = cobar_complex(h, DegreeWindow(7, 7, 1))
-    assert not cx.complete_above and cx.free.levels[2] == []
+    assert not cx.complete_above and cobar_free(h, DegreeWindow(7, 7, 1)).levels[2] == []
     assert homology_ranks(cx)[(1, 7)].certain
     assert cotor_ranks(h, w).table[(1, 7)].rank == 1
 
