@@ -130,8 +130,7 @@ class FreeComplex:
     def generator_count(self) -> int:
         return len(self.labels)
 
-    def realize(self, window: DegreeWindow | None = None, module=None,
-                description: str = "") -> "BigradedComplex":
+    def realize(self, window: DegreeWindow | None = None, module=None) -> "BigradedComplex":
         """Flatten to based matrices per bidegree over the window.
 
         module defaults to the free module on the ring's monomials; pass a
@@ -217,7 +216,6 @@ class FreeComplex:
             window=w,
             s_levels=self.hom_degrees(),
             complete_above=self.complete_above,
-            description=description,
         )
         del tables, offsets, module_bases  # not needed by the audit; freed to keep its peak memory
         cx.differential = verify_differential(cx)
@@ -260,7 +258,7 @@ class BigradedComplex:
 
     def __init__(self, coefficients: Coefficients, direction: str, basis: dict,
                  diff: dict, window: DegreeWindow, s_levels: list[int],
-                 complete_above: bool = True, description: str = ""):
+                 complete_above: bool = True):
         self.coefficients = coefficients
         self.direction = direction
         self.basis = basis
@@ -268,7 +266,6 @@ class BigradedComplex:
         self.window = window
         self.s_levels = s_levels
         self.complete_above = complete_above
-        self.description = description
         self.differential: DifferentialReport | None = None  # set by FreeComplex.realize
 
     @property

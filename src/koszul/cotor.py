@@ -5,12 +5,12 @@ graded base has a completely computable cohomology: a polynomial algebra
 with one class per generator, sitting one cohomological filtration step up.
 This module builds the reduced cobar complex (tensor words in the
 augmentation coideal), takes its cohomology by brute force over a degree
-window, and checks the result against that closed form.  The brute force
-depends on the coefficients: over F2 it is a minimal free resolution over
-the dual exterior algebra, whose product is the transpose of the cobar
-differential on one letter; over F_p for odd p, Q and Z it is the cobar
-complex itself, realized one internal degree at a time.  A collapse audit
-then confirms that no differential of the Adams bidegree pattern can be
+window, and checks the result against that closed form.  Over a field the
+brute force is a minimal free resolution over the dual exterior algebra,
+whose product is the transpose of the cobar differential on one letter;
+over Z it is the cobar complex itself, realized one internal degree at a
+time, so that Smith normal form sees any torsion.  A collapse audit then
+confirms that no differential of the Adams bidegree pattern can be
 nonzero on the resulting table, which is the checkable content of
 "the spectral sequence degenerates for parity reasons".
 """
@@ -203,40 +203,42 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
 
 def cobar_complex(h: HopfSpec, w: DegreeWindow) -> BigradedComplex:
     """Realize the reduced cobar complex over the window (cohomological)."""
-    free = cobar_free(h, w)
-    return free.realize(w, description=f"cobar complex of {str(h)}")
+    return cobar_free(h, w).realize(w)
 
 
 def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], HomologyEntry]:
-    """Cotor over F2 from a minimal free resolution of F2 over the dual
+    """Cotor over a field k from a minimal free resolution of k over the dual
     exterior algebra A (Bruner, "Calculation of large Ext modules", 1989;
     Priddy, "Koszul resolutions", 1970).  Ext^{s,d} counts the level-s
     generators of degree d; over the base it is weighted by
     monomial_count(base, t - d), since cobar coefficients are constants and
-    the cobar complex over the base is the one over F2 tensored with it.
+    the cobar complex over the base is the one over k tensored with it.
 
     A's product is the transpose of the cobar differential on one letter, the
-    reduced coproduct: e_P e_Q = e_L where [P|Q] occurs in d[L].  Levels are
-    built through s_max + 1, one internal degree at a time: the generators
-    new at (s, t) lift a basis of the kernel of d at (s - 1, t) modulo the
-    image of the older ones.  Flattened to one generator (g, J) per
-    A-generator g and monomial e_J, with d(e_J g) = e_J d(g), the resolution
-    is realized, so d after d is audited; its homology must be F2 at (0, 0)
-    alone, and no d(g) may have a term with J empty (minimality).
+    reduced coproduct: e_P e_Q = c (-1)^(1 + |P|) e_L where [P|Q] occurs in
+    d[L] with coefficient c, which makes the sign that of sorting P + Q.
+    Levels are built through s_max + 1, one internal degree at a time: the
+    generators new at (s, t) lift a basis of the kernel of d at (s - 1, t)
+    modulo the image of the older ones, scalars included.  Flattened to one
+    generator (g, J) per A-generator g and monomial e_J, with
+    d(e_J g) = e_J d(g), the resolution is realized, so d after d is audited;
+    its homology must be k at (0, 0) alone, and no d(g) may have a term with
+    J empty (minimality).
     """
-    t_max = max(w.t_max, 0)
+    t_max, k = max(w.t_max, 0), h.base.coefficients
     d1 = cobar_free(h, DegreeWindow(0, t_max, 1))
     monos = [((), 0)] + [(d1.labels[g].word[0], d1.internal[g]) for g in d1.levels.get(1, ())]
-    prod = {((), K): K for K, _ in monos}  # (J, K) -> e_J e_K where nonzero
+    prod = {((), K): (k.one, K) for K, _ in monos}  # (J, K) -> (sign, L): e_J e_K = sign e_L
     for gid in d1.levels.get(1, ()):
-        prod.update((d1.labels[tgt].word, d1.labels[gid].word[0]) for _, tgt in d1.diff[gid])
-    ring = RingSpec(h.base.coefficients, (), DegreeWindow(0, t_max, w.s_max + 1))
-    one, fc = ring.constant(1), FreeComplex(ring, complete_above=False)
+        for c, tgt in d1.diff[gid]:  # |P| is len(P) mod 2: every primitive is odd
+            (P, Q), (sign,) = d1.labels[tgt].word, c.terms.values()
+            prod[(P, Q)] = (sign if len(P) % 2 else k.neg(sign), d1.labels[gid].word[0])
+    fc = FreeComplex(RingSpec(k, (), DegreeWindow(0, t_max, w.s_max + 1)), complete_above=False)
     fc.levels = {s: [] for s in range(w.s_max + 2)}  # known even where empty
-    flat, at, ext = {}, {}, {}  # (g, J) -> id; (s, t) -> ids; (s, d) -> count
+    flat, at, ext, consts = {}, {}, {}, {}  # (g, J) -> id; (s, t) -> ids; (s, d) -> count
 
-    def add_generator(s, t, boundary):  # boundary: ids at (s - 1, t)
-        if any(fc.labels[f][1] == () for f in boundary):
+    def add_generator(s, t, boundary):  # boundary: (scalar, label at (s - 1, t)) pairs
+        if any(K == () for _, (_, K) in boundary):
             raise OracleMismatchError(
                 "minimal resolution has a boundary term with a unit coefficient",
                 {"kind": "resolution-minimality", "s": s, "t": t})
@@ -246,28 +248,33 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
             if t + dj <= t_max:
                 gid = flat[(g, J)] = fc.add_generator((g, J), s, t + dj)
                 at.setdefault((s, t + dj), []).append(gid)
-                terms = [flat.get((g2, prod.get((J, K))))
-                         for g2, K in map(fc.labels.__getitem__, boundary)]
-                fc.set_diff(gid, [(one, x) for x in terms if x is not None])
+                terms = []
+                for a, (g2, K) in boundary:
+                    sign, L = prod.get((J, K), (0, None))
+                    if (x := flat.get((g2, L))) is not None:
+                        v = k.normalize(a * sign)  # one Element per scalar: realize keys tables by id
+                        terms.append((consts.get(v) or consts.setdefault(v, fc.ring.constant(v)), x))
+                fc.set_diff(gid, terms)
 
     def matrix(s, t):  # d from (s, t) to (s - 1, t)
         rows = {f: i for i, f in enumerate(at.get((s - 1, t), ()))}
         src = at.get((s, t), ())
-        return Matrix(len(rows), len(src), [{rows[x]: 1 for _, x in fc.diff[f]} for f in src])
+        return Matrix(len(rows), len(src),
+                      [{rows[x]: c.terms[()] for c, x in fc.diff[f]} for f in src])
 
     add_generator(0, 0, [])
     for s in range(1, w.s_max + 2):
         for t in range(t_max + 1):
             # d from level 0 is the augmentation, injective at t = 0 only
-            kernel = kernel_basis(matrix(s - 1, t), ring.coefficients) if s > 1 or t else []
-            image = VectorSpan(ring.coefficients)
+            kernel = kernel_basis(matrix(s - 1, t), k) if s > 1 or t else []
+            image = VectorSpan(k)
             for col in matrix(s, t).columns:
                 image.insert(col)
             src = at.get((s - 1, t), ())
             for v in kernel:
                 if image.insert(v):
-                    add_generator(s, t, [src[i] for i in v])
-    cx = fc.realize(description=f"minimal resolution over the dual of {h}")
+                    add_generator(s, t, [(a, fc.labels[src[i]]) for i, a in v.items()])
+    cx = fc.realize()
     for (s, t), entry in homology_ranks(cx).items():
         if s <= w.s_max and (entry.rank != int((s, t) == (0, 0)) or not entry.certain):
             raise OracleMismatchError(
@@ -278,7 +285,7 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
         if s <= w.s_max:  # level s_max + 1 only proves exactness at s_max
             for t in w.degrees():
                 table[(s, t)] = table.get((s, t), 0) + n * monomial_count(h.base, t - d)
-    return {k: HomologyEntry(v) for k, v in table.items()}
+    return {key: HomologyEntry(n) for key, n in table.items()}
 
 
 def closed_form_ranks(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], int]:
@@ -310,9 +317,9 @@ class CotorReport:
     """Brute-force cobar cohomology next to its polynomial closed form.
 
     Both tables cover s = 0..s_max and the window's internal degrees; every
-    brute entry is certain (the minimal resolution over F2, or the cobar
-    complex otherwise, is built one level past s_max).  A disagreement never
-    reaches the report: cotor_ranks raises instead.
+    brute entry is certain (the minimal resolution over a field, or the
+    cobar complex over Z, is built one level past s_max).  A disagreement
+    never reaches the report: cotor_ranks raises instead.
     """
 
     hopf_desc: str
@@ -332,16 +339,16 @@ class CotorReport:
 def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
     """Cohomology of the cobar complex, checked against the closed form.
 
-    Over F2 it is read off a minimal resolution (_resolution_table), which
-    raises DifferentialSquareError or OracleMismatchError if its own audits
-    fail.  Over F_p for odd p, Q and Z every cobar differential keeps t, so
-    one internal degree at a time is built, realized (so audited), reduced
-    and dropped; DifferentialSquareError comes once every slice is audited,
-    with all violations in (s, t) order.  Either way OracleMismatchError is
-    raised on the first bidegree where brute-force cohomology and the
-    polynomial count disagree (rank or torsion).
+    Over a field it is read off a minimal resolution (_resolution_table),
+    which raises DifferentialSquareError or OracleMismatchError if its own
+    audits fail.  Over Z every cobar differential keeps t, so one internal
+    degree at a time is built, realized (so audited), reduced by Smith
+    normal form and dropped; DifferentialSquareError comes once every slice
+    is audited, with all violations in (s, t) order.  Either way
+    OracleMismatchError is raised on the first bidegree where brute-force
+    cohomology and the polynomial count disagree (rank or torsion).
     """
-    if h.base.coefficients.p == 2:
+    if h.base.coefficients.is_field:
         raw = _resolution_table(h, w)
     else:
         raw, violations = {}, []

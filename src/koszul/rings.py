@@ -390,7 +390,7 @@ class QuotientModule:
     span; the non-pivot monomials are the chosen basis of the quotient.
     """
 
-    def __init__(self, ring: RingSpec, relations: list[Element], name: str = ""):
+    def __init__(self, ring: RingSpec, relations: list[Element]):
         if not ring.coefficients.is_field:
             raise ValueError(
                 "quotient normal forms need field coefficients; "
@@ -398,7 +398,6 @@ class QuotientModule:
             )
         self.ring = ring
         self.relations = tuple(relations)
-        self.name = name
         for g in self.relations:
             g.degree()  # raises if inhomogeneous
         self._cache: dict[int, tuple] = {}
@@ -440,8 +439,7 @@ def quotient_by_power(ring: RingSpec, ideal: IdealSpec, s: int) -> QuotientModul
     """R/I^s, one per (ring, s) on the ideal: every degree and caller shares
     its echelons."""
     return ideal._shared((ring, s), lambda: QuotientModule(
-        ring, [g for _, g in power_generators(ideal, s)] if s > 0 else [ring.one()],
-        name=f"R/I^{s}"))
+        ring, [g for _, g in power_generators(ideal, s)] if s > 0 else [ring.one()]))
 
 
 def _relation_multiples(ring: RingSpec, relations, t: int):

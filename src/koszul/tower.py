@@ -172,9 +172,7 @@ def build_koszul(ring: RingSpec, ideal: IdealSpec, window: DegreeWindow | None =
     report = check_regular_sequence(ring, ideal, window)
     if not report.ok:
         raise RegularityError(report)
-    name = getattr(module, "name", "") or "R"
-    return tower_free(ring, ideal, 1, window).realize(
-        window, module=module, description=f"Koszul complex (x) {name}")
+    return tower_free(ring, ideal, 1, window).realize(window, module=module)
 
 
 @dataclass
@@ -183,10 +181,8 @@ class TowerReport:
 
     s: int
     ring_desc: str
-    complex: BigradedComplex
     differential: DifferentialReport
     h0_found: dict
-    h0_expected: dict
     h0_mismatches: list
     higher_nonzero: list
     augmentation_composite_zero: bool | None
@@ -242,11 +238,10 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
     cut_note = (
         f"window cut dropped sequence entries {cut} (degree above t_max - t_min)"
         if cut else "")
-    cx = tower_free(ring, ideal, s, w).realize(
-        w, description=f"stage-{s} resolution of R/I^{s}")
+    cx = tower_free(ring, ideal, s, w).realize(w)
     hom = homology_ranks(cx)
     is_field = ring.coefficients.is_field
-    h0_found, h0_expected, mismatches = {}, {}, []
+    h0_found, mismatches = {}, []
     for t in w.degrees():
         entry = hom.get((0, t))
         rank = entry.rank if entry else 0
@@ -261,15 +256,14 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
                  "found": found, "predicted": predicted})
         if is_field:
             h0_found[t] = rank
-            h0_expected[t] = info.dim_quotient
             if rank != info.dim_quotient:
                 mismatches.append((t, rank, info.dim_quotient))
         else:
             h0_found[t] = (rank, tuple(sorted(torsion)))
             free, tors = info.invariants
-            h0_expected[t] = (free, tuple(sorted(tors)))
-            if h0_found[t] != h0_expected[t]:
-                mismatches.append((t, h0_found[t], h0_expected[t]))
+            want = (free, tuple(sorted(tors)))
+            if h0_found[t] != want:
+                mismatches.append((t, h0_found[t], want))
     higher = [
         (s_deg, t, entry)
         for (s_deg, t), entry in sorted(hom.items())
@@ -281,10 +275,8 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
     return TowerReport(
         s=s,
         ring_desc=str(ring),
-        complex=cx,
         differential=cx.differential,
         h0_found=h0_found,
-        h0_expected=h0_expected,
         h0_mismatches=mismatches,
         higher_nonzero=higher,
         augmentation_composite_zero=aug_zero,
@@ -456,8 +448,7 @@ def _level_blocks(ring: RingSpec, ideal: IdealSpec, s: int, w: DegreeWindow):
     """(R/I, bases, maps) of tower_free(s) over R/I: bases[k][(r, t)] lists level
     k's entries at (r, t), maps[k][(r, t)] their boundary to level k + 1 at (r - 1, t)."""
     quotient = quotient_by_power(ring, ideal, 1)
-    cx = tower_free(ring, ideal, s, w).realize(
-        w, module=quotient, description=f"stage-{s} complex (x) R/I")
+    cx = tower_free(ring, ideal, s, w).realize(w, module=quotient)
     bases, maps = [{} for _ in range(s)], [{} for _ in range(s)]
     for (r, t) in cx.basis:
         for k in range(s):
@@ -699,7 +690,7 @@ def _trivial_products_check(ring, ideal, s, w, brute):
     every product of positive-homological-degree classes bounds."""
     free_tensor = tensor_free(
         tower_free(ring, ideal, 1, w), tower_free(ring, ideal, s, w))
-    cx = free_tensor.realize(w, description=f"Koszul (x) stage-{s} algebra")
+    cx = free_tensor.realize(w)
     hom = homology_ranks(cx)
     for key, entry in sorted(hom.items()):
         if entry.rank != brute.get(key, 0):

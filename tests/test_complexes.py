@@ -160,7 +160,7 @@ def test_quotient_module_realization():
     # d(e1) = x realized over R/(x^2): one class survives at (1, 4)
     ring = one_variable_ring()
     x = ring.generator("x")
-    quotient = QuotientModule(ring, [x * x], name="R/(x^2)")
+    quotient = QuotientModule(ring, [x * x])
     c = exterior_on(ring, [0]).realize(module=quotient)
     assert verify_differential(c).ok
     h = nonzero_table(homology_ranks(c))

@@ -229,12 +229,13 @@ def test_collapse_audit_finds_a_fabricated_differential():
     assert verdict.candidates == ((2, (1, 2), (3, 3)),)
 
 
-F2, F3, Z = Coefficients.prime_field(2), Coefficients.prime_field(3), Coefficients.integers()
+F2, F3, F5 = (Coefficients.prime_field(p) for p in (2, 3, 5))
+Q, Z = Coefficients.rationals(), Coefficients.integers()
 
 
 def _whole_window(h, w):
     """Table and differential text of one complex over the whole window: the
-    reference that cotor_ranks, slice by slice, must match."""
+    reference that cotor_ranks, by resolution or slice by slice, must match."""
     cx = cobar_complex(h, w)
     table = {k: v for k, v in homology_ranks(cx).items() if k[0] <= w.s_max and v.rank}
     return table, str(cx.differential)
@@ -263,25 +264,26 @@ def test_slices_match_the_whole_window(coefficients, generators, degrees, w):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from((1, 3, 5, 7, 9)), min_size=1, max_size=4, unique=True),
        st.one_of(st.just(()), st.sampled_from((2, 4, 6, 8)).map(lambda d: (("x1", d),))),
-       st.integers(-2, 4), st.data())
-def test_f2_resolution_matches_the_whole_window_cobar(degrees, generators, t_min, data):
-    # random coalgebras, bases and windows: the minimal resolution that
-    # cotor_ranks builds over F2 against the cobar complex itself
+       st.integers(-2, 4), st.sampled_from((F2, F3, F5, Q)), st.data())
+def test_field_resolution_matches_the_whole_window_cobar(degrees, generators, t_min,
+                                                         coefficients, data):
+    # random coalgebras, bases, fields and windows: the minimal resolution
+    # that cotor_ranks builds over a field against the cobar complex itself
     w = DegreeWindow(t_min, data.draw(st.integers(t_min, 14)), data.draw(st.integers(0, 4)))
-    h = HopfSpec(RingSpec(F2, generators, w),
+    h = HopfSpec(RingSpec(coefficients, generators, w),
                  tuple((f"t{i}", d) for i, d in enumerate(degrees, 1)))
     assert cotor_ranks(h, w).table == _whole_window(h, w)[0]
 
 
-def test_only_f2_takes_the_resolution(monkeypatch):
-    # over F2 the cobar complex is read once, for its differential on one
-    # letter; over F3 it is realized one internal degree at a time
+def test_only_z_takes_the_slices(monkeypatch):
+    # over a field the cobar complex is read once, for its differential on
+    # one letter; over Z it is realized one internal degree at a time
     real, windows = koszul.cotor.cobar_free, []
     monkeypatch.setattr(koszul.cotor, "cobar_free", lambda h, w: windows.append(w) or real(h, w))
     w = DegreeWindow(0, 12, 4)
-    for coefficients in (F2, F3):
+    for coefficients in (F2, F3, Q, Z):
         cotor_ranks(HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3))), w)
-    assert windows == [DegreeWindow(0, 12, 1)] + [
+    assert windows == 3 * [DegreeWindow(0, 12, 1)] + [
         DegreeWindow(t, t, 4, w.stage_max) for t in w.degrees()]
 
 
@@ -371,15 +373,15 @@ def _traced_peak(fn) -> int:
 
 
 def test_slices_bound_peak_memory():
-    w = DegreeWindow(0, 18, 5)
-    h = HopfSpec(unit_base(2, 18, s_max=5),
+    w = DegreeWindow(0, 14, 4)
+    h = HopfSpec(RingSpec(Z, (), w),
                  tuple((f"t{i}", d) for i, d in enumerate((1, 3, 5, 7), 1)))
     whole = _traced_peak(lambda: homology_ranks(cobar_complex(h, w)))
     sliced = _traced_peak(lambda: cotor_ranks(h, w))
     assert sliced <= 0.6 * whole
 
 
-# d(d) of the cobar complex over F3[] on primitives 1, 3, 5 at t <= 12,
+# d(d) of the cobar complex over Z[] on primitives 1, 3, 5 at t <= 12,
 # s_max = 4, once the sign of splitting t(1,2) into t(1)|t(2) is flipped:
 # (3, 11) comes after (2, 12), in (s, t) order, not in slice order
 FLIPPED_SIGN_VIOLATIONS = [
@@ -400,7 +402,7 @@ def _flip_one_sign(monkeypatch):
 def test_square_failure_audits_every_slice(monkeypatch):
     _flip_one_sign(monkeypatch)
     w = DegreeWindow(0, 12, 4)
-    h = HopfSpec(RingSpec(F3, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
+    h = HopfSpec(RingSpec(Z, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
     with pytest.raises(DifferentialSquareError) as err:
         cotor_ranks(h, w)
     violations = err.value.report.violations
@@ -410,8 +412,8 @@ def test_square_failure_audits_every_slice(monkeypatch):
 
 def test_square_failure_exits_one_with_every_violation(monkeypatch, tmp_path):
     _flip_one_sign(monkeypatch)
-    spec = tmp_path / "f3.spec"
-    spec.write_text("[ring]\ncoefficients = F3\ngenerators =\n\n"
+    spec = tmp_path / "z.spec"
+    spec.write_text("[ring]\ncoefficients = Z\ngenerators =\n\n"
                     "[window]\nt_min = 0\nt_max = 12\ns_max = 4\nstage_max = 4\n")
     out = tmp_path / "run"
     assert main(["cotor", "primitives=1,3,5", "--spec", str(spec), "--out", str(out)]) == 1
@@ -419,6 +421,17 @@ def test_square_failure_exits_one_with_every_violation(monkeypatch, tmp_path):
     assert witness["kind"] == "differential-square"
     assert [(v["s"], v["t"], v["detail"]) for v in witness["violations"]] == \
         FLIPPED_SIGN_VIOLATIONS
+
+
+@pytest.mark.parametrize("coefficients", [F3, Q], ids=str)
+def test_a_flipped_sign_reaches_the_field_resolution(monkeypatch, coefficients):
+    # the product read off the flipped cobar d^1 is not associative; a
+    # resolution that dropped the product's signs would not notice
+    _flip_one_sign(monkeypatch)
+    w = DegreeWindow(0, 12, 4)
+    h = HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
+    with pytest.raises(DifferentialSquareError):
+        cotor_ranks(h, w)
 
 
 def _sorting_sign(seq):

@@ -41,6 +41,9 @@ COMMANDS = (
     # its own window, with t_min > 0: cotor_ranks builds only the words
     # that reach each internal degree of it
     ("cotor", "primitives=1,3,5", "--window", "4,14,4,4"),
+    # the benchmark's cotor size, over the coefficients of every spec: the
+    # minimal resolution over F2, F3 and Q, the cobar slices over Z
+    ("cotor", "primitives=1,3,5,7", "--window", "0,18,5,4"),
 )
 
 # specs whose own window is too large for a quick run of every command
