@@ -22,8 +22,6 @@ entries over a non-localized ring).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import OracleMismatchError
 from .cotor import E2Presentation, HopfSpec, collapse_audit, e2_closed_form
 from .linalg import Coefficients, IntegerLattice, is_prime
@@ -32,6 +30,7 @@ from .rings import (
     IdealSpec,
     InputError,
     RingSpec,
+    Value,
     monomial_count,
     power_generators,
     quotient_by_power,
@@ -41,30 +40,27 @@ from .rings import (
 EXAMPLE_NAMES = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class ExampleConfig:
+class ExampleConfig(Value):
     """One of the named example families, pinned to a prime, a height, and a
     truncation index for the generator list."""
 
-    which: str
-    p: int
-    j_max: int
-    window: DegreeWindow
-    n: int = 0
-
-    def __post_init__(self):
-        if self.which not in EXAMPLE_NAMES:
-            raise InputError(f"unknown example {self.which!r}; expected one of {EXAMPLE_NAMES}")
-        if not is_prime(self.p):
-            raise InputError(f"p = {self.p} is not prime")
-        if self.which == "A":
-            if self.j_max < 0:
+    def __init__(self, which: str, p: int, j_max: int, window: DegreeWindow, n: int = 0):
+        if which not in EXAMPLE_NAMES:
+            raise InputError(f"unknown example {which!r}; expected one of {EXAMPLE_NAMES}")
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not prime")
+        if which == "A":
+            if j_max < 0:
                 raise InputError("j_max must be nonnegative")
         else:
-            if self.n < 1:
-                raise InputError(f"example {self.which} needs a height n >= 1")
-            if self.j_max < self.n:
-                raise InputError(f"j_max = {self.j_max} is below the height n = {self.n}")
+            if n < 1:
+                raise InputError(f"example {which} needs a height n >= 1")
+            if j_max < n:
+                raise InputError(f"j_max = {j_max} is below the height n = {n}")
+        self.which, self.p, self.j_max, self.window, self.n = which, p, j_max, window, n
+
+    def _key(self):
+        return self.which, self.p, self.j_max, self.window, self.n
 
     def __str__(self):
         bits = [f"example {self.which}, p={self.p}"]
@@ -166,7 +162,6 @@ def kernel_sequence_model(c: ExampleConfig) -> tuple[RingSpec, IdealSpec, tuple[
     return ring, IdealSpec(seq), notes
 
 
-@dataclass
 class DegreeTower:
     """One internal degree of a completion tower: the value at each stage
     1..stage_max, and where (if anywhere) the sequence provably stops moving.
@@ -178,24 +173,21 @@ class DegreeTower:
     final.
     """
 
-    t: int
-    values: tuple
-    stabilized_at: int | None
-    limit: object | None
-    certified: bool
-    note: str = ""
+    def __init__(self, t: int, values: tuple, stabilized_at: int | None, limit,
+                 certified: bool, note: str = ""):
+        self.t, self.values, self.stabilized_at = t, values, stabilized_at
+        self.limit, self.certified, self.note = limit, certified, note
 
 
-@dataclass
 class CompletionReport:
     """Degreewise record of the tower R/I <- R/I^2 <- ... over a window."""
 
-    ring_desc: str
-    stage_max: int
-    towers: dict[int, DegreeTower]
-    surjective: bool
-    surjectivity_failures: tuple[tuple[int, int], ...] = ()
-    notes: tuple[str, ...] = ()
+    def __init__(self, ring_desc: str, stage_max: int, towers: dict[int, DegreeTower],
+                 surjective: bool, surjectivity_failures: tuple[tuple[int, int], ...] = (),
+                 notes: tuple[str, ...] = ()):
+        self.ring_desc, self.stage_max, self.towers = ring_desc, stage_max, towers
+        self.surjective, self.surjectivity_failures, self.notes = (
+            surjective, surjectivity_failures, notes)
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,6 @@ bidegree and the data involved.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,11 +25,12 @@ from .adams import (
     kernel_sequence_model,
 )
 from .charts import AXIS_CHOICES, read_csv, write_csv, write_svg
-from .complexes import DifferentialSquareError, OracleMismatchError
+from .complexes import DifferentialSquareError, DifferentialViolation, OracleMismatchError
 from .cotor import HopfSpec, cotor_ranks, parity_violations
-from .rings import DegreeWindow, InputError, check_regular_sequence
+from .rings import DegreeWindow, InputError, RegularityFailure, check_regular_sequence
 from .specfile import SpecError, SpecFile, parse_spec, spec_with_window
 from .tower import (
+    ExactnessFailure,
     RegularityError,
     build_tower_resolution,
     tor_diagonal,
@@ -160,9 +160,13 @@ def _need_window(spec: SpecFile) -> DegreeWindow:
     return spec.window
 
 
+# the records a witness lists, written as {field: value}
+_WITNESS_RECORDS = (DifferentialViolation, ExactnessFailure, RegularityFailure)
+
+
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, _WITNESS_RECORDS):
+        obj = vars(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

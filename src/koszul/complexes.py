@@ -12,8 +12,6 @@ direction, and homology_ranks marks it instead of guessing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import (
     Coefficients,
     Matrix,
@@ -23,7 +21,7 @@ from .linalg import (
     rational_rank,
     smith_normal_form,
 )
-from .rings import DegreeWindow, Element, FreeModuleBasis, RingSpec, multiples
+from .rings import DegreeWindow, Element, FreeModuleBasis, RingSpec, Value, multiples
 
 HOMOLOGICAL = "homological"  # differential lowers s
 COHOMOLOGICAL = "cohomological"  # differential raises s
@@ -52,8 +50,7 @@ class DifferentialSquareError(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(Value):
     """A module generator: exterior part, power multi-index part, cobar word.
 
     e_part is strictly increasing, u_part weakly increasing (both 1-based
@@ -61,15 +58,17 @@ class BasisLabel:
     increasing tuple of primitive indices.
     """
 
-    e_part: tuple[int, ...] = ()
-    u_part: tuple[int, ...] = ()
-    word: tuple[tuple[int, ...], ...] = ()
+    def __init__(self, e_part: tuple[int, ...] = (), u_part: tuple[int, ...] = (),
+                 word: tuple[tuple[int, ...], ...] = ()):
+        # cobar words carry empty parts: nothing to scan
+        if e_part and any(a >= b for a, b in zip(e_part, e_part[1:])):
+            raise ValueError(f"exterior part {e_part} must be strictly increasing")
+        if u_part and any(a > b for a, b in zip(u_part, u_part[1:])):
+            raise ValueError(f"power multi-index {u_part} must be weakly increasing")
+        self.e_part, self.u_part, self.word = e_part, u_part, word
 
-    def __post_init__(self):  # cobar words carry empty parts: nothing to scan
-        if self.e_part and any(a >= b for a, b in zip(self.e_part, self.e_part[1:])):
-            raise ValueError(f"exterior part {self.e_part} must be strictly increasing")
-        if self.u_part and any(a > b for a, b in zip(self.u_part, self.u_part[1:])):
-            raise ValueError(f"power multi-index {self.u_part} must be weakly increasing")
+    def _key(self):
+        return self.e_part, self.u_part, self.word
 
     def __str__(self):
         bits = []
@@ -224,18 +223,15 @@ class FreeComplex:
         return cx
 
 
-@dataclass
 class DifferentialViolation:
-    s: int
-    t: int
-    kind: str  # "square" | "shape"
-    detail: str
+    def __init__(self, s: int, t: int, kind: str, detail: str):
+        self.s, self.t, self.detail = s, t, detail
+        self.kind = kind  # "square" | "shape"
 
 
-@dataclass
 class DifferentialReport:
-    ok: bool
-    violations: list[DifferentialViolation]
+    def __init__(self, ok: bool, violations: list[DifferentialViolation]):
+        self.ok, self.violations = ok, violations
 
     def __str__(self):
         if self.ok:
@@ -246,11 +242,12 @@ class DifferentialReport:
         return "\n".join(lines)
 
 
-@dataclass
-class HomologyEntry:
-    rank: int
-    torsion: tuple[int, ...] = ()
-    certain: bool = True
+class HomologyEntry(Value):
+    def __init__(self, rank: int, torsion: tuple[int, ...] = (), certain: bool = True):
+        self.rank, self.torsion, self.certain = rank, torsion, certain
+
+    def _key(self):
+        return self.rank, self.torsion, self.certain
 
 
 class BigradedComplex:
@@ -389,10 +386,12 @@ def nonzero_table(entries: dict[tuple[int, int], HomologyEntry]) -> dict[tuple[i
     return {k: v for k, v in entries.items() if v.rank or v.torsion}
 
 
-@dataclass(frozen=True)
-class TensorLabel:
-    left: object
-    right: object
+class TensorLabel(Value):
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+
+    def _key(self):
+        return self.left, self.right
 
     def __str__(self):
         return f"({self.left})x({self.right})"
@@ -427,7 +426,6 @@ def tensor_free(a: FreeComplex, b: FreeComplex) -> FreeComplex:
     return out
 
 
-@dataclass
 class HomologyBasis:
     """Representatives of homology classes at one bidegree, with coordinates.
 
@@ -437,8 +435,8 @@ class HomologyBasis:
     to zero modulo image+reps).
     """
 
-    reps: list[dict]
-    span: VectorSpan
+    def __init__(self, reps: list[dict], span: VectorSpan):
+        self.reps, self.span = reps, span
 
     def coords(self, v: dict) -> list:
         reduced = self.span.reduce(v)

@@ -16,7 +16,6 @@ nonzero on the resulting table, which is the checkable content of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
@@ -33,11 +32,10 @@ from .complexes import (
     homology_ranks,
 )
 from .linalg import Matrix, VectorSpan, kernel_basis
-from .rings import DegreeWindow, InputError, RingSpec, monomial_count
+from .rings import DegreeWindow, InputError, RingSpec, Value, monomial_count
 
 
-@dataclass(frozen=True)
-class HopfSpec:
+class HopfSpec(Value):
     """An exterior coalgebra on primitive generators over a graded base ring.
 
     primitives is a tuple of (name, internal degree) pairs; every degree must
@@ -47,20 +45,21 @@ class HopfSpec:
     inverted generator.
     """
 
-    base: RingSpec
-    primitives: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self):
-        names = [n for n, _ in self.primitives]
+    def __init__(self, base: RingSpec, primitives: tuple[tuple[str, int], ...] = ()):
+        names = [n for n, _ in primitives]
         if len(set(names)) != len(names):
             raise InputError("primitive names must be distinct")
-        for name, d in self.primitives:
+        for name, d in primitives:
             if d <= 0 or d % 2 == 0:
                 raise InputError(
                     f"primitive {name} has degree {d}; positive odd required")
+        self.base, self.primitives = base, primitives
+
+    def _key(self):
+        return self.base, self.primitives
 
     # computed once, as in RingSpec: cached_property writes the instance
-    # __dict__ directly, so the frozen dataclass's __eq__/__hash__ ignore it
+    # __dict__ directly, and _key leaves them out
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.primitives)
@@ -123,14 +122,6 @@ def _unshuffle_sign(p: tuple[int, ...], q: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
-def _word_label(word: tuple[tuple[int, ...], ...]) -> BasisLabel:
-    """Equal to BasisLabel(word=word) without the frozen dataclass __init__:
-    e_part and u_part keep their empty class defaults."""
-    label = object.__new__(BasisLabel)
-    object.__setattr__(label, "word", word)  # no __dict__ read: values stay inline
-    return label
-
-
 def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
     """Reduced cobar complex as a free complex over the base ring.
 
@@ -185,7 +176,7 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
                      for word, d in level for L in steps[s].get(d, ())]
         if kept := [(word, d) for word, d in level if d in reach]:
             words, degs = zip(*kept)
-            labels = map(_word_label, words) if s else [UNIT_LABEL]
+            labels = [BasisLabel(word=word) for word in words] if s else [UNIT_LABEL]
             ids.update(zip(words, fc.add_generators(labels, s, degs)))
     for word, gid in ids.items():
         if len(word) + 1 > s_build:
@@ -312,7 +303,6 @@ def closed_form_ranks(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], int
     return out
 
 
-@dataclass
 class CotorReport:
     """Brute-force cobar cohomology next to its polynomial closed form.
 
@@ -322,11 +312,11 @@ class CotorReport:
     never reaches the report: cotor_ranks raises instead.
     """
 
-    hopf_desc: str
-    table: dict[tuple[int, int], HomologyEntry]
-    closed: dict[tuple[int, int], int]
-    differential: DifferentialReport
-    window: DegreeWindow
+    def __init__(self, hopf_desc: str, table: dict[tuple[int, int], HomologyEntry],
+                 closed: dict[tuple[int, int], int], differential: DifferentialReport,
+                 window: DegreeWindow):
+        self.hopf_desc, self.table, self.closed = hopf_desc, table, closed
+        self.differential, self.window = differential, window
 
     def __str__(self):
         lines = [f"cobar cohomology of {self.hopf_desc}",
@@ -396,14 +386,13 @@ def _class_name(primitive_name: str) -> str:
     return "U_" + primitive_name
 
 
-@dataclass
 class CollapseVerdict:
-    """Outcome of the collapse audit of a rank table."""
+    """Outcome of the collapse audit of a rank table: candidates are the
+    (r, source, target) of the differentials that could be nonzero."""
 
-    ok: bool
-    message: str
-    candidates: tuple[tuple[int, tuple[int, int], tuple[int, int]], ...]
-    pairs_checked: int
+    def __init__(self, ok: bool, message: str, candidates: tuple, pairs_checked: int):
+        self.ok, self.message, self.candidates = ok, message, candidates
+        self.pairs_checked = pairs_checked
 
     def __str__(self):
         if self.ok:
@@ -414,7 +403,6 @@ class CollapseVerdict:
         return "\n".join(lines)
 
 
-@dataclass
 class E2Presentation:
     """Polynomial description of a second page: generators and table.
 
@@ -424,14 +412,15 @@ class E2Presentation:
     raising internal degree, one per generator) as documentation only.
     """
 
-    base_desc: str
-    generators: tuple[tuple[str, tuple[int, int]], ...]
-    table: dict[tuple[int, int], int]
-    window: DegreeWindow
-    collapse: CollapseVerdict | None = None
-    dual_operations: tuple[tuple[str, int], ...] = ()
-    dual_note: str = ""
-    notes: tuple[str, ...] = ()
+    def __init__(self, base_desc: str, generators: tuple[tuple[str, tuple[int, int]], ...],
+                 table: dict[tuple[int, int], int], window: DegreeWindow,
+                 collapse: CollapseVerdict | None = None,
+                 dual_operations: tuple[tuple[str, int], ...] = (), dual_note: str = "",
+                 notes: tuple[str, ...] = ()):
+        self.base_desc, self.generators, self.table, self.window = (
+            base_desc, generators, table, window)
+        self.collapse, self.dual_operations, self.dual_note, self.notes = (
+            collapse, dual_operations, dual_note, notes)
 
     def __str__(self):
         gens = ", ".join(f"{name} at ({s},{t})" for name, (s, t) in self.generators)

@@ -7,10 +7,8 @@ No floating point anywhere.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, isqrt
 from operator import neg, truediv
 
 
@@ -19,18 +17,7 @@ def is_prime(n: int) -> bool:
     >>> [k for k in range(2, 20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def _mod(p: int, x) -> int:
@@ -41,39 +28,42 @@ def _neg_mod(p: int, a) -> int:
     return -a % p
 
 
-def _fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _fraction(fraction, x):
+    return x if isinstance(x, fraction) else fraction(x)
 
 
 def _no_inverse(a):
     raise ValueError("no inverses over the integers")
 
 
-@dataclass(frozen=True)
 class Coefficients:
-    """Ground coefficients: a prime field F_p, the rationals Q, or the integers Z."""
+    """Ground coefficients F_p, Q or Z: kind "prime_field", "rationals" or "integers"."""
 
-    kind: str  # "prime_field" | "rationals" | "integers"
-    p: int | None = None
-
-    def __post_init__(self):
-        p = self.p
-        if self.kind == "prime_field":
+    def __init__(self, kind: str, p: int | None = None):
+        if kind == "prime_field":
             if p is None or not is_prime(p):
                 raise ValueError(f"prime field needs a prime, got {p!r}")
             ops = (partial(_mod, p), partial(_neg_mod, p), partial(pow, exp=-1, mod=p), 0, 1)
-        elif self.kind not in ("rationals", "integers"):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        elif kind not in ("rationals", "integers"):
+            raise ValueError(f"unknown coefficient kind {kind!r}")
         elif p is not None:
             raise ValueError("p only makes sense for prime fields")
-        elif self.kind == "rationals":
-            ops = (_fraction, neg, partial(truediv, Fraction(1)), Fraction(0), Fraction(1))
+        elif kind == "rationals":
+            from fractions import Fraction  # only Q pays for importing fractions
+            ops = (partial(_fraction, Fraction), neg, partial(truediv, Fraction(1)),
+                   Fraction(0), Fraction(1))
         else:
             ops = (int, neg, _no_inverse, 0, 1)
+        self.kind, self.p = kind, p
         # normalize (to 0..p-1, Fraction or int), neg, inv, zero and one are
         # chosen once; module-level functions and partials keep them picklable
-        for name, op in zip(("normalize", "neg", "inv", "zero", "one"), ops):
-            object.__setattr__(self, name, op)
+        self.normalize, self.neg, self.inv, self.zero, self.one = ops
+
+    def __eq__(self, other):
+        return isinstance(other, Coefficients) and (self.kind, self.p) == (other.kind, other.p)
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
 
     @classmethod
     def prime_field(cls, p: int) -> "Coefficients":
@@ -617,11 +607,7 @@ def _dense_smith(a: list[list[int]], need_transforms: bool):
         if dirty:
             continue  # remainders survive, pick a smaller pivot next pass
         if a[k][k] < 0:
-            for jj in range(cols):
-                a[k][jj] = -a[k][jj]
-            if s is not None:
-                for jj in range(rows):
-                    s[k][jj] = -s[k][jj]
+            row_op(k, k, -2)  # row_k -= 2*row_k negates row k of a and of s
         k += 1
 
     raw = tuple(a[i][i] for i in range(limit) if a[i][i])

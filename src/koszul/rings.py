@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import (
@@ -37,21 +36,32 @@ class InputError(ValueError):
     line reports it as a usage error, unlike a ValueError from inside."""
 
 
-@dataclass(frozen=True)
-class DegreeWindow:
+class Value:
+    """Equal, and hashed alike, when _key() gives equal tuples: the base of
+    what is compared by value or used as a dict key (windows, rings, ideals,
+    labels, examples, and records that tests compare).  None of them
+    changes after __init__."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class DegreeWindow(Value):
     """Internal degrees t_min..t_max, homological degrees up to s_max,
     tower stages up to stage_max."""
 
-    t_min: int
-    t_max: int
-    s_max: int = 6
-    stage_max: int = 6
-
-    def __post_init__(self):
-        if self.t_min > self.t_max:
-            raise InputError(f"empty window: t_min {self.t_min} > t_max {self.t_max}")
-        if self.s_max < 0 or self.stage_max < 0:
+    def __init__(self, t_min: int, t_max: int, s_max: int = 6, stage_max: int = 6):
+        if t_min > t_max:
+            raise InputError(f"empty window: t_min {t_min} > t_max {t_max}")
+        if s_max < 0 or stage_max < 0:
             raise InputError("s_max and stage_max must be nonnegative")
+        self.t_min, self.t_max, self.s_max, self.stage_max = t_min, t_max, s_max, stage_max
+
+    def _key(self):
+        return self.t_min, self.t_max, self.s_max, self.stage_max
 
     def contains(self, t: int) -> bool:
         return self.t_min <= t <= self.t_max
@@ -60,28 +70,28 @@ class DegreeWindow:
         return range(self.t_min, self.t_max + 1)
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Value):
     """A graded polynomial ring over F_p, Q, or Z with evenly graded
     generators, at most one of them inverted."""
 
-    coefficients: Coefficients
-    generators: tuple[tuple[str, int], ...]
-    window: DegreeWindow
-    inverted: str | None = None
-
-    def __post_init__(self):
-        names = [n for n, _ in self.generators]
+    def __init__(self, coefficients: Coefficients, generators: tuple[tuple[str, int], ...],
+                 window: DegreeWindow, inverted: str | None = None):
+        names = [n for n, _ in generators]
         if len(set(names)) != len(names):
             raise InputError("generator names must be distinct")
-        for name, d in self.generators:
+        for name, d in generators:
             if d <= 0 or d % 2:
                 raise InputError(f"generator {name} has degree {d}; positive even required")
-        if self.inverted is not None and self.inverted not in names:
-            raise InputError(f"inverted generator {self.inverted!r} is not a generator")
+        if inverted is not None and inverted not in names:
+            raise InputError(f"inverted generator {inverted!r} is not a generator")
+        self.coefficients, self.generators = coefficients, generators
+        self.window, self.inverted = window, inverted
+
+    def _key(self):
+        return self.coefficients, self.generators, self.window, self.inverted
 
     # Fixed attributes, computed once: cached_property writes the instance
-    # __dict__ directly, so the frozen dataclass's __eq__/__hash__ ignore it.
+    # __dict__ directly, and _key leaves them out.
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.generators)
@@ -301,19 +311,20 @@ def hilbert_function(ring: RingSpec, t_max: int) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(Value):
     """An ordered sequence of homogeneous even-degree elements."""
 
-    sequence: tuple[Element, ...]
-
-    def __post_init__(self):
-        for k, u in enumerate(self.sequence, start=1):
+    def __init__(self, sequence: tuple[Element, ...]):
+        for k, u in enumerate(sequence, start=1):
             if u.is_zero():
                 raise InputError(f"sequence entry {k} is zero")
             d = u.degree()
             if d % 2:
                 raise InputError(f"sequence entry {k} has odd degree {d}")
+        self.sequence = sequence
+
+    def _key(self):
+        return (self.sequence,)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -455,19 +466,21 @@ def relation_matrix(ring: RingSpec, relations: list[Element], t: int) -> Matrix:
     return Matrix(monomial_count(ring, t), len(cols), cols)
 
 
-@dataclass
-class PowerQuotientInfo:
+class PowerQuotientInfo(Value):
     """Degreewise size of R/I^s next to the free-over-R/I prediction for
-    the associated graded piece."""
+    the associated graded piece.  Dimensions are set over a field and None
+    over Z; invariants, each (free rank, torsion factors), the other way."""
 
-    s: int
-    t: int
-    dim_quotient: int | None  # field case
-    invariants: tuple[int, tuple[int, ...]] | None  # integer case: (free rank, torsion)
-    assoc_dim: int | None
-    assoc_invariants: tuple[int, tuple[int, ...]] | None
-    predicted_assoc_dim: int | None
-    predicted_assoc_invariants: tuple[int, tuple[int, ...]] | None
+    def __init__(self, s: int, t: int, dim_quotient, invariants, assoc_dim, assoc_invariants,
+                 predicted_assoc_dim, predicted_assoc_invariants):
+        self.s, self.t, self.dim_quotient, self.invariants = s, t, dim_quotient, invariants
+        self.assoc_dim, self.assoc_invariants = assoc_dim, assoc_invariants
+        self.predicted_assoc_dim = predicted_assoc_dim
+        self.predicted_assoc_invariants = predicted_assoc_invariants
+
+    def _key(self):
+        return (self.s, self.t, self.dim_quotient, self.invariants, self.assoc_dim,
+                self.assoc_invariants, self.predicted_assoc_dim, self.predicted_assoc_invariants)
 
     @property
     def assoc_matches_prediction(self) -> bool:
@@ -523,26 +536,23 @@ def power_quotient_dimension(
     return PowerQuotientInfo(s, t, None, inv_q, None, assoc_inv, None, predicted_inv)
 
 
-@dataclass
 class RegularityFailure:
-    index: int  # 1-based position in the sequence
-    t: int
-    note: str
+    def __init__(self, index: int, t: int, note: str):
+        self.index = index  # 1-based position in the sequence
+        self.t, self.note = t, note
 
 
-@dataclass
 class RegularityEntry:
-    index: int
-    degree: int
-    t_checked: tuple[int, int]  # inclusive source-degree range
+    def __init__(self, index: int, degree: int, t_checked: tuple[int, int]):
+        self.index, self.degree = index, degree
+        self.t_checked = t_checked  # inclusive source-degree range
 
 
-@dataclass
 class RegularSequenceReport:
-    ring: str
-    entries: list[RegularityEntry]
-    failures: list[RegularityFailure]
-    window_note: str
+    def __init__(self, ring: str, entries: list[RegularityEntry],
+                 failures: list[RegularityFailure], window_note: str):
+        self.ring, self.entries, self.failures, self.window_note = (
+            ring, entries, failures, window_note)
 
     @property
     def ok(self) -> bool:

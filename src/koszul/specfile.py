@@ -39,11 +39,10 @@ and :func:`parse_spec` and :func:`print_spec` round-trip:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .adams import EXAMPLE_NAMES, ExampleConfig
 from .linalg import Coefficients, is_prime
-from .rings import DegreeWindow, Element, IdealSpec, RingSpec
+from .rings import DegreeWindow, Element, IdealSpec, RingSpec, Value
 
 
 class SpecError(ValueError):
@@ -56,24 +55,23 @@ class SpecError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ExampleSection:
+class ExampleSection(Value):
     """The [example] section: a family pinned to p, n, and j_max.
 
     The window is not part of the section; combine with one via config().
     """
 
-    which: str
-    p: int
-    j_max: int
-    n: int = 0
+    def __init__(self, which: str, p: int, j_max: int, n: int = 0):
+        self.which, self.p, self.j_max, self.n = which, p, j_max, n
+
+    def _key(self):
+        return self.which, self.p, self.j_max, self.n
 
     def config(self, window: DegreeWindow) -> ExampleConfig:
         return ExampleConfig(self.which, self.p, self.j_max, window, n=self.n)
 
 
-@dataclass(frozen=True)
-class SpecFile:
+class SpecFile(Value):
     """A parsed configuration file; any section may be absent.
 
     >>> s = parse_spec('''
@@ -92,10 +90,12 @@ class SpecFile:
     True
     """
 
-    ring: RingSpec | None = None
-    ideal: IdealSpec | None = None
-    window: DegreeWindow | None = None
-    example: ExampleSection | None = None
+    def __init__(self, ring: RingSpec | None = None, ideal: IdealSpec | None = None,
+                 window: DegreeWindow | None = None, example: ExampleSection | None = None):
+        self.ring, self.ideal, self.window, self.example = ring, ideal, window, example
+
+    def _key(self):
+        return self.ring, self.ideal, self.window, self.example
 
 
 _HEADER = re.compile(r"\s*\[([A-Za-z]+)\]\s*$")
@@ -110,13 +110,11 @@ _SECTIONS = {
 }
 
 
-@dataclass
 class _Raw:
     """One key's value with enough location to point errors at it."""
 
-    line: int
-    value: str
-    value_column: int
+    def __init__(self, line: int, value: str, value_column: int):
+        self.line, self.value, self.value_column = line, value, value_column
 
 
 def parse_spec(text: str) -> SpecFile:

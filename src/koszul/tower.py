@@ -29,7 +29,6 @@ homology invariants) are available.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, groupby
 
 from .complexes import (
@@ -51,6 +50,7 @@ from .rings import (
     InputError,
     QuotientModule,
     RingSpec,
+    Value,
     check_regular_sequence,
     multiples,
     power_generators,
@@ -175,19 +175,18 @@ def build_koszul(ring: RingSpec, ideal: IdealSpec, window: DegreeWindow | None =
     return tower_free(ring, ideal, 1, window).realize(window, module=module)
 
 
-@dataclass
 class TowerReport:
     """Stage-s resolution audit: d^2, homology against R/I^s, augmentation."""
 
-    s: int
-    ring_desc: str
-    differential: DifferentialReport
-    h0_found: dict
-    h0_mismatches: list
-    higher_nonzero: list
-    augmentation_composite_zero: bool | None
-    augmentation_surjective: bool | None
-    cut_note: str
+    def __init__(self, s: int, ring_desc: str, differential: DifferentialReport,
+                 h0_found: dict, h0_mismatches: list, higher_nonzero: list,
+                 augmentation_composite_zero: bool | None,
+                 augmentation_surjective: bool | None, cut_note: str):
+        self.s, self.ring_desc, self.differential = s, ring_desc, differential
+        self.h0_found, self.h0_mismatches = h0_found, h0_mismatches
+        self.higher_nonzero, self.cut_note = higher_nonzero, cut_note
+        self.augmentation_composite_zero = augmentation_composite_zero
+        self.augmentation_surjective = augmentation_surjective
 
     @property
     def ok(self) -> bool:
@@ -314,17 +313,15 @@ def _augmentation_checks(ring, ideal, s, w, cx):
 # Tor tables: brute force against closed forms
 
 
-@dataclass
 class TorDiagonalReport:
     """Tor(R/I, R/I) as homology of Koszul (x) R/I next to the exterior
     closed form on classes e_i at bidegree (1, |u_i|)."""
 
-    ring_desc: str
-    table: dict
-    closed: dict
-    generator_bidegrees: list
-    differential_vanishes: bool
-    cut_note: str
+    def __init__(self, ring_desc: str, table: dict, closed: dict, generator_bidegrees: list,
+                 differential_vanishes: bool, cut_note: str):
+        self.ring_desc, self.table, self.closed = ring_desc, table, closed
+        self.generator_bidegrees = generator_bidegrees
+        self.differential_vanishes, self.cut_note = differential_vanishes, cut_note
 
     def __str__(self):
         gens = ", ".join(f"e{i} at (1,{d})" for i, d in self.generator_bidegrees)
@@ -385,36 +382,32 @@ def tor_diagonal(ring: RingSpec, ideal: IdealSpec,
 # partial exactness of the induced boundary complex
 
 
-@dataclass
-class ExactnessFailure:
-    node: int
-    r: int
-    t: int
-    detail: str
-    check: str  # "composite" | "interior" | "end"
-    stage: int  # the first stage that runs the check: node + 3, node + 2, 2
+class ExactnessFailure(Value):
+    def __init__(self, node: int, r: int, t: int, detail: str, check: str, stage: int):
+        self.node, self.r, self.t, self.detail = node, r, t, detail
+        self.check = check  # "composite" | "interior" | "end"
+        self.stage = stage  # the first stage that runs the check: node + 3, node + 2, 2
+
+    def _key(self):
+        return self.node, self.r, self.t, self.detail, self.check, self.stage
 
 
-@dataclass
-class ExactnessReport:
+class ExactnessReport(Value):
     """Exactness audit of the induced complex with nodes
     Lambda(e) (x) U^(k) over R/I (zero internal differential) and maps given
     by the index-insertion boundary."""
 
-    s: int
-    ring_desc: str
-    node_dims: list
-    composite_zero: bool = field(init=False)
-    interior_exact: bool = field(init=False)
-    end_kernel_is_base: bool = field(init=False)
-    base_dims: dict
-    failures: list
-
-    def __post_init__(self):
-        failed = {f.check for f in self.failures}
+    def __init__(self, s: int, ring_desc: str, node_dims: list, base_dims: dict,
+                 failures: list):
+        self.s, self.ring_desc, self.node_dims = s, ring_desc, node_dims
+        self.base_dims, self.failures = base_dims, failures
+        failed = {f.check for f in failures}
         self.composite_zero = "composite" not in failed
         self.interior_exact = "interior" not in failed
         self.end_kernel_is_base = "end" not in failed
+
+    def _key(self):
+        return self.s, self.ring_desc, self.node_dims, self.base_dims, self.failures
 
     @property
     def ok(self) -> bool:
@@ -509,21 +502,17 @@ def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
 # Tor(R/I, R/I^s): two pipelines, freeness, trivial products
 
 
-@dataclass
 class TorPowerReport:
     """Tor(R/I, R/I^s) from brute force and from the closed form
     R/I at homological degree 0 plus the cokernel of the last boundary."""
 
-    s: int
-    ring_desc: str
-    table: dict
-    closed: dict
-    free_over_base: bool
-    free_generators: list
-    products_checked: int
-    products_skipped: list
-    nonzero_products: list
-    notes: list
+    def __init__(self, s: int, ring_desc: str, table: dict, closed: dict,
+                 free_over_base: bool, free_generators: list, products_checked: int,
+                 products_skipped: list, nonzero_products: list, notes: list):
+        self.s, self.ring_desc, self.table, self.closed = s, ring_desc, table, closed
+        self.free_over_base, self.free_generators = free_over_base, free_generators
+        self.products_checked, self.products_skipped = products_checked, products_skipped
+        self.nonzero_products, self.notes = nonzero_products, notes
 
     @property
     def ok(self) -> bool:

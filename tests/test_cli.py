@@ -184,8 +184,6 @@ def test_exactness_realizes_and_checks_regularity_once(tmp_path, monkeypatch):
 ])
 def test_tower_checks_the_associated_graded(tmp_path, monkeypatch, capsys, name, field):
     # a Rees prediction off by one free generator must stop the tower
-    import dataclasses
-
     import koszul.tower
 
     honest = koszul.tower.power_quotient_dimension
@@ -194,7 +192,7 @@ def test_tower_checks_the_associated_graded(tmp_path, monkeypatch, capsys, name,
         info = honest(ring, ideal, s, t)
         value = getattr(info, field)
         off = value + 1 if isinstance(value, int) else (value[0] + 1, value[1])
-        return dataclasses.replace(info, **{field: off})
+        return type(info)(**{**vars(info), field: off})  # info with one field changed
 
     monkeypatch.setattr(koszul.tower, "power_quotient_dimension", wrong)
     assert run("tower", "s=2", "--spec", spec_arg(name), "--out", str(tmp_path)) == 1
@@ -208,6 +206,35 @@ def test_tower_checks_the_associated_graded(tmp_path, monkeypatch, capsys, name,
     else:
         assert inner["predicted"] == [inner["found"][0] + 1, inner["found"][1]]
     assert not (tmp_path / "tower_s2.csv").exists()
+
+
+def test_witness_records_become_field_dicts():
+    from koszul.cli import _jsonable
+    from koszul.complexes import DifferentialViolation
+    from koszul.rings import RegularityFailure
+    from koszul.tower import ExactnessFailure
+
+    records = [DifferentialViolation(2, 8, "square", "d(d(e(1,2))) has entry 1"),
+               ExactnessFailure(0, 1, 4, "kernel has dimension 2, expected 1", "end", 2),
+               RegularityFailure(2, 0, "multiplication drops rank 1 -> 0")]
+    assert _jsonable({"records": records}) == {"records": [
+        {"s": 2, "t": 8, "kind": "square", "detail": "d(d(e(1,2))) has entry 1"},
+        {"node": 0, "r": 1, "t": 4, "detail": "kernel has dimension 2, expected 1",
+         "check": "end", "stage": 2},
+        {"index": 2, "t": 0, "note": "multiplication drops rank 1 -> 0"}]}
+
+
+def test_exactness_failure_witness_lists_its_records(tmp_path, monkeypatch):
+    import koszul.tower
+
+    honest = koszul.tower.rank_over_field
+    monkeypatch.setattr(koszul.tower, "rank_over_field", lambda m, c: max(honest(m, c) - 1, 0))
+    assert run("exactness", "--spec", spec_arg("diagonal_f2.spec"), "--out", str(tmp_path)) == 1
+    witness = json.loads((tmp_path / "witness.json").read_text())
+    assert witness["kind"] == "exactness" and witness["failures"]
+    for failure in witness["failures"]:
+        assert set(failure) == {"node", "r", "t", "detail", "check", "stage"}
+        assert failure["check"] in ("interior", "end") and failure["stage"] <= 2
 
 
 def test_cotor_command_matches_frozen_table(tmp_path):

@@ -1,9 +1,13 @@
-"""tools/step_probe.py: two checkouts side by side in one interpreter."""
+"""tools/step_probe.py: two checkouts side by side in one interpreter, and
+the fresh-process import of each."""
 import importlib.util
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +44,24 @@ def test_two_copies_of_the_source_at_the_smoke_windows(tmp_path):
         assert all(len(runs) == 2 and min(runs) > 0 for runs in entry["runs_ms"].values())
         assert re.fullmatch(r"[0-2]/2", entry["change_lower_in_rounds"])
         assert entry["ratio"] > 0
+    assert tool.describe(report[0]).startswith("tower-f2: parent ")
+    assert tool.describe(report[0]).endswith(", same output True")
+
+
+def test_fresh_process_import_of_each_side(tmp_path):
+    tool = _tool()
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        shutil.copytree(ROOT / "src" / "koszul", roots[side] / "src" / "koszul")
+    # a side that cannot import is an error, not a time
+    (roots["change"] / "src" / "koszul" / "cli.py").write_text("raise ImportError\n")
+    with pytest.raises(subprocess.CalledProcessError):
+        tool.import_times(roots, rounds=1)
+    shutil.copy(ROOT / "src" / "koszul" / "cli.py", roots["change"] / "src" / "koszul")
+    entry = tool.import_times(roots, rounds=2)
+    assert entry["step"] == "import koszul.cli" and entry["rounds"] == 2
+    assert all(len(runs) == 2 and min(runs) > 0 for runs in entry["runs_ms"].values())
+    assert re.fullmatch(r"[0-2]/2", entry["change_lower_in_rounds"])
+    line = tool.describe(entry)
+    assert line.startswith("import koszul.cli: parent ") and "same output" not in line

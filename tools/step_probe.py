@@ -17,10 +17,15 @@ takes, also pays for the interpreter and the import, and on a machine whose
 speed drifts between runs that spread can hide a step's change; here both
 sides share one process and run side by side.
 
-Standard error gets one line per step: both medians in ms, their ratio, the
-rounds in which the change read lower and whether both sides printed the
-same text with the same exit code.  The last line of standard output is the
-same as one JSON list.
+Before the steps, the same number of alternating rounds times what every
+benchmark sample pays before ``main``: one fresh ``python3`` per side and
+round that only imports ``koszul.cli`` from that side's ``src/``, with this
+process's environment (``PYTHONDONTWRITEBYTECODE`` as the caller set it).
+
+Standard error gets one line for the import and one per step: both medians
+in ms, their ratio, the rounds in which the change read lower and, for a
+step, whether both sides printed the same text with the same exit code.
+The last line of standard output is the same as one JSON list.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ import importlib.util
 import io
 import json
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -68,6 +74,48 @@ def run_once(main, argv: list[str]) -> tuple[float, int, str]:
     return seconds, code, text.getvalue()
 
 
+def summarize(step: str, times: dict[str, list[float]]) -> dict:
+    """Both sides' runs of one step, in seconds: medians, ratio and the
+    rounds in which the change read lower."""
+    medians = {side: statistics.median(times[side]) for side in SIDES}
+    rounds = len(times["parent"])
+    lower = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    return {
+        "step": step, "rounds": rounds,
+        "median_ms": {side: round(1000 * medians[side], 2) for side in SIDES},
+        "ratio": round(medians["change"] / medians["parent"], 4),
+        "change_lower_in_rounds": f"{lower}/{rounds}",
+        "runs_ms": {side: [round(1000 * x, 2) for x in times[side]] for side in SIDES},
+    }
+
+
+IMPORT = """import sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import koszul.cli
+print(time.perf_counter() - start)
+"""
+
+
+def import_times(roots: dict[str, Path], rounds: int = 15) -> dict:
+    """Each side's fresh-process ``import koszul.cli`` time, alternating."""
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    for r in range(rounds):
+        for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
+            done = subprocess.run([sys.executable, "-c", IMPORT, str(roots[side] / "src")],
+                                  capture_output=True, text=True, check=True)
+            times[side].append(float(done.stdout))
+    return summarize("import koszul.cli", times)
+
+
+def describe(entry: dict) -> str:
+    """The standard-error line of one entry of the report."""
+    ms = entry["median_ms"]
+    line = (f"{entry['step']}: parent {ms['parent']} ms, change {ms['change']} ms, "
+            f"ratio {entry['ratio']}, change lower in {entry['change_lower_in_rounds']}")
+    return line + (f", same output {entry['same_output']}" if "same_output" in entry else "")
+
+
 def probe(roots: dict[str, Path], work: Path, seed: int = 0, rounds: int = 15,
           smoke: bool = False) -> list[dict]:
     """Per step: both sides' run times, medians and the rounds the change won."""
@@ -87,16 +135,8 @@ def probe(roots: dict[str, Path], work: Path, seed: int = 0, rounds: int = 15,
                 seconds, code, out = run_once(mains[side], argv)
                 times[side].append(seconds)
                 outputs.setdefault(side, (code, out))
-        medians = {side: statistics.median(times[side]) for side in SIDES}
-        lower = sum(c < p for p, c in zip(times["parent"], times["change"]))
-        report.append({
-            "step": name, "seed": seed, "rounds": rounds, "smoke": smoke,
-            "median_ms": {side: round(1000 * medians[side], 2) for side in SIDES},
-            "ratio": round(medians["change"] / medians["parent"], 4),
-            "change_lower_in_rounds": f"{lower}/{rounds}",
-            "same_output": outputs["parent"] == outputs["change"],
-            "runs_ms": {side: [round(1000 * x, 2) for x in times[side]] for side in SIDES},
-        })
+        report.append({**summarize(name, times), "seed": seed, "smoke": smoke,
+                       "same_output": outputs["parent"] == outputs["change"]})
     return report
 
 
@@ -117,12 +157,10 @@ def main(argv: list[str] | None = None) -> int:
         export(rev, roots[side])
     work = scratch / "probe"
     work.mkdir(exist_ok=True)
-    report = probe(roots, work, args.seed, args.rounds, args.smoke)
+    report = [import_times(roots, args.rounds),
+              *probe(roots, work, args.seed, args.rounds, args.smoke)]
     for entry in report:
-        ms = entry["median_ms"]
-        print(f"{entry['step']}: parent {ms['parent']} ms, change {ms['change']} ms, "
-              f"ratio {entry['ratio']}, change lower in {entry['change_lower_in_rounds']}, "
-              f"same output {entry['same_output']}", file=sys.stderr)
+        print(describe(entry), file=sys.stderr)
     print(json.dumps(report))
     return 0
 
