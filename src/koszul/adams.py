@@ -112,8 +112,9 @@ def adams_e2_table(c: ExampleConfig) -> E2Presentation:
     """Closed-form second page of an example, with the collapse audit run.
 
     Localized bases (B and C) are counted in the window-truncated Laurent
-    model and get the closed form only; base A additionally admits the
-    chain-level cobar cross-check for small j_max (see cotor_ranks).
+    model.  No brute force checks this table: `koszul cotor` on an
+    [example] section runs one (cotor_ranks) on base A only, since the
+    chain level rejects the localized bases.
     """
     h = example_hopf(c)
     p = e2_closed_form(h, c.window)

@@ -5,33 +5,32 @@ graded base has a completely computable cohomology: a polynomial algebra
 with one class per generator, sitting one cohomological filtration step up.
 This module builds the reduced cobar complex (tensor words in the
 augmentation coideal), takes its cohomology by brute force over a degree
-window, and checks the result against that closed form.  Over a field the
-brute force is a minimal free resolution over the dual exterior algebra,
-whose product is the transpose of the cobar differential on one letter;
-over Z it is the cobar complex itself, realized one internal degree at a
-time, so that Smith normal form sees any torsion.  A collapse audit then
-confirms that no differential of the Adams bidegree pattern can be
-nonzero on the resulting table, which is the checkable content of
-"the spectral sequence degenerates for parity reasons".
+window, and checks the result against that closed form.  The brute force is
+a minimal free resolution over the dual exterior algebra, whose product is
+the transpose of the cobar differential on one letter; over Z it is built
+over Q and realized over Z, so that Smith normal form sees any torsion.  A
+collapse audit then confirms that no differential of the Adams bidegree
+pattern can be nonzero on the resulting table, which is the checkable
+content of "the spectral sequence degenerates for parity reasons".
 """
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from math import gcd, lcm
 
 from .complexes import (
     COHOMOLOGICAL,
     BasisLabel,
     BigradedComplex,
     DifferentialReport,
-    DifferentialSquareError,
     FreeComplex,
     HomologyEntry,
     OracleMismatchError,
     UNIT_LABEL,
     homology_ranks,
 )
-from .linalg import Matrix, VectorSpan, kernel_basis
+from .linalg import Coefficients, Matrix, VectorSpan, kernel_basis
 from .rings import DegreeWindow, InputError, RingSpec, Value, monomial_count
 
 
@@ -71,9 +70,9 @@ class HopfSpec(Value):
     @cached_property
     def _cobar_letters(self):
         """(coideal letters, letter -> degree, letter -> splittings), shared by
-        every slice cobar_free builds.  A splitting is a (P, Q) pair with the
-        unit of its unshuffle sign times (-1)^(1 + |P|) and the negated unit;
-        the prefix sign picks one of the two per position."""
+        every cobar_free call on this coalgebra.  A splitting is a (P, Q)
+        pair with the unit of its unshuffle sign times (-1)^(1 + |P|) and the
+        negated unit; the prefix sign picks one of the two per position."""
         lets = coideal_letters(self)
         ldeg = {L: letter_degree(self, L) for L in lets}
         units = {1: self.base.constant(1), -1: self.base.constant(-1)}
@@ -197,10 +196,24 @@ def cobar_complex(h: HopfSpec, w: DegreeWindow) -> BigradedComplex:
     return cobar_free(h, w).realize(w)
 
 
+def _primitive(v: dict) -> dict:
+    """A rational vector scaled to a primitive integer one: denominators
+    cleared, content divided out, signs kept.
+
+    >>> from fractions import Fraction
+    >>> _primitive({0: Fraction(3, 2), 2: Fraction(-3)})
+    {0: 1, 2: -2}
+    """
+    m = lcm(*(x.denominator for x in v.values()))
+    v = {i: int(x * m) for i, x in v.items()}
+    g = gcd(*v.values())
+    return {i: x // g for i, x in v.items()}
+
+
 def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], HomologyEntry]:
-    """Cotor over a field k from a minimal free resolution of k over the dual
-    exterior algebra A (Bruner, "Calculation of large Ext modules", 1989;
-    Priddy, "Koszul resolutions", 1970).  Ext^{s,d} counts the level-s
+    """Cotor over the ground ring k from a minimal free resolution of k over
+    the dual exterior algebra A (Bruner, "Calculation of large Ext modules",
+    1989; Priddy, "Koszul resolutions", 1970).  Ext^{s,d} counts the level-s
     generators of degree d; over the base it is weighted by
     monomial_count(base, t - d), since cobar coefficients are constants and
     the cobar complex over the base is the one over k tensored with it.
@@ -210,13 +223,17 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
     d[L] with coefficient c, which makes the sign that of sorting P + Q.
     Levels are built through s_max + 1, one internal degree at a time: the
     generators new at (s, t) lift a basis of the kernel of d at (s - 1, t)
-    modulo the image of the older ones, scalars included.  Flattened to one
-    generator (g, J) per A-generator g and monomial e_J, with
-    d(e_J g) = e_J d(g), the resolution is realized, so d after d is audited;
-    its homology must be k at (0, 0) alone, and no d(g) may have a term with
-    J empty (minimality).
+    modulo the image of the older ones, scalars included.  Over Z those
+    kernels are taken over Q and each new boundary is scaled to a primitive
+    integer vector.  Flattened to one generator (g, J) per A-generator g and
+    monomial e_J, with d(e_J g) = e_J d(g), the resolution is realized over
+    k, so d after d is audited; its homology must be k at (0, 0) alone, with
+    no torsion over Z, and no d(g) may have a term with J empty
+    (minimality).  Exact over Z and minimal, it proves Ext over Z free on
+    the generators.
     """
     t_max, k = max(w.t_max, 0), h.base.coefficients
+    field = k if k.is_field else Coefficients.rationals()
     d1 = cobar_free(h, DegreeWindow(0, t_max, 1))
     monos = [((), 0)] + [(d1.labels[g].word[0], d1.internal[g]) for g in d1.levels.get(1, ())]
     prod = {((), K): (k.one, K) for K, _ in monos}  # (J, K) -> (sign, L): e_J e_K = sign e_L
@@ -257,20 +274,23 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
     for s in range(1, w.s_max + 2):
         for t in range(t_max + 1):
             # d from level 0 is the augmentation, injective at t = 0 only
-            kernel = kernel_basis(matrix(s - 1, t), k) if s > 1 or t else []
-            image = VectorSpan(k)
+            kernel = kernel_basis(matrix(s - 1, t), field) if s > 1 or t else []
+            image = VectorSpan(field)
             for col in matrix(s, t).columns:
                 image.insert(col)
             src = at.get((s - 1, t), ())
             for v in kernel:
                 if image.insert(v):
+                    v = v if k.is_field else _primitive(v)
                     add_generator(s, t, [(a, fc.labels[src[i]]) for i, a in v.items()])
     cx = fc.realize()
     for (s, t), entry in homology_ranks(cx).items():
-        if s <= w.s_max and (entry.rank != int((s, t) == (0, 0)) or not entry.certain):
+        if s <= w.s_max and (entry.rank != int((s, t) == (0, 0)) or entry.torsion
+                             or not entry.certain):
             raise OracleMismatchError(
                 "minimal resolution is not exact below its top level",
-                {"kind": "resolution", "s": s, "t": t, "rank": entry.rank})
+                {"kind": "resolution", "s": s, "t": t, "rank": entry.rank,
+                 "torsion": list(entry.torsion)})
     table = {}
     for (s, d), n in ext.items():
         if s <= w.s_max:  # level s_max + 1 only proves exactness at s_max
@@ -307,9 +327,9 @@ class CotorReport:
     """Brute-force cobar cohomology next to its polynomial closed form.
 
     Both tables cover s = 0..s_max and the window's internal degrees; every
-    brute entry is certain (the minimal resolution over a field, or the
-    cobar complex over Z, is built one level past s_max).  A disagreement
-    never reaches the report: cotor_ranks raises instead.
+    brute entry is certain, since the minimal resolution is built one level
+    past s_max.  A disagreement never reaches the report: cotor_ranks raises
+    instead.
     """
 
     def __init__(self, hopf_desc: str, table: dict[tuple[int, int], HomologyEntry],
@@ -329,39 +349,16 @@ class CotorReport:
 def cotor_ranks(h: HopfSpec, w: DegreeWindow) -> CotorReport:
     """Cohomology of the cobar complex, checked against the closed form.
 
-    Over a field it is read off a minimal resolution (_resolution_table),
-    which raises DifferentialSquareError or OracleMismatchError if its own
-    audits fail.  Over Z every cobar differential keeps t, so one internal
-    degree at a time is built, realized (so audited), reduced by Smith
-    normal form and dropped; DifferentialSquareError comes once every slice
-    is audited, with all violations in (s, t) order.  Either way
-    OracleMismatchError is raised on the first bidegree where brute-force
-    cohomology and the polynomial count disagree (rank or torsion).
+    It is read off a minimal resolution (_resolution_table) over every
+    coefficient ring, which raises DifferentialSquareError or
+    OracleMismatchError if its own audits fail.  OracleMismatchError is
+    raised on the first bidegree where the resolution's ranks and the
+    polynomial count disagree.
     """
-    if h.base.coefficients.is_field:
-        raw = _resolution_table(h, w)
-    else:
-        raw, violations = {}, []
-        for t in w.degrees():
-            try:
-                cx = cobar_complex(h, DegreeWindow(t, t, w.s_max, w.stage_max))
-            except DifferentialSquareError as err:
-                violations += err.report.violations
-                continue
-            raw.update(homology_ranks(cx))
-            del cx  # drop this slice before building the next
-        if violations:
-            raise DifferentialSquareError(
-                DifferentialReport(False, sorted(violations, key=lambda v: (v.s, v.t))))
+    raw = _resolution_table(h, w)
     closed = closed_form_ranks(h, w)
     table: dict[tuple[int, int], HomologyEntry] = {}
     for (s, t), entry in sorted(raw.items()):
-        if s > w.s_max:
-            continue  # guard level, intentionally truncated
-        if not entry.certain:
-            raise OracleMismatchError(
-                "cobar cohomology entry is uncertain inside the window",
-                {"kind": "cotor-uncertain", "s": s, "t": t})
         want = closed.get((s, t), 0)
         if entry.rank != want or entry.torsion:
             raise OracleMismatchError(

@@ -34,3 +34,13 @@ def test_tor_power_runs_on_every_spec_with_an_ideal_over_a_field():
     assert sorted(_tool().FIELD_SPECS) == sorted(
         name for name, spec in specs.items()
         if spec.ideal is not None and spec.ring.coefficients.is_field)
+
+
+def test_the_nonregular_spec_writes_a_witness(tmp_path):
+    from koszul.cli import main
+
+    name, text = _tool().NONREGULAR
+    (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    assert main(["check-regular", "--spec", str(tmp_path / name), "--out", str(out)]) == 1
+    assert (out / "witness.json").is_file()

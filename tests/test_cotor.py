@@ -6,6 +6,7 @@ rank table with a reachable differential as the negative control.
 """
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -235,7 +236,7 @@ Q, Z = Coefficients.rationals(), Coefficients.integers()
 
 def _whole_window(h, w):
     """Table and differential text of one complex over the whole window: the
-    reference that cotor_ranks, by resolution or slice by slice, must match."""
+    reference that the minimal resolution of cotor_ranks must match."""
     cx = cobar_complex(h, w)
     table = {k: v for k, v in homology_ranks(cx).items() if k[0] <= w.s_max and v.rank}
     return table, str(cx.differential)
@@ -264,27 +265,27 @@ def test_slices_match_the_whole_window(coefficients, generators, degrees, w):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from((1, 3, 5, 7, 9)), min_size=1, max_size=4, unique=True),
        st.one_of(st.just(()), st.sampled_from((2, 4, 6, 8)).map(lambda d: (("x1", d),))),
-       st.integers(-2, 4), st.sampled_from((F2, F3, F5, Q)), st.data())
+       st.integers(-2, 4), st.sampled_from((F2, F3, F5, Q, Z)), st.data())
 def test_field_resolution_matches_the_whole_window_cobar(degrees, generators, t_min,
                                                          coefficients, data):
-    # random coalgebras, bases, fields and windows: the minimal resolution
-    # that cotor_ranks builds over a field against the cobar complex itself
+    # random coalgebras, bases, rings and windows: the minimal resolution
+    # that cotor_ranks builds over a field (Q for Z, realized over Z) against
+    # the cobar complex itself
     w = DegreeWindow(t_min, data.draw(st.integers(t_min, 14)), data.draw(st.integers(0, 4)))
     h = HopfSpec(RingSpec(coefficients, generators, w),
                  tuple((f"t{i}", d) for i, d in enumerate(degrees, 1)))
     assert cotor_ranks(h, w).table == _whole_window(h, w)[0]
 
 
-def test_only_z_takes_the_slices(monkeypatch):
-    # over a field the cobar complex is read once, for its differential on
-    # one letter; over Z it is realized one internal degree at a time
+def test_every_ring_reads_the_cobar_complex_once(monkeypatch):
+    # over every coefficient ring the cobar complex is read once, for its
+    # differential on one letter, and never realized
     real, windows = koszul.cotor.cobar_free, []
     monkeypatch.setattr(koszul.cotor, "cobar_free", lambda h, w: windows.append(w) or real(h, w))
     w = DegreeWindow(0, 12, 4)
     for coefficients in (F2, F3, Q, Z):
         cotor_ranks(HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3))), w)
-    assert windows == 3 * [DegreeWindow(0, 12, 1)] + [
-        DegreeWindow(t, t, 4, w.stage_max) for t in w.degrees()]
+    assert windows == 4 * [DegreeWindow(0, 12, 1)]
 
 
 def _drop_splittings(monkeypatch, drop):
@@ -321,10 +322,51 @@ def test_a_broken_coproduct_reaches_the_f2_resolution(monkeypatch, drop, error):
 def test_a_broken_resolution_is_caught(monkeypatch, kernel, kind):
     monkeypatch.setattr(koszul.cotor, "kernel_basis", kernel)
     w = DegreeWindow(0, 12, 4)
-    h = HopfSpec(RingSpec(F2, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
-    with pytest.raises(OracleMismatchError) as err:
-        cotor_ranks(h, w)
-    assert err.value.witness["kind"] == kind
+    for coefficients in (F2, Z):
+        h = HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
+        with pytest.raises(OracleMismatchError) as err:
+            cotor_ranks(h, w)
+        assert err.value.witness["kind"] == kind
+
+
+def _z_cotor(tmp_path):
+    """Exit code and witness of `koszul cotor` over Z on primitives 1, 3, 5 at
+    t <= 12, s_max = 4."""
+    spec = tmp_path / "z.spec"
+    spec.write_text("[ring]\ncoefficients = Z\ngenerators =\n\n"
+                    "[window]\nt_min = 0\nt_max = 12\ns_max = 4\nstage_max = 4\n")
+    out = tmp_path / "run"
+    code = main(["cotor", "primitives=1,3,5", "--spec", str(spec), "--out", str(out)])
+    return code, json.loads((out / "witness.json").read_text())
+
+
+def test_a_doubled_boundary_is_torsion_over_z(monkeypatch, tmp_path):
+    # exact over Q but not over Z: the first generator, dual to t1, bounds
+    # 2 e_1, which leaves Z/2 at (0, 1) where every rank is still right
+    real, calls = koszul.cotor._primitive, []
+
+    def doubled_once(v):
+        calls.append(v)
+        return {i: (2 if len(calls) == 1 else 1) * x for i, x in real(v).items()}
+    monkeypatch.setattr(koszul.cotor, "_primitive", doubled_once)
+    code, witness = _z_cotor(tmp_path)
+    assert code == 1 and witness["kind"] == "resolution"
+    assert witness["witness"] == {"kind": "resolution", "s": 0, "t": 1, "rank": 0,
+                                  "torsion": [2]}
+
+
+@pytest.mark.parametrize("factor", [Fraction(3, 2), Fraction(2, 3)], ids=str)
+def test_a_rational_kernel_vector_is_rescaled(monkeypatch, factor):
+    # kernel vectors come back scaled by factor; over Z each boundary is
+    # scaled back to a primitive integer vector and the table is unchanged.
+    # int() would truncate 3/2 of a unit entry back to it, but 2/3 to zero
+    def scaled(m, c):
+        return [{i: factor * x for i, x in v.items()} for v in kernel_basis(m, c)]
+    w = DegreeWindow(0, 14, 4)
+    h = HopfSpec(RingSpec(Z, (("x1", 2),), w), (("t1", 1), ("t2", 3), ("t3", 5)))
+    want = cotor_ranks(h, w).table
+    monkeypatch.setattr(koszul.cotor, "kernel_basis", scaled)
+    assert cotor_ranks(h, w).table == want == _whole_window(h, w)[0]
 
 
 def _words_reaching(fc, t):
@@ -372,23 +414,25 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_slices_bound_peak_memory():
+def test_resolution_bounds_peak_memory():
     w = DegreeWindow(0, 14, 4)
     h = HopfSpec(RingSpec(Z, (), w),
                  tuple((f"t{i}", d) for i, d in enumerate((1, 3, 5, 7), 1)))
     whole = _traced_peak(lambda: homology_ranks(cobar_complex(h, w)))
-    sliced = _traced_peak(lambda: cotor_ranks(h, w))
-    assert sliced <= 0.6 * whole
+    resolved = _traced_peak(lambda: cotor_ranks(h, w))
+    assert resolved <= 0.6 * whole
 
 
-# d(d) of the cobar complex over Z[] on primitives 1, 3, 5 at t <= 12,
-# s_max = 4, once the sign of splitting t(1,2) into t(1)|t(2) is flipped:
-# (3, 11) comes after (2, 12), in (s, t) order, not in slice order
+# d(d) of the minimal resolution over Z[] on primitives 1, 3, 5 at t <= 12,
+# s_max = 4, once the sign of splitting t(1,2) into t(1)|t(2) is flipped; a
+# label (g, J) is e_J times the generator with id g, and the guard level
+# s_max + 1 = 5 is audited too
 FLIPPED_SIGN_VIOLATIONS = [
-    (1, 9, "d(d([t(1,2,3)]|())) has entry 2 at target row 0"),
-    (2, 10, "d(d([t(1)|t(1,2,3)]|())) has entry 2 at target row 0"),
-    (2, 12, "d(d([t(1,2,3)|t(2)]|())) has entry 2 at target row 6"),
-    (3, 11, "d(d([t(1)|t(1)|t(1,2,3)]|())) has entry 2 at target row 0"),
+    (2, 9, "d(d((38, (3,))|())) has entry 2 at target row 0"),
+    (3, 10, "d(d((74, (3,))|())) has entry -2 at target row 0"),
+    (3, 12, "d(d((80, (3,))|())) has entry 2 at target row 0"),
+    (4, 11, "d(d((113, (3,))|())) has entry 2 at target row 0"),
+    (5, 12, "d(d((146, (3,))|())) has entry -2 at target row 0"),
 ]
 
 
@@ -399,39 +443,28 @@ def _flip_one_sign(monkeypatch):
         lambda p, q: -real(p, q) if (p, q) == ((1,), (2,)) else real(p, q))
 
 
-def test_square_failure_audits_every_slice(monkeypatch):
-    _flip_one_sign(monkeypatch)
-    w = DegreeWindow(0, 12, 4)
-    h = HopfSpec(RingSpec(Z, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
-    with pytest.raises(DifferentialSquareError) as err:
-        cotor_ranks(h, w)
-    violations = err.value.report.violations
-    assert [(v.s, v.t, v.detail) for v in violations] == FLIPPED_SIGN_VIOLATIONS
-    assert {v.kind for v in violations} == {"square"}
-
-
 def test_square_failure_exits_one_with_every_violation(monkeypatch, tmp_path):
     _flip_one_sign(monkeypatch)
-    spec = tmp_path / "z.spec"
-    spec.write_text("[ring]\ncoefficients = Z\ngenerators =\n\n"
-                    "[window]\nt_min = 0\nt_max = 12\ns_max = 4\nstage_max = 4\n")
-    out = tmp_path / "run"
-    assert main(["cotor", "primitives=1,3,5", "--spec", str(spec), "--out", str(out)]) == 1
-    witness = json.loads((out / "witness.json").read_text())
-    assert witness["kind"] == "differential-square"
+    code, witness = _z_cotor(tmp_path)
+    assert code == 1 and witness["kind"] == "differential-square"
     assert [(v["s"], v["t"], v["detail"]) for v in witness["violations"]] == \
         FLIPPED_SIGN_VIOLATIONS
 
 
-@pytest.mark.parametrize("coefficients", [F3, Q], ids=str)
+@pytest.mark.parametrize("coefficients", [F3, Q, Z], ids=str)
 def test_a_flipped_sign_reaches_the_field_resolution(monkeypatch, coefficients):
     # the product read off the flipped cobar d^1 is not associative; a
-    # resolution that dropped the product's signs would not notice
+    # resolution that dropped the product's signs would not notice.  Every
+    # violation is reported, at the same bidegrees over each ring (the
+    # entries differ over F3, where -2 is 1)
     _flip_one_sign(monkeypatch)
     w = DegreeWindow(0, 12, 4)
     h = HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
-    with pytest.raises(DifferentialSquareError):
+    with pytest.raises(DifferentialSquareError) as err:
         cotor_ranks(h, w)
+    violations = err.value.report.violations
+    assert [(v.s, v.t) for v in violations] == [(s, t) for s, t, _ in FLIPPED_SIGN_VIOLATIONS]
+    assert {v.kind for v in violations} == {"square"}
 
 
 def _sorting_sign(seq):

@@ -4,10 +4,10 @@ Usage, from any directory:
 
     python3 tools/artifact_digests.py > digests.txt
 
-Runs each command of COMMANDS on every spec in the checkout's ``specs/``,
-and TOR_POWER, a library call that no command makes, on each of
-FIELD_SPECS, each in a fresh interpreter that imports ``koszul`` from the
-checkout's ``src/``.  A run happens in an empty temporary directory holding
+Runs each command of COMMANDS on every spec in the checkout's ``specs/``
+and on NONREGULAR, and TOR_POWER, a library call that no command makes, on
+each of FIELD_SPECS, each in a fresh interpreter that imports ``koszul``
+from the checkout's ``src/``.  A run happens in an empty temporary directory holding
 a copy of its spec, with relative ``--spec`` and ``--out`` paths, so nothing
 in its output depends on where the checkout lives.  Each output line is
 
@@ -42,9 +42,28 @@ COMMANDS = (
     # that reach each internal degree of it
     ("cotor", "primitives=1,3,5", "--window", "4,14,4,4"),
     # the benchmark's cotor size, over the coefficients of every spec: the
-    # minimal resolution over F2, F3 and Q, the cobar slices over Z
+    # minimal resolution over F2, F3 and Q, and over Q realized over Z
     ("cotor", "primitives=1,3,5,7", "--window", "0,18,5,4"),
 )
+
+# a spec whose sequence is not regular, so that the commands which need a
+# regular one exit 1 and write witness.json; kept out of specs/, which holds
+# the examples the package ships
+NONREGULAR = ("nonregular_f2.spec", """\
+[ring]
+coefficients = F2
+generators = x1:2, x2:4
+
+[ideal]
+entry = x1
+entry = x1
+
+[window]
+t_min = 0
+t_max = 12
+s_max = 3
+stage_max = 4
+""")
 
 # specs whose own window is too large for a quick run of every command
 WINDOWS = {"example_b.spec": "0,14,6,4"}
@@ -101,8 +120,11 @@ def digest_lines(root: Path, specs: list[Path]):
 
 
 def main() -> int:
-    for line in digest_lines(ROOT, sorted((ROOT / "specs").glob("*.spec"))):
-        print(line, flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        nonregular = Path(tmp) / NONREGULAR[0]
+        nonregular.write_text(NONREGULAR[1])
+        for line in digest_lines(ROOT, sorted((ROOT / "specs").glob("*.spec")) + [nonregular]):
+            print(line, flush=True)
     return 0
 
 
