@@ -1,21 +1,28 @@
-"""Command-line driver: parse a configuration file, run a pipeline, write
-artifacts (CSV rank tables, SVG charts, plain-text reports) under an output
-directory.
+"""usage: koszul <command> [key=value ...] [flags]
+       koszul chart input.csv [flags]
 
-Exit codes: 0 on success, 1 on a mathematical failure (an oracle mismatch,
+Read a configuration file, run one pipeline, and write its artifacts (CSV
+rank tables, SVG charts, plain-text reports) under an output directory.
+
+Every flag takes one value, as --flag VALUE or --flag=VALUE; the value may
+start with "-".  Flags stand before or after the command word, a unique
+prefix will do, the last repeat wins, and "--" ends them.  -h or --help
+anywhere before "--" prints this help.
+
+Exit codes: 0 on success; 1 on a mathematical failure (an oracle mismatch,
 d after d not vanishing, a non-regular sequence, a failed collapse audit),
-2 on a usage or configuration-file error (including input the library
-refuses up front, InputError), 3 on an internal error: any other exception,
-which is a fault of the program rather than of its input.  Every
-mathematical failure also writes ``witness.json`` with the offending
-bidegree and the data involved.
+which also writes witness.json with the offending bidegree and data; 2 on a
+usage or configuration-file error, printed as "error: ...": every parse
+error and input the library refuses up front (InputError) among them; 3 on
+an internal error, any other exception: a fault of the program, not of its
+input.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .adams import (
     ExampleConfig,
@@ -37,66 +44,78 @@ from .tower import (
     verify_partial_exactness,
 )
 
-COMMANDS = ("check-regular", "tor", "tower", "exactness", "cotor", "e2",
-            "complete", "chart")
+# command -> its line in the help
+_HELPS = {
+    "check-regular": "verify that the [ideal] sequence is regular in window",
+    "tor": "self-dual Tor table of the quotient, checked against the exterior closed form",
+    "tower": "build and audit the stage-s resolution (tower s=<k>)",
+    "exactness": "audit the boundary complexes through the window stages",
+    "cotor": "cobar cohomology against the polynomial closed form (cotor primitives=3,5)",
+    "e2": "closed-form E2 presentation with collapse audit (e2 example=A p=2 j_max=2)",
+    "complete": "power-quotient completion tower with stabilization certificates",
+    "chart": "render an existing s,t,rank,torsion CSV as an SVG chart",
+}
+COMMANDS = tuple(_HELPS)
+
+# flag -> (metavar, default, help); each flag takes one value
+_FLAGS = {
+    "--spec": ("PATH", None, "configuration file ([ring]/[ideal]/[window]/[example])"),
+    "--out": ("DIR", ".", "output directory for artifacts (default: current)"),
+    "--window": ("T_MIN,T_MAX,S_MAX,STAGE_MAX", None, "override the [window] section"),
+    "--axes": ("|".join(AXIS_CHOICES), "adams", "chart axes: adams = (t-s, s), cartesian = (t, s)"),
+    "--jobs": ("N", 1, "accepted and ignored: everything runs in this process (N >= 1)"),
+}
 
 
 class UsageError(Exception):
     """A problem with flags, parameters, or missing configuration sections."""
 
 
-def _common_flags(for_subparser: bool) -> argparse.ArgumentParser:
-    # The flags live on the main parser and on every subparser so they may be
-    # given on either side of the command word.  The subparser copies default
-    # to SUPPRESS, otherwise they would overwrite values the main parser set.
-    def default(value):
-        return argparse.SUPPRESS if for_subparser else value
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", metavar="PATH", default=default(None),
-                        help="configuration file ([ring]/[ideal]/[window]/[example])")
-    common.add_argument("--out", metavar="DIR", default=default("."),
-                        help="output directory for artifacts (default: current)")
-    common.add_argument("--window", metavar="T_MIN,T_MAX,S_MAX,STAGE_MAX",
-                        default=default(None),
-                        help="override the [window] section")
-    common.add_argument("--axes", choices=AXIS_CHOICES, default=default("adams"),
-                        help="chart axes: adams = (t-s, s), cartesian = (t, s)")
-    common.add_argument("--jobs", type=int, default=default(1), metavar="N",
-                        help="accepted for compatibility and ignored; every "
-                             "computation runs in this process (N >= 1)")
-    return common
+def _help() -> str:
+    flags = {f"{flag} {meta}": text for flag, (meta, _, text) in _FLAGS.items()}
+    flags["-h, --help"] = "print this help and exit"
+    return "\n".join([__doc__ or "", "commands:", *(f"  {k}\n      {v}" for k, v in _HELPS.items()),
+                      "", "flags:", *(f"  {k}\n      {v}" for k, v in flags.items())])
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="koszul", parents=[_common_flags(False)],
-        description="Graded homological algebra: Koszul complexes, Tor tables, "
-                    "tower resolutions, cobar cohomology, collapse audits, and "
-                    "completion towers, with closed-form cross-checks.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "check-regular": "verify that the [ideal] sequence is regular in window",
-        "tor": "self-dual Tor table of the quotient, checked against the "
-               "exterior closed form",
-        "tower": "build and audit the stage-s resolution (tower s=<k>)",
-        "exactness": "audit the boundary complexes through the window stages",
-        "cotor": "cobar cohomology against the polynomial closed form "
-                 "(cotor primitives=3,5)",
-        "e2": "closed-form E2 presentation with collapse audit "
-              "(e2 example=A p=2 j_max=2)",
-        "complete": "power-quotient completion tower with stabilization "
-                    "certificates",
-        "chart": "render an existing s,t,rank,torsion CSV as an SVG chart",
-    }
-    sub_common = _common_flags(True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, parents=[sub_common], help=helps[name])
-        if name == "chart":
-            p.add_argument("input", metavar="input.csv")
+def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The command, its parameters (for chart, its input) and every flag of
+    argv, defaults filled in; None once a help flag printed the help."""
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    if any(word == "-h" or len(word) > 2 and "--help".startswith(word) for word in head):
+        print(_help())
+        return None
+    values = {flag[2:]: default for flag, (_, default, _) in _FLAGS.items()}
+    words: list[str] = []
+    rest = iter(argv)
+    for word in rest:
+        if word == "--":
+            words += rest
+        elif word.startswith("-") and word != "-":
+            name, eq, value = word.partition("=")
+            match = [flag for flag in _FLAGS if flag.startswith(name)]
+            if len(match) != 1:
+                raise UsageError(f"unknown or ambiguous flag {name!r}")
+            if not eq and (value := next(rest, None)) is None:
+                raise UsageError(f"{match[0]} needs a value")
+            values[match[0][2:]] = value
         else:
-            p.add_argument("params", nargs="*", metavar="key=value")
-    return parser
+            words.append(word)
+    if not words or words[0] not in COMMANDS:
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}")
+    command, words = words[0], words[1:]
+    if command == "chart" and len(words) != 1:
+        raise UsageError(f"chart takes exactly one input.csv, got {len(words)}")
+    if values["axes"] not in AXIS_CHOICES:
+        raise UsageError(f"--axes takes {' or '.join(AXIS_CHOICES)}, got {values['axes']!r}")
+    try:
+        values["jobs"] = int(values["jobs"])
+    except ValueError:
+        raise UsageError(f"--jobs takes an integer, got {values['jobs']!r}") from None
+    if values["jobs"] < 1:
+        raise UsageError(f"--jobs must be at least 1, got {values['jobs']}")
+    field = {"input": words[0]} if command == "chart" else {"params": words}
+    return SimpleNamespace(command=command, **field, **values)
 
 
 def _parse_params(pairs: list[str], allowed: dict) -> dict:
@@ -121,18 +140,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _parse_window_flag(text: str) -> DegreeWindow:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError(
-            f"--window takes t_min,t_max,s_max,stage_max (4 integers), got {text!r}")
-    try:
-        t_min, t_max, s_max, stage_max = (int(x) for x in parts)
-    except ValueError:
-        raise UsageError(f"--window fields must be integers, got {text!r}") from None
-    return DegreeWindow(t_min, t_max, s_max, stage_max=stage_max)
-
-
 def _load_spec(args) -> SpecFile:
     if args.spec is None:
         spec = SpecFile()
@@ -143,7 +150,12 @@ def _load_spec(args) -> SpecFile:
             raise UsageError(f"cannot read spec file: {exc}") from None
         spec = parse_spec(text)
     if args.window is not None:
-        spec = spec_with_window(spec, _parse_window_flag(args.window))
+        try:  # a wrong count of fields fails the unpacking with a ValueError too
+            t_min, t_max, s_max, stage_max = (int(x) for x in args.window.split(","))
+        except ValueError:
+            raise UsageError("--window takes t_min,t_max,s_max,stage_max (4 integers), "
+                             f"got {args.window!r}") from None
+        spec = spec_with_window(spec, DegreeWindow(t_min, t_max, s_max, stage_max=stage_max))
     return spec
 
 
@@ -395,28 +407,15 @@ def _cmd_chart(args, spec: SpecFile, out_dir: Path) -> int:
     return 0
 
 
-_DISPATCH = {
-    "check-regular": _cmd_check_regular,
-    "tor": _cmd_tor,
-    "tower": _cmd_tower,
-    "exactness": _cmd_exactness,
-    "cotor": _cmd_cotor,
-    "e2": _cmd_e2,
-    "complete": _cmd_complete,
-    "chart": _cmd_chart,
-}
+_DISPATCH = {name: globals()["_cmd_" + name.replace("-", "_")] for name in COMMANDS}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    out_dir = Path(args.out)
-    try:
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         spec = _load_spec(args)
         return _DISPATCH[args.command](args, spec, out_dir)

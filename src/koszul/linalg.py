@@ -340,20 +340,22 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
                     break
                 x ^= y
         return len(lows)
-    norm, inv = coeffs.normalize, coeffs.inv
+    # over F_p an inline % p reduces each entry, with no call; Q calls normalize
+    p, norm, inv = coeffs.p, coeffs.normalize, coeffs.inv
     leads: dict[int, dict] = {}  # lowest row -> pivot column, entry there 1
     for col in m.columns:
-        v = _normalized(coeffs, col)
+        v = {i: y for i, x in col.items() if (y := x % p if p else norm(x))}
         while v:
             lead = min(v)
             row = leads.get(lead)
             if row is None:
                 scale = inv(v[lead])
-                leads[lead] = {i: norm(x * scale) for i, x in v.items()}
+                leads[lead] = {i: x * scale % p if p else norm(x * scale) for i, x in v.items()}
                 break
             f = v[lead]
             for i, x in row.items():
-                if y := norm(v.get(i, 0) - f * x):
+                y = v.get(i, 0) - f * x
+                if y := y % p if p else norm(y):
                     v[i] = y
                 else:
                     del v[i]
@@ -400,7 +402,7 @@ def smith_normal_form(m: Matrix) -> tuple[int, ...]:
     >>> smith_normal_form(Matrix(3, 2))
     ()
     """
-    raw, _, _ = smith_with_transforms(m, need_transforms=False)
+    raw, _, _ = smith_with_transforms(m, need_s=False, need_t=False)
     return _divisibility_chain(raw)
 
 
@@ -421,13 +423,14 @@ def _divisibility_chain(raw) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def smith_with_transforms(m: Matrix, need_transforms: bool = True):
+def smith_with_transforms(m: Matrix, need_s: bool = True, need_t: bool = True):
     """Diagonalize over Z: returns (raw, S, T) with S*m*T = diag(raw, then zeros).
 
     raw holds the positive diagonal entries in matrix order, not yet forced
-    into a divisibility chain; S and T are unimodular (both None unless
-    need_transforms).  Exact big-integer arithmetic throughout, in two phases
-    (Kaczynski-Mrozek-Slusarek 1998, Dumas-Saunders-Villard 2001):
+    into a divisibility chain; S and T are unimodular, and each is None, its
+    bookkeeping skipped, unless need_s or need_t asks for it.  Exact
+    big-integer arithmetic throughout, in two phases (Kaczynski-Mrozek-Slusarek
+    1998, Dumas-Saunders-Villard 2001):
 
     * Sparse: the row operations need a row view, so the columns of m are
       turned into rows, {col: value} dicts, with a row set per column.  The
@@ -450,8 +453,8 @@ def smith_with_transforms(m: Matrix, need_transforms: bool = True):
                 rows.setdefault(i, {})[j] = v
                 col_rows.setdefault(j, set()).add(i)
     z = Coefficients.integers()
-    s_rows = {i: {i: 1} for i in range(m.rows)} if need_transforms else None
-    t_cols = {j: {j: 1} for j in range(m.cols)} if need_transforms else None
+    s_rows = {i: {i: 1} for i in range(m.rows)} if need_s else None
+    t_cols = {j: {j: 1} for j in range(m.cols)} if need_t else None
 
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
@@ -508,51 +511,49 @@ def smith_with_transforms(m: Matrix, need_transforms: bool = True):
         for a, i in enumerate(left_rows):
             for j, v in rows[i].items():
                 block[a][pos[j]] = v
-        d_raw, d_s, d_t = _dense_smith(block, need_transforms)
+        d_raw, d_s, d_t = _dense_smith(block, need_s, need_t)
         raw.extend(d_raw)
-    if not need_transforms:
-        return tuple(raw), None, None
-
-    # S rows: pivot rows times their unit, the leftover rows mixed by d_s,
-    # the rows that were zero
-    s_out = [{k: u * x for k, x in s_rows[i].items()} for i, _, u in pivots]
-    for coeffs in d_s or ():
-        acc: dict[int, int] = {}
-        for b, c in enumerate(coeffs):
-            if c:
-                acc = _vec_axpy(z, acc, c, s_rows[left_rows[b]])
-        s_out.append(acc)
-    done = {i for i, _, _ in pivots}.union(left_rows)
-    s_out.extend(s_rows[i] for i in range(m.rows) if i not in done)
-    # T columns: pivot columns, the leftover columns mixed by d_t, the rest
-    t_out = [t_cols[j] for _, j, _ in pivots]
-    for a in range(len(left_cols)):
-        acc = {}
-        for b, j in enumerate(left_cols):
-            c = d_t[b][a]
-            if c:
-                acc = _vec_axpy(z, acc, c, t_cols[j])
-        t_out.append(acc)
-    done = {j for _, j, _ in pivots}.union(left_cols)
-    t_out.extend(t_cols[j] for j in range(m.cols) if j not in done)
-
-    s_cols: list[dict] = [{} for _ in range(m.rows)]
-    for a, row in enumerate(s_out):
-        for i, v in row.items():
-            s_cols[i][a] = v
-    return tuple(raw), Matrix(m.rows, m.rows, s_cols), Matrix(m.cols, m.cols, t_out)
+    s = t = None
+    if need_s:  # S rows: pivot rows times their unit, leftover rows mixed by d_s, zero rows
+        s_out = [{k: u * x for k, x in s_rows[i].items()} for i, _, u in pivots]
+        for coeffs in d_s or ():
+            acc: dict[int, int] = {}
+            for b, c in enumerate(coeffs):
+                if c:
+                    acc = _vec_axpy(z, acc, c, s_rows[left_rows[b]])
+            s_out.append(acc)
+        done = {i for i, _, _ in pivots}.union(left_rows)
+        s_out.extend(s_rows[i] for i in range(m.rows) if i not in done)
+        s_cols: list[dict] = [{} for _ in range(m.rows)]
+        for a, row in enumerate(s_out):
+            for i, v in row.items():
+                s_cols[i][a] = v
+        s = Matrix(m.rows, m.rows, s_cols)
+    if need_t:  # T columns: pivot columns, leftover columns mixed by d_t, the rest
+        t_out = [t_cols[j] for _, j, _ in pivots]
+        for a in range(len(left_cols)):
+            acc = {}
+            for b, j in enumerate(left_cols):
+                c = d_t[b][a]
+                if c:
+                    acc = _vec_axpy(z, acc, c, t_cols[j])
+            t_out.append(acc)
+        done = {j for _, j, _ in pivots}.union(left_cols)
+        t_out.extend(t_cols[j] for j in range(m.cols) if j not in done)
+        t = Matrix(m.cols, m.cols, t_out)
+    return tuple(raw), s, t
 
 
-def _dense_smith(a: list[list[int]], need_transforms: bool):
+def _dense_smith(a: list[list[int]], need_s: bool, need_t: bool):
     """Dense Smith diagonalization of the nonempty block a, in place:
-    (raw, S, T) as lists of rows, S and T None unless need_transforms.
+    (raw, S, T) as lists of rows, S None unless need_s, T None unless need_t.
 
     Searches the whole remaining block for the smallest pivot at every step;
     smith_with_transforms only hands it what sparse elimination left over.
     """
     rows, cols = len(a), len(a[0])
-    s = [[int(i == j) for j in range(rows)] for i in range(rows)] if need_transforms else None
-    t = [[int(i == j) for j in range(cols)] for i in range(cols)] if need_transforms else None
+    s = [[int(i == j) for j in range(rows)] for i in range(rows)] if need_s else None
+    t = [[int(i == j) for j in range(cols)] for i in range(cols)] if need_t else None
 
     def row_op(i, j, c):  # row_i += c*row_j
         ai, aj = a[i], a[j]
@@ -642,7 +643,7 @@ def rational_rank(m: Matrix) -> int:
 
 def integer_kernel_basis(m: Matrix) -> list[dict]:
     """Lattice basis of the integer kernel (columns of T past the rank)."""
-    d, _, t = smith_with_transforms(m)
+    d, _, t = smith_with_transforms(m, need_s=False)
     return [col for col in t.columns[len(d):] if col]
 
 
@@ -651,7 +652,7 @@ class IntegerLattice:
 
     def __init__(self, m: Matrix):
         self.m = m
-        self.d, self.s, self.t = smith_with_transforms(m)
+        self.d, self.s, _ = smith_with_transforms(m, need_t=False)
 
     @property
     def rank(self) -> int:

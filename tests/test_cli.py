@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from koszul.cli import main
+from koszul.cli import COMMANDS, main
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -332,6 +332,126 @@ def test_unknown_command_and_params(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "check-regular" in capsys.readouterr().out
+
+
+# The command-line grammar.  Each handler is replaced by one that records
+# the fields main hands it, so these tests see which command ran and with
+# what, and run no mathematics.
+DEFAULTS = {"spec": None, "out": ".", "window": None, "axes": "adams", "jobs": 1}
+
+
+def _dispatched(monkeypatch):
+    import koszul.cli
+
+    ran = []
+
+    def record(args, spec, out_dir):
+        ran.append(dict(vars(args)))
+        return 0
+
+    for name in COMMANDS:
+        monkeypatch.setitem(koszul.cli._DISPATCH, name, record)
+    return ran
+
+
+def test_flags_go_on_either_side_of_the_command(tmp_path, monkeypatch):
+    ran = _dispatched(monkeypatch)
+    spec, out = spec_arg("diagonal_f2.spec"), str(tmp_path)
+    assert run("--spec", spec, "--out", out, "--axes", "cartesian", "tower", "s=2") == 0
+    assert run("tower", "s=2", "--spec", spec, "--out", out, "--axes", "cartesian") == 0
+    assert run("--spec", spec, "tower", "--out", out, "s=2", "--axes", "cartesian") == 0
+    assert ran == 3 * [{**DEFAULTS, "command": "tower", "params": ["s=2"],
+                        "spec": spec, "out": out, "axes": "cartesian"}]
+    assert run("--out", out, "chart", "in.csv", "--jobs", "3") == 0
+    assert ran[-1] == {**DEFAULTS, "command": "chart", "input": "in.csv", "out": out,
+                       "jobs": 3}
+
+
+def test_flag_values_after_an_equals_sign_or_starting_with_a_dash(tmp_path, monkeypatch,
+                                                                   capsys):
+    ran = _dispatched(monkeypatch)
+    out = str(tmp_path / "eq")
+    assert run("tor", f"--out={out}", "--window=0,8,3,4") == 0
+    assert ran == [{**DEFAULTS, "command": "tor", "params": [], "out": out,
+                    "window": "0,8,3,4"}]
+    for flag in (("--jobs=-1",), ("--jobs", "-3")):
+        assert run("tor", "--out", str(tmp_path), *flag) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert len(ran) == 1
+
+
+def test_a_window_value_may_start_with_a_dash(tmp_path, monkeypatch):
+    # argparse took "-4,8,2,2" for a flag, so only --window=-4,8,2,2 worked
+    ran = _dispatched(monkeypatch)
+    assert run("tor", "--window", "-4,8,2,2", "--out", str(tmp_path)) == 0
+    assert ran == [{**DEFAULTS, "command": "tor", "params": [], "out": str(tmp_path),
+                    "window": "-4,8,2,2"}]
+
+
+def test_a_unique_prefix_stands_for_its_flag(tmp_path, monkeypatch):
+    ran = _dispatched(monkeypatch)
+    spec, out = spec_arg("diagonal_f2.spec"), str(tmp_path)
+    assert run("tor", "--sp", spec, "--o", out, "--ax", "cartesian", "--j", "2",
+               "--w", "0,8,3,4") == 0
+    assert ran == [{"command": "tor", "params": [], "spec": spec, "out": out,
+                    "window": "0,8,3,4", "axes": "cartesian", "jobs": 2}]
+
+
+def test_a_double_dash_ends_the_flags(tmp_path, monkeypatch):
+    ran = _dispatched(monkeypatch)
+    out = str(tmp_path)
+    assert run("tower", "--out", out, "--", "s=2", "--spec") == 0
+    assert run("chart", "--out", out, "--", "-in.csv") == 0
+    assert ran == [{**DEFAULTS, "command": "tower", "params": ["s=2", "--spec"], "out": out},
+                   {**DEFAULTS, "command": "chart", "input": "-in.csv", "out": out}]
+
+
+def test_the_last_repeat_of_a_flag_wins(tmp_path, monkeypatch):
+    ran = _dispatched(monkeypatch)
+    assert run("--window", "0,4,1,1", "--axes", "cartesian", "tor", "--out", str(tmp_path),
+               "--window", "0,8,3,4", "--axes", "adams") == 0
+    assert ran == [{**DEFAULTS, "command": "tor", "params": [], "out": str(tmp_path),
+                    "window": "0,8,3,4"}]
+
+
+def test_no_argv_reads_the_process_arguments(tmp_path, monkeypatch):
+    ran = _dispatched(monkeypatch)
+    monkeypatch.setattr("sys.argv", ["koszul", "e2", "p=3", "--out", str(tmp_path)])
+    assert main(None) == 0
+    assert ran == [{**DEFAULTS, "command": "e2", "params": ["p=3"], "out": str(tmp_path)}]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--bogus", "tor"),
+    ("tor", "--spec"),
+    ("tor", "--axes", "bogus"),
+    ("tor", "--jobs", "x"),
+    ("chart",),
+    ("chart", "a.csv", "b.csv"),
+    (),
+    ("--jobs", "2"),
+    ("frobnicate",),
+], ids=["unknown-flag", "no-value", "bad-axes", "bad-jobs", "chart-no-csv",
+        "chart-two-csvs", "empty", "no-command", "unknown-command"])
+def test_parse_errors_exit_two_and_run_nothing(monkeypatch, capsys, argv):
+    ran = _dispatched(monkeypatch)
+    assert run(*argv) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not captured.out
+
+
+def test_help_lists_every_command_and_flag_and_runs_nothing(monkeypatch, capsys):
+    ran = _dispatched(monkeypatch)
+    assert run("--help") == 0
+    text = capsys.readouterr().out
+    for word in (*COMMANDS, "--spec", "--out", "--window", "--axes", "--jobs"):
+        assert word in text
+    for argv in (("tower", "--help"), ("tor", "--spec", spec_arg("diagonal_f2.spec"), "-h")):
+        assert run(*argv) == 0
+        assert "--window" in capsys.readouterr().out
+    assert ran == []
 
 
 def test_jobs_flag_gives_identical_output(tmp_path, monkeypatch):

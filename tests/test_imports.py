@@ -6,7 +6,8 @@ ast, and an imported name counts as used when the module reads it somewhere:
 a Name in Load context.  A Store target of the same name (a local variable
 called `field`, say) does not count.  The package's __all__ names every
 public object it re-exports and no submodule.  Importing the command line
-loads neither dataclasses nor fractions, nor what they import.
+loads neither dataclasses nor fractions, nor what they import, and no
+argparse, gettext or locale: the command line is parsed without them.
 """
 import ast
 import os
@@ -61,7 +62,8 @@ FOOTPRINT = """
 import sys
 before = set(sys.modules)
 import koszul.cli
-print(sorted({"dataclasses", "inspect", "fractions", "decimal"} & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale"}
+             & (set(sys.modules) - before)))
 from koszul.linalg import Coefficients
 q = Coefficients.rationals()
 print("fractions" in sys.modules, repr(q.inv(q.normalize(6)) + q.one))

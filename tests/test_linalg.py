@@ -404,7 +404,7 @@ def _dense_chain(m: Matrix) -> tuple[int, ...]:
     """Invariant factors from the dense pivot search alone."""
     if not m.rows or not m.cols:
         return ()
-    raw, _, _ = linalg._dense_smith(_rows(m), False)
+    raw, _, _ = linalg._dense_smith(_rows(m), False, False)
     return linalg._divisibility_chain(raw)
 
 
@@ -423,7 +423,18 @@ def test_smith_with_transforms_properties(m):
     assert abs(_det(_rows(s))) == 1 and abs(_det(_rows(t))) == 1
     assert linalg._divisibility_chain(raw) == _dense_chain(m)
     # without transforms the same factors come out
-    assert smith_with_transforms(m, need_transforms=False) == (raw, None, None)
+    assert smith_with_transforms(m, need_s=False, need_t=False) == (raw, None, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_matrix())
+@example(Matrix(3, 3, [{}, {0: 2, 2: -3}, {}]))
+@example(Matrix.from_rows([[2, 4, 6], [4, 6, 8], [6, 9, 15]]))
+def test_one_transform_is_the_matching_part_of_both(m):
+    # skipping the bookkeeping of one transform leaves the other unchanged
+    raw, s, t = smith_with_transforms(m)
+    assert smith_with_transforms(m, need_t=False) == (raw, s, None)
+    assert smith_with_transforms(m, need_s=False) == (raw, None, t)
 
 
 @settings(max_examples=200, deadline=None)
@@ -439,9 +450,9 @@ def _counting_dense(monkeypatch):
     blocks = []
     original = linalg._dense_smith
 
-    def counting(a, need_transforms):
+    def counting(a, need_s, need_t):
         blocks.append([row[:] for row in a])
-        return original(a, need_transforms)
+        return original(a, need_s, need_t)
 
     monkeypatch.setattr(linalg, "_dense_smith", counting)
     return blocks

@@ -1,5 +1,5 @@
 """tools/step_probe.py: two checkouts side by side in one interpreter, and
-the fresh-process import of each."""
+the fresh-process import and first main call of each."""
 import importlib.util
 import re
 import shutil
@@ -54,14 +54,27 @@ def test_fresh_process_import_of_each_side(tmp_path):
     for side in ("parent", "change"):
         roots[side] = tmp_path / side
         shutil.copytree(ROOT / "src" / "koszul", roots[side] / "src" / "koszul")
-    # a side that cannot import is an error, not a time
-    (roots["change"] / "src" / "koszul" / "cli.py").write_text("raise ImportError\n")
+    (roots["parent"] / "perfbench").mkdir()
+    shutil.copy(ROOT / "perfbench" / "workloads.py", roots["parent"] / "perfbench")
+    work = tmp_path / "work"
+    work.mkdir()
+    # a side that cannot import, or whose main fails, is an error, not a time
+    cli = roots["change"] / "src" / "koszul" / "cli.py"
+    cli.write_text("raise ImportError\n")
     with pytest.raises(subprocess.CalledProcessError):
-        tool.import_times(roots, rounds=1)
-    shutil.copy(ROOT / "src" / "koszul" / "cli.py", roots["change"] / "src" / "koszul")
-    entry = tool.import_times(roots, rounds=2)
-    assert entry["step"] == "import koszul.cli" and entry["rounds"] == 2
-    assert all(len(runs) == 2 and min(runs) > 0 for runs in entry["runs_ms"].values())
-    assert re.fullmatch(r"[0-2]/2", entry["change_lower_in_rounds"])
-    line = tool.describe(entry)
-    assert line.startswith("import koszul.cli: parent ") and "same output" not in line
+        tool.import_times(roots, work, rounds=1)
+    cli.write_text("def main(argv):\n    return 2\n")
+    with pytest.raises(subprocess.CalledProcessError):
+        tool.import_times(roots, work, rounds=1)
+    shutil.copy(ROOT / "src" / "koszul" / "cli.py", cli)
+    entries = tool.import_times(roots, work, rounds=2)
+    assert [entry["step"] for entry in entries] == ["import koszul.cli", "first main call"]
+    for entry in entries:
+        assert entry["rounds"] == 2
+        assert all(len(runs) == 2 and min(runs) > 0 for runs in entry["runs_ms"].values())
+        assert re.fullmatch(r"[0-2]/2", entry["change_lower_in_rounds"])
+        assert "same output" not in tool.describe(entry)
+    assert tool.describe(entries[0]).startswith("import koszul.cli: parent ")
+    assert tool.describe(entries[1]).startswith("first main call: parent ")
+    # the call ran the first step's smoke invocation and wrote its artifacts
+    assert (work / "out-tower-f2" / "tower_s3.csv").is_file()

@@ -18,13 +18,17 @@ speed drifts between runs that spread can hide a step's change; here both
 sides share one process and run side by side.
 
 Before the steps, the same number of alternating rounds times what every
-benchmark sample pays before ``main``: one fresh ``python3`` per side and
-round that only imports ``koszul.cli`` from that side's ``src/``, with this
-process's environment (``PYTHONDONTWRITEBYTECODE`` as the caller set it).
+benchmark sample pays that the steps above do not show: one fresh
+``python3`` per side and round imports ``koszul.cli`` from that side's
+``src/`` and then calls its ``main`` once, on the first step's smoke
+invocation, with this process's environment (``PYTHONDONTWRITEBYTECODE`` as
+the caller set it).  That first call pays for what ``main`` sets up on first
+use, which the in-process rounds pay only once per side and then hide.
 
-Standard error gets one line for the import and one per step: both medians
-in ms, their ratio, the rounds in which the change read lower and, for a
-step, whether both sides printed the same text with the same exit code.
+Standard error gets one line for the import, one for the first main call
+and one per step: both medians in ms, their ratio, the rounds in which the
+change read lower and, for a step, whether both sides printed the same text
+with the same exit code.
 The last line of standard output is the same as one JSON list.
 """
 from __future__ import annotations
@@ -89,23 +93,47 @@ def summarize(step: str, times: dict[str, list[float]]) -> dict:
     }
 
 
-IMPORT = """import sys, time
+FRESH = """import contextlib, io, sys, time
 sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 import koszul.cli
-print(time.perf_counter() - start)
+imported = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = koszul.cli.main(sys.argv[2:])
+print(imported - start, time.perf_counter() - imported)
+sys.exit(code)
 """
 
 
-def import_times(roots: dict[str, Path], rounds: int = 15) -> dict:
-    """Each side's fresh-process ``import koszul.cli`` time, alternating."""
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
+def load_workloads(roots: dict[str, Path]):
+    """The parent's ``perfbench/workloads.py``: both sides run its steps."""
+    return load_module("perfbench_workloads", roots["parent"] / "perfbench" / "workloads.py")
+
+
+def step_argv(step, work: Path, seed: int, smoke: bool) -> list[str]:
+    """The arguments of one run of step, its spec file written into work."""
+    text, extra = step.invocation(seed, smoke)
+    spec = work / f"{step.name}.spec"
+    spec.write_text(text, encoding="utf-8")
+    return [*step.command, *extra, "--spec", str(spec), "--out", str(work / f"out-{step.name}")]
+
+
+def import_times(roots: dict[str, Path], work: Path, seed: int = 0,
+                 rounds: int = 15) -> list[dict]:
+    """Each side's fresh-process ``import koszul.cli`` time and, in the same
+    process, the time of its first ``main`` call on the first step's smoke
+    invocation, alternating.  A side whose import or call fails is an error."""
+    first = next(iter(load_workloads(roots).STEPS.values()))
+    argv = step_argv(first, work, seed, smoke=True)
+    times: dict[str, dict[str, list[float]]] = {
+        step: {side: [] for side in SIDES} for step in ("import koszul.cli", "first main call")}
     for r in range(rounds):
         for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
-            done = subprocess.run([sys.executable, "-c", IMPORT, str(roots[side] / "src")],
+            done = subprocess.run([sys.executable, "-c", FRESH, str(roots[side] / "src"), *argv],
                                   capture_output=True, text=True, check=True)
-            times[side].append(float(done.stdout))
-    return summarize("import koszul.cli", times)
+            for step, seconds in zip(times, done.stdout.split()):
+                times[step][side].append(float(seconds))
+    return [summarize(step, by_side) for step, by_side in times.items()]
 
 
 def describe(entry: dict) -> str:
@@ -119,15 +147,10 @@ def describe(entry: dict) -> str:
 def probe(roots: dict[str, Path], work: Path, seed: int = 0, rounds: int = 15,
           smoke: bool = False) -> list[dict]:
     """Per step: both sides' run times, medians and the rounds the change won."""
-    workloads = load_module("perfbench_workloads",
-                            roots["parent"] / "perfbench" / "workloads.py")
     mains = {side: load_cli(roots[side], side).main for side in SIDES}
     report = []
-    for name, step in workloads.STEPS.items():
-        text, extra = step.invocation(seed, smoke)
-        spec = work / f"{name}.spec"
-        spec.write_text(text, encoding="utf-8")
-        argv = [*step.command, *extra, "--spec", str(spec), "--out", str(work / f"out-{name}")]
+    for name, step in load_workloads(roots).STEPS.items():
+        argv = step_argv(step, work, seed, smoke)
         times: dict[str, list[float]] = {side: [] for side in SIDES}
         outputs = {}
         for r in range(rounds):
@@ -157,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         export(rev, roots[side])
     work = scratch / "probe"
     work.mkdir(exist_ok=True)
-    report = [import_times(roots, args.rounds),
+    report = [*import_times(roots, work, args.seed, args.rounds),
               *probe(roots, work, args.seed, args.rounds, args.smoke)]
     for entry in report:
         print(describe(entry), file=sys.stderr)
