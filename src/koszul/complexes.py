@@ -16,6 +16,7 @@ from .linalg import (
     Coefficients,
     Matrix,
     VectorSpan,
+    _f2_bits,
     kernel_basis,
     rank_over_field,
     rational_rank,
@@ -143,16 +144,20 @@ class FreeComplex:
         read once per (s, t).  Entries are normalized and nonzero (Element
         normalizes, and both reduce methods drop zeros), so an entry is
         stored as given and normalized only where two terms land on the same
-        row.  A bidegree whose target level s + step has no basis at t gets a
-        0-row matrix without visiting its generators, and the audit's compose
-        and the field rank return at once on it.  d after d is checked here
-        and only here: a failing verify_differential raises
+        row.  Over F2 each table is packed once (_f2_bits) and each column is
+        one int, the XOR of table[k] << row over its terms: the matrix is
+        packed (Matrix.bits), and the audit's compose and the field rank read
+        it as stored.  A bidegree whose target level s + step has no basis at
+        t gets a 0-row matrix without visiting its generators, and the
+        audit's compose and the field rank return at once on it.  d after d
+        is checked here and only here: a failing verify_differential raises
         DifferentialSquareError, a passing one is kept as the result's
         `differential`.
         """
         w = window or self.ring.window
         mod = module or FreeModuleBasis(self.ring)
         normalize = self.ring.coefficients.normalize
+        packed = self.ring.coefficients.p == 2
         step = -1 if self.direction == HOMOLOGICAL else 1
         labels, internal = self.labels, self.internal
         basis: dict[tuple[int, int], list] = {}
@@ -181,7 +186,7 @@ class FreeComplex:
                 diff[(s, t)] = Matrix(0, len(entries))
                 continue
             bases = module_bases[(s, t)]
-            columns: list[dict] = []  # appended in basis order
+            columns: list = []  # appended in basis order: dicts, or ints if packed
             for gid in offsets[(s, t)]:
                 d = t - internal[gid]
                 monos = bases[internal[gid]]
@@ -192,9 +197,16 @@ class FreeComplex:
                         continue  # target slot empty at this t
                     key = (id(c), d, t - internal[tgt])  # builders share coefficients
                     if key not in tables:
-                        tables[key] = mod.reduce(multiples(self.ring, c, monos, key[2]), key[2])
+                        table = mod.reduce(multiples(self.ring, c, monos, key[2]), key[2])
+                        tables[key] = [_f2_bits(col) for col in table] if packed else table
                     plan.append((row, tables[key]))
                 for k in range(len(monos)):
+                    if packed:
+                        x = 0
+                        for row, table in plan:
+                            x ^= table[k] << row
+                        columns.append(x)
+                        continue
                     col: dict[int, object] = {}  # row -> entry; zeros leave, as in Matrix.set
                     for row, table in plan:
                         for pos, v in table[k].items():
@@ -206,7 +218,9 @@ class FreeComplex:
                             else:
                                 del col[r]
                     columns.append(col)
-            diff[(s, t)] = Matrix(len(basis.get((s + step, t), ())), len(entries), columns)
+            rows = len(basis.get((s + step, t), ()))
+            diff[(s, t)] = (Matrix(rows, len(entries), bits=columns) if packed
+                            else Matrix(rows, len(entries), columns))
         cx = BigradedComplex(
             coefficients=self.ring.coefficients,
             direction=self.direction,

@@ -89,24 +89,25 @@ class Coefficients:
 
 class Matrix:
     """Sparse exact matrix stored column by column: columns[j] is the sparse
-    column {row: value} of source basis element j, zeros never stored.
-
-    Shape is explicit so zero matrices of every shape are distinguishable.
-    Columns index the source basis, rows the target basis.  A matrix takes
-    the column dicts it is given without copying them; consumers only read
-    them.
+    column {row: value} of source basis element j, zeros never stored, or
+    over F2, given as bits, bits[j] is column j packed, bit i for a 1 in row
+    i (M4RI), and columns unpacks fresh {row: 1} dicts.  Shape is explicit,
+    so zero matrices of every shape differ; columns index the source basis,
+    rows the target.  The one form given is stored, not copied, and only read.
     """
 
-    __slots__ = ("rows", "cols", "columns")
+    __slots__ = ("rows", "cols", "_dicts", "bits")
 
-    def __init__(self, rows: int, cols: int, columns: list[dict] | None = None):
-        if columns is None:
+    def __init__(self, rows: int, cols: int, columns: list[dict] | None = None, bits: list | None = None):
+        if columns is None and bits is None:
             columns = [{} for _ in range(cols)]
-        elif len(columns) != cols:
-            raise ValueError(f"{len(columns)} columns given for {cols}")
-        self.rows = rows
-        self.cols = cols
-        self.columns = columns
+        elif len(given := columns if bits is None else bits) != cols:
+            raise ValueError(f"{len(given)} columns given for {cols}")
+        self.rows, self.cols, self._dicts, self.bits = rows, cols, columns, bits
+
+    @property
+    def columns(self) -> list[dict]:
+        return self._dicts if self.bits is None else [dict.fromkeys(_ones(x), 1) for x in self.bits]
 
     @classmethod
     def from_rows(cls, data) -> "Matrix":
@@ -129,37 +130,39 @@ class Matrix:
     def set(self, i: int, j: int, v) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        if v:
-            self.columns[j][i] = v
+        if self.bits is not None:  # packed: the entry becomes v mod 2
+            self.bits[j] = self.bits[j] & ~(1 << i) | (v & 1) << i
+        elif v:
+            self._dicts[j][i] = v
         else:
-            self.columns[j].pop(i, None)
+            self._dicts[j].pop(i, None)
 
     def get(self, i: int, j: int):
-        return self.columns[j].get(i, 0)
+        return self._dicts[j].get(i, 0) if self.bits is None else self.bits[j] >> i & 1
 
     def compose(self, other: "Matrix", coeffs: Coefficients) -> "Matrix":
         """self @ other, i.e. apply other first.
 
         Column-wise (Gustavson) sparse product: column j of the result
         accumulates v * self[:, k] over the entries (k, v) of other's column
-        j in one dict, normalized once per entry.  Over F2 the columns of
-        self are packed into ints (_f2_bits) and column j is the XOR of those
-        at the odd entries of other's column j.  Only nonzeros are stored.
+        j in one dict, normalized once per entry.  Over F2 the product is
+        packed, column j the XOR of self's packed columns at the set bits of
+        other's; a packed factor is read as stored.  Only nonzeros are stored.
         """
         if other.rows != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} after {other.rows}x{other.cols}")
         if not self.rows:  # nothing to land on: the zero matrix, for every kind
             return Matrix(0, other.cols)
-        mine, out = self.columns, []
         if coeffs.p == 2:
-            bits = [_f2_bits(col) for col in mine]
-            for col in other.columns:
-                x = 0
-                for k, v in col.items():
-                    if v & 1:
-                        x ^= bits[k]
-                out.append(dict.fromkeys(_ones(x), 1) if x else {})
-            return Matrix(self.rows, other.cols, out)
+            mine, out = self._packed(), []
+            for x in other._packed():
+                y = 0
+                while x:  # one XOR per set bit, lowest first
+                    y ^= mine[(x & -x).bit_length() - 1]
+                    x &= x - 1
+                out.append(y)
+            return Matrix(self.rows, other.cols, bits=out)
+        mine, out = self.columns, []
         for col in other.columns:
             acc: dict[int, object] = {}
             for k, v in col.items():
@@ -168,28 +171,29 @@ class Matrix:
             out.append(_normalized(coeffs, acc))
         return Matrix(self.rows, other.cols, out)
 
-    def is_zero(self) -> bool:
-        return not any(self.columns)
+    def _packed(self) -> list[int]:  # over F2: bits as stored, or the dicts packed
+        return self.bits if self.bits is not None else [_f2_bits(col) for col in self._dicts]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.columns == other.columns
-        )
+    def is_zero(self) -> bool:
+        return not any(self._dicts if self.bits is None else self.bits)
+
+    def __eq__(self, other):  # a packed matrix equals the dict form of its 1s
+        return isinstance(other, Matrix) and (self.rows, self.cols, self.columns) == (
+            other.rows, other.cols, other.columns)
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {sum(map(len, self.columns))} entries)"
+        return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
 def matrix_vector(m: Matrix, vec: dict, coeffs: Coefficients) -> dict:
     """Apply m to a sparse column vector: the sum of the columns it touches,
     scaled; the result is sparse and normalized."""
-    out: dict[int, object] = {}
+    if m.bits is not None:  # packed over F2: the product with vec as one column
+        return m.compose(Matrix(m.cols, 1, [vec]), coeffs).columns[0]
+    out, columns = {}, m.columns
     for j, x in vec.items():
         if x:
-            for i, w in m.columns[j].items():
+            for i, w in columns[j].items():
                 out[i] = out.get(i, coeffs.zero) + w * x
     return _normalized(coeffs, out)
 
@@ -271,20 +275,24 @@ class VectorSpan:
 
     def insert(self, v: dict) -> bool:
         """Adjoin v; True if it enlarged the span."""
+        return self._adjoin(v) is None
+
+    def _adjoin(self, v: dict) -> dict | None:
+        """Adjoin v, reduced once: None if it enlarged the span, else its normal form (tags only)."""
         if self._bits:
             x, tags = self._reduce_bits(v)
             if x:
                 self.pivots[(x & -x).bit_length() - 1] = (x, tags)
                 self._leads |= x & -x
-            return x != 0
+            return None if x else (dict.fromkeys([~k for k in _ones(tags)], 1) if tags else {})
         v = self.reduce(v)
         lead = min((i for i in v if i >= 0), default=None)
         if lead is None:
-            return False
+            return v
         c = self.coeffs
         scale = c.inv(v[lead])
         self.pivots[lead] = {i: c.normalize(scale * x) for i, x in v.items()}
-        return True
+        return None
 
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)
@@ -314,10 +322,9 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
     Entries may be unreduced (negative, or at least p).  Each column is
     reduced against the pivot columns found so far, keyed by their lowest
     nonzero row, and becomes a pivot itself if anything is left.  Over F2 a
-    column is one int with bit i set when entry i is odd, so a reduction
-    step is one XOR.  Over F_p and Q columns are sparse dicts and pivots are
-    scaled to a leading 1.  No basis or combination is kept: VectorSpan, and
-    kernel_basis on top of it, do that where coordinates are needed.
+    column is one int (Matrix._packed: a packed matrix is read as stored)
+    and a step one XOR; over F_p and Q a sparse dict, pivots scaled to a
+    leading 1.  No combination is kept: VectorSpan and kernel_basis do that.
 
     >>> rank_over_field(Matrix.from_rows([[1, 1], [1, 1]]), Coefficients.prime_field(2))
     1
@@ -330,8 +337,7 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
         return 0
     if coeffs.p == 2:
         lows: dict[int, int] = {}  # lowest set bit -> pivot column
-        for col in m.columns:
-            x = _f2_bits(col)
+        for x in m._packed():
             while x:
                 low = x & -x
                 y = lows.get(low)
@@ -375,8 +381,7 @@ def kernel_basis(m: Matrix, coeffs: Coefficients) -> list[dict]:
     span = VectorSpan(coeffs)
     kernel = []
     for j, col in enumerate(m.columns):
-        v = span.reduce({**col, -1 - j: 1})
-        if not span.insert(v):
+        if (v := span._adjoin({**col, -1 - j: 1})) is not None:
             kernel.append({-1 - i: x for i, x in v.items()})
     return kernel
 
@@ -667,10 +672,10 @@ class IntegerLattice:
     def contains(self, v: dict) -> bool:
         """x in col-lattice(m) iff S*x is divisible by the invariant factors;
         only the columns of S that x touches are read."""
-        sx: dict[int, int] = {}
+        sx, columns = {}, self.s._dicts  # S is an integer matrix: dict columns, read as a slot
         for j, x in v.items():
             if x:
-                for i, w in self.s.columns[j].items():
+                for i, w in columns[j].items():
                     sx[i] = sx.get(i, 0) + w * x
         d = self.d
         return all(not val or (i < len(d) and val % d[i] == 0) for i, val in sx.items())

@@ -160,8 +160,13 @@ def boundary_block(cx: BigradedComplex, level: int, r: int, t: int):
     tgt = cx.basis.get((r - 1, t), [])
     c0, c1 = _level_run(src, level)
     r0, r1 = _level_run(tgt, level + 1)
+    m = cx.matrix(r, t)
+    if m.bits is not None:  # packed over F2: shift and mask each column
+        mask = (1 << r1 - r0) - 1
+        return src[c0:c1], tgt[r0:r1], Matrix(r1 - r0, c1 - c0, bits=[
+            x >> r0 & mask for x in m.bits[c0:c1]])
     block = Matrix(r1 - r0, c1 - c0, [{i - r0: v for i, v in col.items() if r0 <= i < r1}
-                                      for col in cx.matrix(r, t).columns[c0:c1]])
+                                      for col in m.columns[c0:c1]])
     return src[c0:c1], tgt[r0:r1], block
 
 

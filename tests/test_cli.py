@@ -4,6 +4,7 @@ The tor oracle is the exterior closed form on classes e_i at (1, |u_i|):
 for F_2[x1,x2,x3]/(x1,x2,x3) the eight square-free products give ranks 1 at
 (0,0), (1,2), (1,4), (1,6), (2,6), (2,8), (2,10), (3,12).
 """
+import hashlib
 import json
 import xml.dom.minidom
 from pathlib import Path
@@ -130,6 +131,61 @@ def test_tower_on_nonregular_sequence_fails_with_witness(tmp_path):
     assert run("tower", "s=2", "--spec", str(spec), "--out", str(out)) == 1
     witness = json.loads((out / "witness.json").read_text())
     assert witness["kind"] == "regularity"
+
+
+TOWER_F2_SPEC = """
+[ring]
+coefficients = F2
+generators = x1:2, x2:2, x3:4, x4:4
+[ideal]
+entry = x1
+entry = x2
+entry = x3
+entry = x4
+[window]
+t_min = 0
+t_max = 12
+s_max = 3
+stage_max = 3
+"""
+
+DROPPED_TERM_STDERR = """mathematical failure: differential check: FAIL
+  (2,4) square: d(d(e(1,2)|(0, 0, 0, 0))) has entry 1 at target row 7
+  (2,6) square: d(d(e(1,2)|(1, 0, 0, 0))) has entry 1 at target row 13
+  (2,8) square: d(d(e(1,2)|(2, 0, 0, 0))) has entry 1 at target row 22
+  (2,10) square: d(d(e(1,2)|(3, 0, 0, 0))) has entry 1 at target row 34
+  (2,12) square: d(d(e(1,2)|(4, 0, 0, 0))) has entry 1 at target row 50
+  (3,8) square: d(d(e(1,2,3)|(0, 0, 0, 0))) has entry 1 at target row 34
+  (3,10) square: d(d(e(1,2,3)|(1, 0, 0, 0))) has entry 1 at target row 55
+  (3,12) square: d(d(e(1,2,3)|(2, 0, 0, 0))) has entry 1 at target row 85
+witness written to OUT/witness.json
+"""
+
+
+def test_f2_square_witness_of_a_dropped_term_is_pinned(tmp_path, monkeypatch, capsys):
+    # one term dropped from the first level-2 differential with two terms: the
+    # packed F2 audit must report, and write, exactly what the dict audit did
+    # (witness.json pinned by its sha256; rows past 64 included)
+    import koszul.tower
+
+    real = koszul.tower.tower_free
+
+    def dropped(*args, **kwargs):
+        fc = real(*args, **kwargs)
+        gid = next(g for g in fc.levels[2] if len(fc.diff[g]) > 1)
+        fc.set_diff(gid, fc.diff[gid][:-1])
+        return fc
+
+    monkeypatch.setattr(koszul.tower, "tower_free", dropped)
+    spec, out = tmp_path / "f2.spec", tmp_path / "run"
+    spec.write_text(TOWER_F2_SPEC)
+    assert run("tower", "s=2", "--spec", str(spec), "--out", str(out)) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == DROPPED_TERM_STDERR.replace("OUT", str(out))
+    assert [p.name for p in out.iterdir()] == ["witness.json"]
+    assert hashlib.sha256((out / "witness.json").read_bytes()).hexdigest() == (
+        "83453cc17e8a40a9a442c41db85d6254be9ec50b10a344734a3a9e2959d06c50")
 
 
 def test_exactness_command(tmp_path, capsys):

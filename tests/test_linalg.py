@@ -358,6 +358,95 @@ def test_f2_compose_reads_unreduced_entries_by_parity(case):
     assert all(v == 1 and type(v) is int for v in prod.entries.values())
 
 
+@st.composite
+def _unreduced_f2_chain(draw):
+    """Composable integer matrices, read over F2, with even, odd and negative
+    entries and up to 70 rows, so a packed column can pass one machine word,
+    and an edit (i, j, v) of the first."""
+    n, k, m = draw(st.integers(0, 70)), draw(st.integers(0, 70)), draw(st.integers(0, 4))
+    entry = st.integers(-4, 4).filter(bool)
+
+    def sparse(rows, cols):
+        cell = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
+        picked = draw(st.lists(cell, max_size=40)) if rows and cols else []
+        return _matrix(rows, cols, {ij: draw(entry) for ij in picked})
+
+    edit = (draw(st.integers(0, max(n - 1, 0))), draw(st.integers(0, max(k - 1, 0))),
+            draw(st.integers(-4, 4)))
+    return sparse(n, k), sparse(k, m), edit
+
+
+def _pack(m: Matrix) -> Matrix:
+    """m over F2 as a packed matrix, built from the parities of its entries."""
+    bits = [0] * m.cols
+    for (i, j), v in m.entries.items():
+        bits[j] |= (v % 2) << i
+    return Matrix(m.rows, m.cols, bits=bits)
+
+
+def _mod2(m: Matrix) -> Matrix:
+    """m over F2 as a dict matrix whose entries are 1."""
+    return _matrix(m.rows, m.cols, {ij: 1 for ij, v in m.entries.items() if v % 2})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unreduced_f2_chain())
+@example((_matrix(70, 2, {(69, 0): -1, (0, 1): 3, (69, 1): 1}), Matrix.from_rows([[1], [-3]]),
+          (69, 0, 2)))
+def test_a_packed_f2_matrix_reads_like_its_dict_form(case):
+    a, b, (i, j, v) = case
+    pa, pb = _pack(a), _pack(b)
+    assert pa._dicts is None and pa.bits is not None  # one form stored
+    dense = _dense_product(a, b, F2)
+    for left, right in ((a, b), (pa, b), (a, pb), (pa, pb)):
+        prod = left.compose(right, F2)
+        assert prod.entries == dense and (prod.bits is not None or not a.rows)
+        assert prod == _matrix(a.rows, b.cols, dense) == a.compose(b, F2)
+        assert prod.is_zero() == (not dense)
+        for col, want in zip(right.columns, prod.columns):
+            assert matrix_vector(left, col, F2) == want
+    for d, p in ((a, pa), (b, pb)):
+        assert rank_over_field(p, F2) == rank_over_field(d, F2) == rank_over_field(_mod2(d), F2)
+        assert kernel_basis(p, F2) == kernel_basis(d, F2)
+        assert p.entries == _mod2(d).entries
+        assert p == _mod2(d) and _mod2(d) == p and p == _pack(d)
+        assert p.is_zero() == _mod2(d).is_zero()
+        assert all(p.get(i, j) == d.get(i, j) % 2 for i in range(d.rows) for j in range(d.cols))
+        assert p.columns is not p.columns  # fresh dicts: editing one leaves p alone
+    if a.rows and a.cols:  # set writes the parity into the packed column
+        a.set(i, j, v)
+        pa.set(i, j, v)
+        assert pa.get(i, j) == v % 2 and pa == _mod2(a) == _pack(a)
+        pa.set(i, j, v + 1)
+        assert pa != _mod2(a) and pa.get(i, j) == (v + 1) % 2
+
+
+def test_realized_f2_differentials_are_packed_once(monkeypatch):
+    # realize packs each multiplication table once (_f2_bits) and stores each
+    # F2 differential packed; the d.d audit and the ranks read it as stored
+    import koszul.complexes
+    from koszul.complexes import homology_ranks, verify_differential
+    from koszul.rings import DegreeWindow, IdealSpec, RingSpec
+    from koszul.tower import tower_free
+
+    ring = RingSpec(F2, (("x1", 2), ("x2", 2), ("x3", 4)), DegreeWindow(0, 12, 3, stage_max=3))
+    ideal = IdealSpec(tuple(ring.generator(n) for n in ("x1", "x2", "x3")))
+    calls = []
+    real = linalg._f2_bits
+
+    def counted(col):
+        calls.append(col)
+        return real(col)
+
+    monkeypatch.setattr(linalg, "_f2_bits", counted)
+    monkeypatch.setattr(koszul.complexes, "_f2_bits", counted)
+    cx = tower_free(ring, ideal, 3).realize()
+    tables = len(calls)
+    assert tables and all(m.bits is not None for m in cx.diff.values() if m.rows)
+    assert verify_differential(cx).ok and homology_ranks(cx)  # every compose and rank
+    assert len(calls) == tables
+
+
 @settings(deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 def test_compose_rejects_shape_mismatch(n, k, k2, m):
