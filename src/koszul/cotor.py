@@ -16,7 +16,6 @@ content of "the spectral sequence degenerates for parity reasons".
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 from .complexes import (
@@ -58,51 +57,42 @@ class HopfSpec(Value):
         return self.base, self.primitives
 
     # computed once, as in RingSpec: cached_property writes the instance
-    # __dict__ directly, and _key leaves them out
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.primitives)
-
+    # __dict__ directly, and _key leaves it out
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.primitives)
-
-    @cached_property
-    def _cobar_letters(self):
-        """(coideal letters, letter -> degree, letter -> splittings), shared by
-        every cobar_free call on this coalgebra.  A splitting is a (P, Q)
-        pair with the unit of its unshuffle sign times (-1)^(1 + |P|) and the
-        negated unit; the prefix sign picks one of the two per position."""
-        lets = coideal_letters(self)
-        ldeg = {L: letter_degree(self, L) for L in lets}
-        units = {1: self.base.constant(1), -1: self.base.constant(-1)}
-        splits = {L: [] for L in lets}
-        for L in lets:
-            for mask in range(1, (1 << len(L)) - 1):
-                p = tuple(x for b, x in enumerate(L) if mask >> b & 1)
-                q = tuple(x for b, x in enumerate(L) if not mask >> b & 1)
-                sign = _unshuffle_sign(p, q) * (-1) ** (1 + ldeg[p])
-                splits[L].append(((p, q), units[sign], units[-sign]))
-        return lets, ldeg, splits
 
     def __str__(self):
         prims = ", ".join(f"{n}:{d}" for n, d in self.primitives)
         return f"exterior coalgebra({prims}) over {self.base}"
 
 
-def coideal_letters(h: HopfSpec) -> list[tuple[int, ...]]:
-    """Basis of the augmentation coideal: nonempty products of primitives,
-    written as strictly increasing tuples of 1-based primitive indices."""
-    g = len(h.primitives)
-    out: list[tuple[int, ...]] = []
-    for r in range(1, g + 1):
-        out.extend(combinations(range(1, g + 1), r))
-    return out
-
-
-def letter_degree(h: HopfSpec, letter: tuple[int, ...]) -> int:
+def _cobar_letters(h: HopfSpec, t_max: int):
+    """(letter -> degree, letter -> splittings) for the letters of degree at
+    most t_max, the one definition of the coalgebra.  A letter, a basis
+    element of the augmentation coideal, is a nonempty product of primitives
+    written as a strictly increasing tuple of 1-based primitive indices;
+    letters come shortest first, then in lexicographic order.  A splitting is
+    a (P, Q) pair with the unit of its unshuffle sign times (-1)^(1 + |P|)
+    and the negated unit; the prefix sign picks one of the two per position.
+    """
     degs = h.degrees
-    return sum(degs[i - 1] for i in letter)
+    ldeg: dict[tuple[int, ...], int] = {}
+    level = [((), 0)]
+    while level:  # the letters one index longer than those of the last round
+        level = [(L + (i,), d + degs[i - 1]) for L, d in level
+                 for i in range(L[-1] + 1 if L else 1, len(degs) + 1)
+                 if d + degs[i - 1] <= t_max]
+        ldeg.update(level)
+    units = {1: h.base.constant(1), -1: h.base.constant(-1)}
+    splits = {L: [] for L in ldeg}
+    for L in ldeg:
+        for mask in range(1, (1 << len(L)) - 1):
+            p = tuple(x for b, x in enumerate(L) if mask >> b & 1)
+            q = tuple(x for b, x in enumerate(L) if not mask >> b & 1)
+            sign = _unshuffle_sign(p, q) * (-1) ** (1 + ldeg[p])
+            splits[L].append(((p, q), units[sign], units[-sign]))
+    return ldeg, splits
 
 
 def _unshuffle_sign(p: tuple[int, ...], q: tuple[int, ...]) -> int:
@@ -125,13 +115,13 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
     """Reduced cobar complex as a free complex over the base ring.
 
     Generators at cohomological level s are the words of s coideal letters
-    whose internal degree reaches the window through some base monomial
-    (degree-zero letters do not exist, so a cut at t_max loses nothing inside
-    the window); for t_min <= 0 that is every word of degree at most t_max.
-    Levels run one step past w.s_max, and all of them are listed even where
-    no word lands, so that cohomology through s_max is certain; when even the
-    cheapest word of length s_max + 2 overflows the window the complex is
-    marked complete and every entry is certain.
+    of internal degree at most t_max: every word of level s - 1 extended by
+    one letter, in letter order.  Degree-zero letters do not exist, so the
+    cut loses nothing at or below t_max.  Levels run one step past w.s_max,
+    so that cohomology through s_max is certain; no level through there is
+    empty unless even the cheapest word of length s_max + 2 overflows the
+    window, and then the complex is marked complete and every entry is
+    certain.
 
     The differential splits one letter into two by the reduced coproduct:
 
@@ -149,32 +139,18 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
         raise InputError(
             "chain-level cobar needs a non-localized base; rings with an "
             "inverted generator are served by closed-form tables only")
-    lets, ldeg, splits = h._cobar_letters
-    # word degrees that reach the window through some base monomial; every
-    # differential keeps the word degree, so the generators kept are closed
-    reach = {d for d in range(w.t_max + 1)
-             if any(monomial_count(h.base, t - d) for t in w.degrees() if t >= d)}
-    min_letter = min(h.degrees) if h.primitives else 0
+    ldeg, splits = _cobar_letters(h, w.t_max)
     s_build = w.s_max + 1
-    # steps[s][d]: letters, in coideal order, taking level s - 1 degree d toward
-    # reach; only degrees with at least one such letter are kept
-    live, steps = reach, {}
-    for s in range(s_build, 0, -1):
-        steps[s] = {d: ext for d in range(w.t_max + 1)
-                    if (ext := [L for L in lets if d + ldeg[L] in live])}
-        live = reach | steps[s].keys()
-    complete = (not h.primitives) or (s_build + 1) * min_letter > w.t_max
+    complete = (not h.primitives) or (s_build + 1) * min(h.degrees) > w.t_max
     fc = FreeComplex(h.base, COHOMOLOGICAL, complete_above=complete)
-    if not complete:  # every level through s_build is known, even an empty one
-        fc.levels = {s: [] for s in range(s_build + 1)}
     ids = {}  # word -> generator id
-    level: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 0)]
+    level = [((), 0)] if w.t_max >= 0 else []  # (word, degree) at level s
     for s in range(s_build + 1):
         if s:
-            level = [(word + (L,), d + ldeg[L])
-                     for word, d in level for L in steps[s].get(d, ())]
-        if kept := [(word, d) for word, d in level if d in reach]:
-            words, degs = zip(*kept)
+            level = [(word + (L,), d + e) for word, d in level
+                     for L, e in ldeg.items() if d + e <= w.t_max]
+        if level:
+            words, degs = zip(*level)
             labels = [BasisLabel(word=word) for word in words] if s else [UNIT_LABEL]
             ids.update(zip(words, fc.add_generators(labels, s, degs)))
     for word, gid in ids.items():
@@ -306,20 +282,28 @@ def closed_form_ranks(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], int
     rank(s, t) is the number of degree-s monomials in those generators,
     weighted by the base dimension in the leftover internal degree; this is
     the coefficient of y^s q^t in the product of 1/(1 - y q^d) over the
-    primitive degrees times the base Hilbert series.
+    primitive degrees times the base Hilbert series.  A row s is left out
+    when s times the least primitive degree exceeds t_max - min(0, t_min),
+    the truncation the window puts on a localized base.
     """
-    out: dict[tuple[int, int], int] = {}
-    g = len(h.primitives)
     degs = h.degrees
-    for s in range(w.s_max + 1):
-        if s and (not g or s * min(degs) > w.t_max - min(0, w.t_min)):
-            continue
-        for combo in combinations_with_replacement(range(g), s):
-            d = sum(degs[i] for i in combo)
-            for t in w.degrees():
-                got = monomial_count(h.base, t - d)
-                if got:
-                    out[(s, t)] = out.get((s, t), 0) + got
+    rows = [s for s in range(w.s_max + 1)
+            if not s or (degs and s * min(degs) <= w.t_max - min(0, w.t_min))]
+    top = rows[-1] * max(degs, default=0)
+    # counts[s][d]: coefficient of y^s q^d, one factor 1/(1 - y q^e) at a time
+    counts = [[0] * (top + 1) for _ in rows]
+    counts[0][0] = 1
+    for e in degs:
+        for s in rows[1:]:
+            for d in range(e, top + 1):
+                counts[s][d] += counts[s - 1][d - e]
+    out: dict[tuple[int, int], int] = {}
+    for s in rows:
+        for d, n in enumerate(counts[s]):
+            if n:
+                for t in w.degrees():
+                    if got := monomial_count(h.base, t - d):
+                        out[(s, t)] = out.get((s, t), 0) + n * got
     return out
 
 

@@ -44,3 +44,21 @@ def test_the_nonregular_spec_writes_a_witness(tmp_path):
     out = tmp_path / "out"
     assert main(["check-regular", "--spec", str(tmp_path / name), "--out", str(out)]) == 1
     assert (out / "witness.json").is_file()
+
+
+def test_each_unparsable_command_line_fails_to_parse_once(tmp_path, capsys):
+    from koszul.cli import main
+
+    tool = _tool()
+    name, text = tool.NONREGULAR
+    spec = tmp_path / name
+    spec.write_text(text)
+    lines = list(tool.unparsable_lines(ROOT, spec))
+    assert [line.split("  ", 2)[1:] for line in lines] == [
+        [name, " ".join(command)] for command in tool.UNPARSABLE]
+    assert len({line.split("  ")[0] for line in lines}) == len(lines)
+    for command in tool.UNPARSABLE:
+        out = tmp_path / "out"
+        assert main([*command, "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(out.glob("*"))  # no artifact and no witness

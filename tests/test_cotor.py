@@ -7,6 +7,7 @@ rank table with a reachable differential as the negative control.
 import json
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,14 @@ from koszul.complexes import (
     verify_differential,
 )
 import koszul.cotor
+from koszul.adams import ExampleConfig, example_hopf
 from koszul.cotor import (
     E2Presentation,
     HopfSpec,
+    _cobar_letters,
     cobar_complex,
     cobar_free,
     closed_form_ranks,
-    coideal_letters,
     collapse_audit,
     cotor_ranks,
     e2_closed_form,
@@ -121,8 +123,15 @@ def test_coproduct_signs_on_a_two_index_letter():
 
 
 def test_letters_enumerate_the_augmentation_coideal():
+    # shortest first, then lexicographic, and none past the degree bound
     h = HopfSpec(unit_base(2, 8), (("t1", 1), ("t2", 3)))
-    assert coideal_letters(h) == [(1,), (2,), (1, 2)]
+    assert list(_cobar_letters(h, 4)[0]) == [(1,), (2,), (1, 2)]
+    assert list(_cobar_letters(h, 3)[0]) == [(1,), (2,)]
+    # 13 primitives 1, 3, ..., 25 at t <= 30: 175 of the 8,191 letters
+    h = HopfSpec(unit_base(2, 30), tuple((f"t{i}", 2 * i - 1) for i in range(1, 14)))
+    ldeg, splits = _cobar_letters(h, 30)
+    assert len(ldeg) == 175 and max(ldeg.values()) == 30
+    assert sum(len(sp) for sp in splits.values()) == 1160
 
 
 def test_word_budget_prunes_by_internal_degree():
@@ -157,13 +166,15 @@ def test_integer_base_cohomology_is_torsion_free():
 
 def test_closed_form_mismatch_is_a_hard_failure(monkeypatch):
     w = DegreeWindow(0, 6, 2)
-    h = HopfSpec(unit_base(2, 6, s_max=2), (("t1", 3),))
-    monkeypatch.setattr("koszul.cotor.closed_form_ranks", lambda h, w: {})
-    with pytest.raises(OracleMismatchError) as err:
-        cotor_ranks(h, w)
-    assert err.value.witness["kind"] == "cotor"
-    assert err.value.witness["brute"] == 1
-    assert err.value.witness["closed"] == 0
+    h = HopfSpec(unit_base(2, 6, s_max=2), (("t1", 3), ("t2", 5)))
+    # nothing predicted; the series without t2's factor 1/(1 - y q^5)
+    for closed in ({}, closed_form_ranks(HopfSpec(h.base, h.primitives[:1]), w)):
+        monkeypatch.setattr("koszul.cotor.closed_form_ranks", lambda h, w: closed)
+        with pytest.raises(OracleMismatchError) as err:
+            cotor_ranks(h, w)
+        assert err.value.witness["kind"] == "cotor"
+        assert err.value.witness["brute"] == 1
+        assert err.value.witness["closed"] == 0
 
 
 def test_missing_predicted_class_is_also_a_hard_failure(monkeypatch):
@@ -177,6 +188,49 @@ def test_missing_predicted_class_is_also_a_hard_failure(monkeypatch):
     assert err.value.witness == {
         "kind": "cotor", "s": 2, "t": 6, "brute": 0, "closed": 3,
     }
+
+
+def _closed_form_by_multisets(h, w):
+    """The closed form summed over every multiset of primitives, one
+    monomial_count per multiset and internal degree, with the same row skip:
+    the reference for the series in closed_form_ranks."""
+    out, g, degs = {}, len(h.primitives), h.degrees
+    for s in range(w.s_max + 1):
+        if s and (not g or s * min(degs) > w.t_max - min(0, w.t_min)):
+            continue
+        for combo in combinations_with_replacement(range(g), s):
+            d = sum(degs[i] for i in combo)
+            for t in w.degrees():
+                if got := monomial_count(h.base, t - d):
+                    out[(s, t)] = out.get((s, t), 0) + got
+    return out
+
+
+def _example(which, p, j_max, w, n=0):
+    return example_hopf(ExampleConfig(which, p, j_max, w, n=n)), w
+
+
+@pytest.mark.parametrize("h, w", [
+    _example("A", 2, 6, DegreeWindow(0, 20, 6)),
+    _example("A", 3, 4, DegreeWindow(-3, 12, 5)),
+    _example("B", 3, 6, DegreeWindow(0, 20, 6), n=1),  # Z, v1 inverted
+    _example("B", 2, 8, DegreeWindow(-4, 18, 5), n=2),
+    _example("C", 2, 5, DegreeWindow(0, 20, 6), n=2),  # F2, v2 inverted
+    _example("C", 3, 4, DegreeWindow(-6, 16, 4), n=1),
+    (HopfSpec(RingSpec(Coefficients.prime_field(3), (("x1", 2), ("x2", 4)),
+                       DegreeWindow(0, 18, 5)),
+              (("t1", 1), ("t2", 3), ("t3", 5), ("t4", 7))), DegreeWindow(0, 18, 5)),
+    # the shipped B window: rows 5 and 6 are skipped, and v1^-4 would reach them
+    _example("B", 3, 6, DegreeWindow(0, 14, 6, 4), n=1),
+])
+def test_the_series_equals_the_sum_over_multisets(h, w):
+    assert closed_form_ranks(h, w) == _closed_form_by_multisets(h, w)
+
+
+def test_the_row_skip_fires_on_the_shipped_b_window():
+    h, w = _example("B", 3, 6, DegreeWindow(0, 14, 6, 4), n=1)
+    assert 5 * min(h.degrees) > w.t_max and monomial_count(h.base, 3 - 15)  # v1^-3
+    assert max(s for s, _ in closed_form_ranks(h, w)) == 4
 
 
 def test_localized_base_is_rejected_at_chain_level():
@@ -291,12 +345,12 @@ def test_every_ring_reads_the_cobar_complex_once(monkeypatch):
 def _drop_splittings(monkeypatch, drop):
     """Every coalgebra built from here on loses the splittings (P, Q) that
     drop picks, in the cobar complex and so in the product read off it."""
-    real = HopfSpec._cobar_letters.func
+    real = koszul.cotor._cobar_letters
 
-    def letters(h):
-        lets, ldeg, splits = real(h)
-        return lets, ldeg, {L: [x for x in sp if not drop(x[0])] for L, sp in splits.items()}
-    monkeypatch.setattr(HopfSpec, "_cobar_letters", property(letters))
+    def letters(h, t_max):
+        ldeg, splits = real(h, t_max)
+        return ldeg, {L: [x for x in sp if not drop(x[0])] for L, sp in splits.items()}
+    monkeypatch.setattr(koszul.cotor, "_cobar_letters", letters)
 
 
 @pytest.mark.parametrize("drop, error", [
@@ -400,7 +454,7 @@ def test_a_slice_knows_its_empty_levels():
     w = DegreeWindow(0, 9, 1)
     h = HopfSpec(unit_base(2, 9, s_max=1), (("t1", 1), ("t2", 7)))
     cx = cobar_complex(h, DegreeWindow(7, 7, 1))
-    assert not cx.complete_above and cobar_free(h, DegreeWindow(7, 7, 1)).levels[2] == []
+    assert not cx.complete_above
     assert homology_ranks(cx)[(1, 7)].certain
     assert cotor_ranks(h, w).table[(1, 7)].rank == 1
 
@@ -485,9 +539,9 @@ def test_hoisted_splittings_carry_their_signs():
     # every ordered splitting of every letter, with the sign of sorting P + Q
     # times (-1)^(1 + |P|) on the plus unit and its negative on the minus unit
     h = HopfSpec(unit_base(3, 16), (("t1", 1), ("t2", 3), ("t3", 5), ("t4", 7)))
-    lets, ldeg, splits = h._cobar_letters
-    assert lets == coideal_letters(h) and len(lets) == 15
-    for L in lets:
+    ldeg, splits = _cobar_letters(h, 16)
+    assert len(ldeg) == 15
+    for L in ldeg:
         assert ldeg[L] == sum(h.degrees[i - 1] for i in L)
         pairs = [pq for pq, _, _ in splits[L]]
         assert len(pairs) == len(set(pairs)) == 2 ** len(L) - 2
@@ -495,23 +549,6 @@ def test_hoisted_splittings_carry_their_signs():
             assert p and q and tuple(sorted(p + q)) == L
             sign = _sorting_sign(p + q) * (-1) ** (1 + sum(h.degrees[i - 1] for i in p))
             assert (plus, minus) == (h.base.constant(sign), h.base.constant(-sign))
-    assert h._cobar_letters is h._cobar_letters  # built once per coalgebra
-
-
-def test_hoisted_splittings_are_per_instance(monkeypatch):
-    # a coalgebra built after _unshuffle_sign is patched sees the patch, even
-    # when an equal one already holds its table
-    def plus_unit(h):  # of the splitting t2 | t1 of the letter t1*t2
-        return {pq: u for pq, u, _ in h._cobar_letters[2][(1, 2)]}[((2,), (1,))]
-
-    prims = (("t1", 1), ("t2", 3))
-    before = HopfSpec(unit_base(3, 8), prims)
-    honest = plus_unit(before)
-    monkeypatch.setattr(koszul.cotor, "_unshuffle_sign", lambda p, q: 1)
-    after = HopfSpec(unit_base(3, 8), prims)
-    assert after == before
-    assert plus_unit(after) == -honest
-    assert plus_unit(before) == honest  # built once, before the patch
 
 
 def test_guard_level_gets_a_zero_row_matrix_of_the_same_shape():

@@ -5,11 +5,12 @@ Usage, from any directory:
     python3 tools/artifact_digests.py > digests.txt
 
 Runs each command of COMMANDS on every spec in the checkout's ``specs/``
-and on NONREGULAR, and TOR_POWER, a library call that no command makes, on
-each of FIELD_SPECS, each in a fresh interpreter that imports ``koszul``
-from the checkout's ``src/``.  A run happens in an empty temporary directory holding
-a copy of its spec, with relative ``--spec`` and ``--out`` paths, so nothing
-in its output depends on where the checkout lives.  Each output line is
+and on NONREGULAR, each command line of UNPARSABLE once, and TOR_POWER, a
+library call that no command makes, on each of FIELD_SPECS, each in a fresh
+interpreter that imports ``koszul`` from the checkout's ``src/``.  A run
+happens in an empty temporary directory holding a copy of its spec, with
+relative ``--spec`` and ``--out`` paths, so nothing in its output depends on
+where the checkout lives.  Each output line is
 
     <sha256>  <spec file>  <command>
 
@@ -38,12 +39,22 @@ COMMANDS = (
     ("e2",),
     ("cotor",),
     ("cotor", "primitives=1,3"),
-    # its own window, with t_min > 0: cotor_ranks builds only the words
-    # that reach each internal degree of it
+    # its own window, with t_min > 0: the resolution is built from degree 0
+    # through t_max and its ranks are read off at the window's degrees
     ("cotor", "primitives=1,3,5", "--window", "4,14,4,4"),
     # the benchmark's cotor size, over the coefficients of every spec: the
     # minimal resolution over F2, F3 and Q, and over Q realized over Z
     ("cotor", "primitives=1,3,5,7", "--window", "0,18,5,4"),
+    # a window that drops letters: 25 of the 63 products of primitives have
+    # degree past 20, so the d^1 that cotor reads has 38 letters
+    ("cotor", "primitives=1,3,5,7,9,11", "--window", "0,20,6,4"),
+)
+
+# command lines that fail to parse, so that a parse error's exit code and
+# stderr are covered; each is run once, with the NONREGULAR spec
+UNPARSABLE = (
+    ("cotor", "--jobs", "0"),
+    ("tower", "s=3", "--window", "0,x,3,4"),
 )
 
 # a spec whose sequence is not regular, so that the commands which need a
@@ -119,12 +130,19 @@ def digest_lines(root: Path, specs: list[Path]):
             yield f"{_digest(root, spec, ['-c', script, spec.name])}  {spec.name}  {label}"
 
 
+def unparsable_lines(root: Path, spec: Path):
+    for command in UNPARSABLE:
+        yield f"{run_digest(root, spec, command)}  {spec.name}  {' '.join(command)}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         nonregular = Path(tmp) / NONREGULAR[0]
         nonregular.write_text(NONREGULAR[1])
-        for line in digest_lines(ROOT, sorted((ROOT / "specs").glob("*.spec")) + [nonregular]):
-            print(line, flush=True)
+        specs = sorted((ROOT / "specs").glob("*.spec")) + [nonregular]
+        for lines in (digest_lines(ROOT, specs), unparsable_lines(ROOT, nonregular)):
+            for line in lines:
+                print(line, flush=True)
     return 0
 
 
