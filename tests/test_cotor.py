@@ -220,7 +220,7 @@ def _example(which, p, j_max, w, n=0):
     (HopfSpec(RingSpec(Coefficients.prime_field(3), (("x1", 2), ("x2", 4)),
                        DegreeWindow(0, 18, 5)),
               (("t1", 1), ("t2", 3), ("t3", 5), ("t4", 7))), DegreeWindow(0, 18, 5)),
-    # the shipped B window: rows 5 and 6 are skipped, and v1^-4 would reach them
+    # the shipped B window, where the row skip fires
     _example("B", 3, 6, DegreeWindow(0, 14, 6, 4), n=1),
 ])
 def test_the_series_equals_the_sum_over_multisets(h, w):
@@ -228,8 +228,9 @@ def test_the_series_equals_the_sum_over_multisets(h, w):
 
 
 def test_the_row_skip_fires_on_the_shipped_b_window():
+    # row 5 starts at degree 15 > t_max, yet v1^-3 would carry it to t = 3
     h, w = _example("B", 3, 6, DegreeWindow(0, 14, 6, 4), n=1)
-    assert 5 * min(h.degrees) > w.t_max and monomial_count(h.base, 3 - 15)  # v1^-3
+    assert 5 * min(h.degrees) > w.t_max and monomial_count(h.base, 3 - 15)
     assert max(s for s, _ in closed_form_ranks(h, w)) == 4
 
 
@@ -343,7 +344,7 @@ def test_every_ring_reads_the_cobar_complex_once(monkeypatch):
 
 
 def _drop_splittings(monkeypatch, drop):
-    """Every coalgebra built from here on loses the splittings (P, Q) that
+    """Every cobar_free call from here on loses the splittings (P, Q) that
     drop picks, in the cobar complex and so in the product read off it."""
     real = koszul.cotor._cobar_letters
 
