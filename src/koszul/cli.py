@@ -19,6 +19,7 @@ input.
 """
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from pathlib import Path
@@ -43,6 +44,8 @@ from .tower import (
     tor_diagonal,
     verify_partial_exactness,
 )
+
+gc.freeze()  # what the imports made lives for good: no collection during main walks it
 
 # command -> its line in the help
 _HELPS = {

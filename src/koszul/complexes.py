@@ -16,7 +16,6 @@ from .linalg import (
     Coefficients,
     Matrix,
     VectorSpan,
-    _f2_bits,
     kernel_basis,
     rank_over_field,
     rational_rank,
@@ -144,14 +143,14 @@ class FreeComplex:
         read once per (s, t).  Entries are normalized and nonzero (Element
         normalizes, and both reduce methods drop zeros), so an entry is
         stored as given and normalized only where two terms land on the same
-        row.  Over F2 each table is packed once (_f2_bits) and each column is
-        one int, the XOR of table[k] << row over its terms: the matrix is
-        packed (Matrix.bits), and the audit's compose and the field rank read
-        it as stored.  A bidegree whose target level s + step has no basis at
-        t gets a 0-row matrix without visiting its generators, and the
-        audit's compose and the field rank return at once on it.  d after d
-        is checked here and only here: a failing verify_differential raises
-        DifferentialSquareError, a passing one is kept as the result's
+        row.  Over F2 multiples and reduce give each table as ints, and each
+        column is one int, the XOR of table[k] << row over its terms: the
+        matrix is packed (Matrix.bits), and the audit's compose and the field
+        rank read it as stored.  A bidegree whose target level s + step has
+        no basis at t gets a 0-row matrix without visiting its generators,
+        and the audit's compose and the field rank return at once on it.  d
+        after d is checked here and only here: a failing verify_differential
+        raises DifferentialSquareError, a passing one is kept as the result's
         `differential`.
         """
         w = window or self.ring.window
@@ -197,16 +196,15 @@ class FreeComplex:
                         continue  # target slot empty at this t
                     key = (id(c), d, t - internal[tgt])  # builders share coefficients
                     if key not in tables:
-                        table = mod.reduce(multiples(self.ring, c, monos, key[2]), key[2])
-                        tables[key] = [_f2_bits(col) for col in table] if packed else table
+                        tables[key] = mod.reduce(multiples(self.ring, c, monos, key[2]), key[2])
                     plan.append((row, tables[key]))
+                if packed:  # a run of columns at once, each the XOR of its table[k] << row
+                    run = [0] * len(monos)
+                    for row, table in plan:
+                        run = [x ^ y << row for x, y in zip(run, table)]
+                    columns += run
+                    continue
                 for k in range(len(monos)):
-                    if packed:
-                        x = 0
-                        for row, table in plan:
-                            x ^= table[k] << row
-                        columns.append(x)
-                        continue
                     col: dict[int, object] = {}  # row -> entry; zeros leave, as in Matrix.set
                     for row, table in plan:
                         for pos, v in table[k].items():
@@ -218,9 +216,8 @@ class FreeComplex:
                             else:
                                 del col[r]
                     columns.append(col)
-            rows = len(basis.get((s + step, t), ()))
-            diff[(s, t)] = (Matrix(rows, len(entries), bits=columns) if packed
-                            else Matrix(rows, len(entries), columns))
+            diff[(s, t)] = Matrix.of(len(basis.get((s + step, t), ())), columns,
+                                     self.ring.coefficients)
         cx = BigradedComplex(
             coefficients=self.ring.coefficients,
             direction=self.direction,
@@ -443,23 +440,29 @@ def tensor_free(a: FreeComplex, b: FreeComplex) -> FreeComplex:
 class HomologyBasis:
     """Representatives of homology classes at one bidegree, with coordinates.
 
-    reps are sparse vectors in the chain basis.  span holds the boundaries,
-    untagged, then rep r with tag -1-r, so coords(v) reads the coordinates
-    of a cycle v in the representative classes off its tags (v must reduce
-    to zero modulo image+reps).
+    reps are vectors in the chain basis, in the span's form (ints over F2,
+    sparse dicts otherwise).  span holds the boundaries, untagged, then rep
+    r with tag r, so coords(v) reads the coordinates of a cycle v in the
+    representative classes off its tags (v must reduce to zero modulo
+    image+reps).
     """
 
-    def __init__(self, reps: list[dict], span: VectorSpan):
+    def __init__(self, reps: list, span: VectorSpan):
         self.reps, self.span = reps, span
 
-    def coords(self, v: dict) -> list:
-        reduced = self.span.reduce(v)
-        if any(i >= 0 for i in reduced):
+    def coords(self, v) -> list:
+        reduced, n = self.span.reduce(v), len(self.reps)
+        if self.span._bits:  # over F2: (keys, tags), and -1 is 1
+            keys, coords = reduced[0], [reduced[1] >> r & 1 for r in range(n)]
+        else:
+            c = self.span.coeffs
+            keys = any(i >= 0 for i in reduced)
+            coords = [c.neg(reduced.get(-1 - r, c.zero)) for r in range(n)]
+        if keys:
             raise ValueError("vector is not a cycle modulo the recorded image")
-        c = self.span.coeffs
-        return [c.neg(reduced.get(-1 - r, c.zero)) for r in range(len(self.reps))]
+        return coords
 
-    def is_boundary(self, v: dict) -> bool:
+    def is_boundary(self, v) -> bool:
         return all(not x for x in self.coords(v))
 
 
@@ -467,13 +470,12 @@ def homology_basis_at(c: BigradedComplex, s: int, t: int) -> HomologyBasis:
     """Cycles modulo boundaries with explicit representatives (field only)."""
     if not c.coefficients.is_field:
         raise ValueError("homology representatives need field coefficients")
-    out = c.matrix(s, t)
-    into = c.matrix(s - c.step, t)
     span = VectorSpan(c.coefficients)
-    for col in into.columns:
+    into = c.matrix(s - c.step, t)
+    for col in into._packed() if span._bits else into.columns:
         span.insert(col)
     reps = []
-    for vec in kernel_basis(out, c.coefficients):
-        if span.insert({**vec, -1 - len(reps): 1}):
+    for vec in kernel_basis(c.matrix(s, t), c.coefficients):
+        if span.insert(vec, len(reps)):
             reps.append(vec)
     return HomologyBasis(reps, span)

@@ -29,7 +29,7 @@ from .complexes import (
     UNIT_LABEL,
     homology_ranks,
 )
-from .linalg import Coefficients, Matrix, VectorSpan, kernel_basis
+from .linalg import Coefficients, Matrix, VectorSpan, _ones, kernel_basis
 from .rings import DegreeWindow, InputError, RingSpec, Value, monomial_count
 
 
@@ -219,7 +219,10 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
             prod[(P, Q)] = (sign if len(P) % 2 else k.neg(sign), d1.labels[gid].word[0])
     fc = FreeComplex(RingSpec(k, (), DegreeWindow(0, t_max, w.s_max + 1)), complete_above=False)
     fc.levels = {s: [] for s in range(w.s_max + 2)}  # known even where empty
-    flat, at, ext, consts = {}, {}, {}, {}  # (g, J) -> id; (s, t) -> ids; (s, d) -> count
+    packed = field.p == 2  # vectors are ints over F2 (Matrix.of)
+    # (g, J) -> id; (s, t) -> {id: row, its bit over F2}; (s, t) -> columns of
+    # d, one per id, each formed with its generator; (s, d) -> count
+    flat, rows, cols, ext, consts = {}, {}, {}, {}, {}
 
     def add_generator(s, t, boundary):  # boundary: (scalar, label at (s - 1, t)) pairs
         if any(K == () for _, (_, K) in boundary):
@@ -228,37 +231,38 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
                 {"kind": "resolution-minimality", "s": s, "t": t})
         ext[(s, t)] = ext.get((s, t), 0) + 1
         g = fc.generator_count()  # the id its own term e_() g gets
-        for J, dj in monos:
-            if t + dj <= t_max:
-                gid = flat[(g, J)] = fc.add_generator((g, J), s, t + dj)
-                at.setdefault((s, t + dj), []).append(gid)
-                terms = []
-                for a, (g2, K) in boundary:
-                    sign, L = prod.get((J, K), (0, None))
-                    if (x := flat.get((g2, L))) is not None:
-                        v = k.normalize(a * sign)  # one Element per scalar: realize keys tables by id
-                        terms.append((consts.get(v) or consts.setdefault(v, fc.ring.constant(v)), x))
-                fc.set_diff(gid, terms)
-
-    def matrix(s, t):  # d from (s, t) to (s - 1, t)
-        rows = {f: i for i, f in enumerate(at.get((s - 1, t), ()))}
-        src = at.get((s, t), ())
-        return Matrix(len(rows), len(src),
-                      [{rows[x]: c.terms[()] for c, x in fc.diff[f]} for f in src])
+        fit = [(J, t + dj) for J, dj in monos if t + dj <= t_max]
+        for (J, u), gid in zip(fit, fc.add_generators([(g, J) for J, _ in fit], s,
+                                                      [u for _, u in fit])):
+            flat[(g, J)] = gid
+            below, terms, col = rows.get((s - 1, u), {}), [], {}
+            for a, (g2, K) in boundary:
+                sign, L = prod.get((J, K), (0, None))
+                if (x := flat.get((g2, L))) is not None:
+                    v = k.normalize(a * sign)  # one Element per scalar: realize keys tables by id
+                    terms.append((consts.get(v) or consts.setdefault(v, fc.ring.constant(v)), x))
+                    col[below[x]] = v
+            fc.set_diff(gid, terms)
+            here = rows.setdefault((s, u), {})
+            here[gid] = 1 << len(here) if packed else len(here)
+            cols.setdefault((s, u), []).append(sum(col) if packed else col)
 
     add_generator(0, 0, [])
     for s in range(1, w.s_max + 2):
         for t in range(t_max + 1):
-            # d from level 0 is the augmentation, injective at t = 0 only
-            kernel = kernel_basis(matrix(s - 1, t), field) if s > 1 or t else []
+            # d from level 0 is the augmentation, injective at t = 0 only;
+            # d from (s - 1, t) is complete, and not needed again
+            m = Matrix.of(len(rows.get((s - 2, t), ())), cols.pop((s - 1, t), []), field)
+            kernel = kernel_basis(m, field) if s > 1 or t else []
             image = VectorSpan(field)
-            for col in matrix(s, t).columns:
+            for col in cols.get((s, t), ()):
                 image.insert(col)
-            src = at.get((s - 1, t), ())
+            src = list(rows.get((s - 1, t), ()))
             for v in kernel:
                 if image.insert(v):
-                    v = v if k.is_field else _primitive(v)
-                    add_generator(s, t, [(a, fc.labels[src[i]]) for i, a in v.items()])
+                    entries = ([(i, 1) for i in _ones(v)] if packed
+                               else (v if k.is_field else _primitive(v)).items())
+                    add_generator(s, t, [(a, fc.labels[src[i]]) for i, a in entries])
     cx = fc.realize()
     for (s, t), entry in homology_ranks(cx).items():
         if s <= w.s_max and (entry.rank != int((s, t) == (0, 0)) or entry.torsion

@@ -110,6 +110,11 @@ class Matrix:
         return self._dicts if self.bits is None else [dict.fromkeys(_ones(x), 1) for x in self.bits]
 
     @classmethod
+    def of(cls, rows: int, vecs: list, coeffs: Coefficients) -> "Matrix":
+        """Columns vecs in the vector form of coeffs: ints over F2 (bits), else dicts."""
+        return cls(rows, len(vecs), bits=vecs) if coeffs.p == 2 else cls(rows, len(vecs), vecs)
+
+    @classmethod
     def from_rows(cls, data) -> "Matrix":
         """
         >>> m = Matrix.from_rows([[1, 0], [3, 2]])
@@ -185,19 +190,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
-def matrix_vector(m: Matrix, vec: dict, coeffs: Coefficients) -> dict:
-    """Apply m to a sparse column vector: the sum of the columns it touches,
-    scaled; the result is sparse and normalized."""
-    if m.bits is not None:  # packed over F2: the product with vec as one column
-        return m.compose(Matrix(m.cols, 1, [vec]), coeffs).columns[0]
-    out, columns = {}, m.columns
-    for j, x in vec.items():
-        if x:
-            for i, w in columns[j].items():
-                out[i] = out.get(i, coeffs.zero) + w * x
-    return _normalized(coeffs, out)
-
-
 def _normalized(coeffs: Coefficients, vec: dict) -> dict:
     """vec with each entry normalized once and the zeros dropped."""
     norm = coeffs.normalize
@@ -221,14 +213,13 @@ class VectorSpan:
 
     pivots maps each pivot's lead, its lowest key, to its row scaled to a
     leading 1; reduce(v) is the unique normal form of v modulo the span.
-    Negative keys are tags: they never pivot, and reduction carries them
-    along.  To keep coordinates, give inserted vector k a tag entry 1 at key
-    -1-k; the tags of reduce(v) then hold minus v's combination of the
-    inserted vectors (Cohen, GTM 138, 2.3).  Over F2 (chosen once per
-    instance) a row is two ints, bit i of the first for key i and bit k of
-    the second for tag -1-k, and a reduction step is two XORs (M4RI,
-    Albrecht-Bard-Hart, ACM TOMS 2010), with the pivots, rows and normal
-    forms that the dict rows of F_p and Q would give.
+    Tags ride along and never pivot: insert(v, k) adjoins v with a 1 at tag
+    k, and the tags of reduce(v) then hold minus v's combination of the
+    tagged vectors (Cohen, GTM 138, 2.3).  The vector form is chosen once
+    per instance.  Over F2 a vector is one int, bit i for key i, its tags a
+    second int, bit k for tag k, a row the pair of them, and a reduction
+    step two XORs (M4RI, Albrecht-Bard-Hart, ACM TOMS 2010).  Over F_p and Q
+    a vector is a sparse dict that holds tag k at key -1-k.
     """
 
     def __init__(self, coeffs: Coefficients):
@@ -242,11 +233,11 @@ class VectorSpan:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, v: dict) -> dict:
-        """The normal form of v: no key of it is a pivot lead."""
-        if self._bits:  # bit i: key i, bit k of the tags: key -1-k
-            x, tags = self._reduce_bits(v)
-            return dict.fromkeys(_ones(x) + [~k for k in _ones(tags)], 1)
+    def reduce(self, v):
+        """The normal form of v: no key of it is a pivot lead.  Over F2 the
+        pair (keys, tags) of ints."""
+        if self._bits:
+            return self._reduce_bits(v, 0)
         c, pivots = self.coeffs, self.pivots
         v = _normalized(c, v)
         while True:
@@ -258,34 +249,28 @@ class VectorSpan:
                 return v
             v = _vec_axpy(c, v, c.neg(v[hit]), pivots[hit])
 
-    def _reduce_bits(self, v: dict) -> tuple[int, int]:
+    def _reduce_bits(self, x: int, tags: int) -> tuple[int, int]:
         """reduce over F2 on (key bits, tag bits), the lowest pivot lead first."""
-        x = tags = 0
-        for i, a in v.items():
-            if a & 1:
-                if i >= 0:
-                    x |= 1 << i
-                else:
-                    tags |= 1 << ~i  # ~i == -1-i
         pivots, leads = self.pivots, self._leads
         while hit := x & leads:
             row, tag_row = pivots[(hit & -hit).bit_length() - 1]
             x, tags = x ^ row, tags ^ tag_row
         return x, tags
 
-    def insert(self, v: dict) -> bool:
-        """Adjoin v; True if it enlarged the span."""
-        return self._adjoin(v) is None
+    def insert(self, v, tag: int | None = None) -> bool:
+        """Adjoin v, with a 1 at tag `tag` if one is given; True if it enlarged the span."""
+        return self._adjoin(v, tag) is None
 
-    def _adjoin(self, v: dict) -> dict | None:
-        """Adjoin v, reduced once: None if it enlarged the span, else its normal form (tags only)."""
+    def _adjoin(self, v, tag: int | None = None):
+        """insert, reduced once: None if v enlarged the span, else the tags of its
+        normal form (an int over F2, else a dict of negative keys)."""
         if self._bits:
-            x, tags = self._reduce_bits(v)
+            x, tags = self._reduce_bits(v, 0 if tag is None else 1 << tag)
             if x:
                 self.pivots[(x & -x).bit_length() - 1] = (x, tags)
                 self._leads |= x & -x
-            return None if x else (dict.fromkeys([~k for k in _ones(tags)], 1) if tags else {})
-        v = self.reduce(v)
+            return None if x else tags
+        v = self.reduce(v if tag is None else {**v, -1 - tag: 1})
         lead = min((i for i in v if i >= 0), default=None)
         if lead is None:
             return v
@@ -294,8 +279,8 @@ class VectorSpan:
         self.pivots[lead] = {i: c.normalize(scale * x) for i, x in v.items()}
         return None
 
-    def contains(self, v: dict) -> bool:
-        return not self.reduce(v)
+    def contains(self, v) -> bool:  # v reduces to zero, tags included
+        return not any(self.reduce(v)) if self._bits else not self.reduce(v)
 
 
 def _f2_bits(col: dict) -> int:
@@ -368,21 +353,21 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
     return len(leads)
 
 
-def kernel_basis(m: Matrix, coeffs: Coefficients) -> list[dict]:
+def kernel_basis(m: Matrix, coeffs: Coefficients) -> list:
     """Basis of ker(m) from the columns of m inserted into a VectorSpan in
-    order (independent of rank_over_field).
+    order (independent of rank_over_field), each vector in the span's form:
+    over F2 an int, bit j for column j (a packed m is read as stored).
 
-    Column j goes in with tag -1-j.  If it reduces to tags alone, it is
+    Column j goes in with tag j.  If it reduces to tags alone, it is
     sum_k a_k col_k over the earlier pivot columns k, and its tags are
     e_j - sum_k a_k e_k, its kernel vector: one per dependent column.
     """
     if not coeffs.is_field:
         raise ValueError("kernel basis over a field only")
-    span = VectorSpan(coeffs)
-    kernel = []
-    for j, col in enumerate(m.columns):
-        if (v := span._adjoin({**col, -1 - j: 1})) is not None:
-            kernel.append({-1 - i: x for i, x in v.items()})
+    span, kernel = VectorSpan(coeffs), []
+    for j, col in enumerate(m._packed() if span._bits else m.columns):
+        if (v := span._adjoin(col, j)) is not None:
+            kernel.append(v if span._bits else {-1 - i: x for i, x in v.items()})
     return kernel
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from functools import cached_property
 
@@ -239,36 +240,37 @@ class Element:
 
 
 def _monomials(ring: RingSpec, t: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of degree t, no window check; descending graded-lex."""
+    """All exponent tuples of degree t, no window check; descending graded-lex,
+    as each exponent runs downward.  A branch is entered only when the gcd of
+    the later degrees divides what is left, and the last exponent is solved."""
     n = len(ring.generators)
     if n == 0:
         return [()] if t == 0 else []
     degs = ring.degrees
     inv = ring.inverted_index
     slack = ring.neg_bound * degs[inv] if inv is not None else 0
+    later_gcd = list(itertools.accumulate(degs[:0:-1], math.gcd))[::-1]  # of degs[i + 1:]
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, remaining: int, acc: list[int]):
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
         d = degs[i]
-        if i == inv:
-            lo = -ring.neg_bound
-        else:
-            lo = 0
-        # other generators may still be assigned later; the inverted one can
-        # absorb up to `slack` extra degree below zero
-        later_slack = slack if (inv is not None and i < inv) else 0
-        hi = (remaining + later_slack) // d
-        for e in range(lo, hi + 1):
-            acc.append(e)
-            rec(i + 1, remaining - e * d, acc)
-            acc.pop()
+        lo = -ring.neg_bound if i == inv else 0
+        if i == n - 1:  # d divides remaining: later_gcd[i - 1] or t % d checked it
+            if remaining // d >= lo:
+                out.append((*acc, remaining // d))
+            return
+        # the inverted generator, if still to come, can absorb up to `slack`
+        # extra degree below zero
+        hi = (remaining + (slack if inv is not None and i < inv else 0)) // d
+        g = later_gcd[i]
+        for e in range(hi, lo - 1, -1):
+            if (remaining - e * d) % g == 0:
+                acc.append(e)
+                rec(i + 1, remaining - e * d, acc)
+                acc.pop()
 
-    rec(0, t, [])
-    out.sort(reverse=True)
+    if t % math.gcd(*degs) == 0:
+        rec(0, t, [])
     return out
 
 
@@ -364,13 +366,19 @@ def power_generators(ideal: IdealSpec, s: int) -> tuple[tuple[tuple[int, ...], E
         for J in power_multi_indices(len(ideal), s)))
 
 
-def multiples(ring: RingSpec, g: Element, monos, t: int) -> list[dict[int, object]]:
+def multiples(ring: RingSpec, g: Element, monos, t: int) -> list:
     """g * m for each exponent tuple m in monos, as vectors in the degree-t
-    monomial coordinates; the one place a multiplication map is formed.
-    g * m is formed on exponent tuples alone, which is exact: Element has
-    normalized g's coefficients, and a monic monomial shifts exponents
-    injectively, so no two terms merge and no coefficient changes."""
+    monomial coordinates: one int over F2, bit i for monomial i, else a
+    sparse dict.  The one place a multiplication map is formed.  g * m is
+    formed on exponent tuples alone, which is exact: Element has normalized
+    g's coefficients, and a monic monomial shifts exponents injectively, so
+    no two terms merge and no coefficient changes."""
     index = ring._table(t)[1]
+    if ring.coefficients.p == 2:  # every coefficient is 1: one pass per term
+        out = [0] * len(monos)
+        for e in g.terms:
+            out = [x | 1 << index[tuple(map(operator.add, e, m))] for x, m in zip(out, monos)]
+        return out
     terms = g.terms.items()
     return [{index[tuple(map(operator.add, e, m))]: v for e, v in terms} for m in monos]
 
@@ -388,7 +396,7 @@ class FreeModuleBasis:
     def basis(self, t: int) -> tuple[tuple[int, ...], ...]:
         return self.ring._table(t)[0]
 
-    def reduce(self, vecs: list[dict[int, object]], t: int) -> list[dict[int, object]]:
+    def reduce(self, vecs: list, t: int) -> list:
         """Module coordinates of degree-t monomial-coordinate vectors: the
         monomials are this module's basis, so the vectors come back as given."""
         return vecs
@@ -422,7 +430,7 @@ class QuotientModule:
         for vec in _relation_multiples(self.ring, self.relations, t):
             span.insert(vec)
         basis_pos = [i for i in range(len(monos)) if i not in span.pivots]
-        pos_of = {p: k for k, p in enumerate(basis_pos)}
+        pos_of = {p: 1 << k if span._bits else k for k, p in enumerate(basis_pos)}  # F2: a bit
         got = self._cache[t] = (span, basis_pos, pos_of)
         return got
 
@@ -433,11 +441,20 @@ class QuotientModule:
         monos = self.ring._table(t)[0]
         return [monos[p] for p in self._at(t)[1]]
 
-    def reduce(self, vecs: list[dict[int, object]], t: int) -> list[dict[int, object]]:
+    def reduce(self, vecs: list, t: int) -> list:
         """Normal forms of degree-t monomial-coordinate vectors, in quotient
-        coordinates."""
+        coordinates and in the vectors' form (multiples)."""
         span, _, pos_of = self._at(t)
-        return [{pos_of[p]: v for p, v in span.reduce(vec).items()} for vec in vecs]
+        if not span._bits:
+            return [{pos_of[p]: v for p, v in span.reduce(vec).items()} for vec in vecs]
+        out = []
+        for x in vecs:  # each set bit of the normal form moves to its quotient bit
+            x, y = span.reduce(x)[0], 0
+            while x:
+                y |= pos_of[(x & -x).bit_length() - 1]
+                x &= x - 1
+            out.append(y)
+        return out
 
     def contains_span(self, other_relations: list[Element], t: int) -> bool:
         """Do the other relations' degree-t multiples land in this span?"""
@@ -462,8 +479,8 @@ def _relation_multiples(ring: RingSpec, relations, t: int):
 
 def relation_matrix(ring: RingSpec, relations: list[Element], t: int) -> Matrix:
     """Columns are the degree-t multiples of the relations, in monomial coords."""
-    cols = list(_relation_multiples(ring, relations, t))
-    return Matrix(monomial_count(ring, t), len(cols), cols)
+    return Matrix.of(monomial_count(ring, t), list(_relation_multiples(ring, relations, t)),
+                     ring.coefficients)
 
 
 class PowerQuotientInfo(Value):
@@ -592,7 +609,7 @@ def check_regular_sequence(ring: RingSpec, ideal: IdealSpec, window: DegreeWindo
                 if dim_src == 0:
                     continue
                 cols = q.reduce(multiples(ring, u, q.basis(t), t + d), t + d)
-                rank = rank_over_field(Matrix(q.dim(t + d), dim_src, cols), c)
+                rank = rank_over_field(Matrix.of(q.dim(t + d), cols, c), c)
                 if rank != dim_src:
                     failures.append(
                         RegularityFailure(k, t, f"multiplication drops rank {dim_src} -> {rank}")

@@ -43,7 +43,7 @@ from .complexes import (
     homology_ranks,
     tensor_free,
 )
-from .linalg import Matrix, matrix_vector, rank_over_field
+from .linalg import Matrix, _ones, rank_over_field
 from .rings import (
     DegreeWindow,
     IdealSpec,
@@ -306,7 +306,7 @@ def _augmentation_checks(ring, ideal, s, w, cx):
         for label, run in groupby(entries, key=lambda e: e[0]):
             columns += quotient.reduce(
                 multiples(ring, u_of[label.u_part], [mono for _, mono in run], t), t)
-        aug = Matrix(quotient.dim(t), len(entries), columns)
+        aug = Matrix.of(quotient.dim(t), columns, coeffs)
         if not aug.compose(cx.matrix(1, t), coeffs).is_zero():
             composite_zero = False
         if rank_over_field(aug, coeffs) != quotient.dim(t):
@@ -662,12 +662,15 @@ def _product_entry(entry_a, entry_b, level_cap: int):
 
 def _chain_product(cx: BigradedComplex, key_a, vec_a, key_b, vec_b, level_cap: int,
                    index: dict):
-    """Multiply two chains; the result lives at the sum of the bidegrees,
-    whose basis entries index maps to their rows."""
-    coeffs = cx.coefficients
+    """Multiply two chains, in the vector form of the homology basis (ints
+    over F2); the result lives at the sum of the bidegrees, whose basis
+    entries index maps to their rows."""
+    coeffs, packed = cx.coefficients, cx.coefficients.p == 2
     out: dict[int, object] = {}
     basis_a = cx.basis[key_a]
     basis_b = cx.basis[key_b]
+    if packed:  # each set bit a term with coefficient 1
+        vec_a, vec_b = dict.fromkeys(_ones(vec_a), 1), dict.fromkeys(_ones(vec_b), 1)
     for ia, ca in vec_a.items():
         for ib, cb in vec_b.items():
             got = _product_entry(basis_a[ia], basis_b[ib], level_cap)
@@ -676,7 +679,8 @@ def _chain_product(cx: BigradedComplex, key_a, vec_a, key_b, vec_b, level_cap: i
             sign, entry = got
             i = index[entry]
             out[i] = coeffs.normalize(out.get(i, coeffs.zero) + sign * ca * cb)
-    return {i: v for i, v in out.items() if v}
+    out = {i: v for i, v in out.items() if v}
+    return sum(1 << i for i in out) if packed else out
 
 
 def _trivial_products_check(ring, ideal, s, w, brute):
@@ -721,8 +725,9 @@ def _trivial_products_check(ring, ideal, s, w, brute):
                     checked += 1
                     if not prod:
                         continue
-                    image = matrix_vector(cx.matrix(*target), prod, cx.coefficients)
-                    if image:
+                    m = cx.matrix(*target)
+                    if not m.compose(Matrix.of(m.cols, [prod], cx.coefficients),
+                                     cx.coefficients).is_zero():
                         raise OracleMismatchError(
                             "product of cycles is not a cycle (Leibniz failure "
                             f"at {target})",

@@ -25,7 +25,7 @@ from koszul.complexes import (
     verify_differential,
 )
 from koszul.cotor import HopfSpec, cobar_complex, cobar_free
-from koszul.linalg import Coefficients, Matrix, matrix_vector
+from koszul.linalg import Coefficients, Matrix
 from koszul.rings import (
     DegreeWindow,
     Element,
@@ -283,13 +283,16 @@ def test_homology_basis_coordinates():
     c = exterior_on(ring, [0, 0]).realize()
     hb = homology_basis_at(c, 1, 2)
     assert len(hb.reps) == 1
-    # the class of e1 + e2 generates; e1 alone is not a cycle mod boundaries
-    assert hb.coords({0: 1, 1: 1}) == [1]
-    assert not hb.is_boundary({0: 1, 1: 1})
+    # the class of e1 + e2 generates; e1 alone is not a cycle mod boundaries.
+    # Over F2 a chain is one int, bit i for basis entry i
+    assert hb.coords(0b11) == [1]
+    assert not hb.is_boundary(0b11)
+    with pytest.raises(ValueError):
+        hb.coords(0b01)
     hb4 = homology_basis_at(c, 1, 4)
     assert len(hb4.reps) == 0
     # x*(e1 + e2) is the boundary of e1e2 at t = 4
-    assert hb4.is_boundary(c.matrix(2, 4).columns[0])
+    assert hb4.is_boundary(c.matrix(2, 4).bits[0])
 
 
 @functools.cache
@@ -319,7 +322,8 @@ def test_homology_coordinates_recover_a_combination_plus_a_boundary(name, s, hal
     hb = homology_basis_at(cx, s, t)
     into = cx.matrix(s - cx.step, t)
     coords = [c.normalize(data.draw(scalar)) for _ in hb.reps]
-    boundary = matrix_vector(into, {j: data.draw(scalar) for j in range(into.cols)}, c)
+    chain = Matrix(into.cols, 1, [{j: data.draw(scalar) for j in range(into.cols)}])
+    boundary = into.compose(chain, c).columns[0]
     v = _combination(c, [*zip(coords, hb.reps), (1, boundary)])
     assert hb.coords(v) == coords
     assert hb.is_boundary(v) == (not any(coords))

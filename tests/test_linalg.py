@@ -18,7 +18,6 @@ from koszul.linalg import (
     cokernel_invariants,
     integer_kernel_basis,
     kernel_basis,
-    matrix_vector,
     rank_over_field,
     rational_rank,
     smith_normal_form,
@@ -324,10 +323,6 @@ def test_compose_matches_dense_product(case):
     # entries are normalized, and zeros, including sums that cancel, are never stored
     assert all(prod.entries.values())
     assert all(c.normalize(v) == v and type(v) is type(c.one) for v in prod.entries.values())
-    # applied to column j of b, which touches only some columns of a,
-    # matrix_vector gives column j of the dense product
-    for j, col in enumerate(b.columns):
-        assert matrix_vector(a, col, c) == {i: v for (i, jj), v in dense.items() if jj == j}
 
 
 @st.composite
@@ -403,8 +398,6 @@ def test_a_packed_f2_matrix_reads_like_its_dict_form(case):
         assert prod.entries == dense and (prod.bits is not None or not a.rows)
         assert prod == _matrix(a.rows, b.cols, dense) == a.compose(b, F2)
         assert prod.is_zero() == (not dense)
-        for col, want in zip(right.columns, prod.columns):
-            assert matrix_vector(left, col, F2) == want
     for d, p in ((a, pa), (b, pb)):
         assert rank_over_field(p, F2) == rank_over_field(d, F2) == rank_over_field(_mod2(d), F2)
         assert kernel_basis(p, F2) == kernel_basis(d, F2)
@@ -422,15 +415,16 @@ def test_a_packed_f2_matrix_reads_like_its_dict_form(case):
 
 
 def test_realized_f2_differentials_are_packed_once(monkeypatch):
-    # realize packs each multiplication table once (_f2_bits) and stores each
-    # F2 differential packed; the d.d audit and the ranks read it as stored
-    import koszul.complexes
-    from koszul.complexes import homology_ranks, verify_differential
+    # over F2 every vector is one int from the multiplication map on, so a
+    # whole tower s=3 (regularity check, realize, d.d audit, ranks, R/I^3
+    # and augmentation) packs no dict column; realize stores each F2
+    # differential packed, and the audit and the ranks read it as stored
     from koszul.rings import DegreeWindow, IdealSpec, RingSpec
-    from koszul.tower import tower_free
+    from koszul.tower import build_tower_resolution, tower_free
 
     ring = RingSpec(F2, (("x1", 2), ("x2", 2), ("x3", 4)), DegreeWindow(0, 12, 3, stage_max=3))
-    ideal = IdealSpec(tuple(ring.generator(n) for n in ("x1", "x2", "x3")))
+    x1, x2, x3 = (ring.generator(n) for n in ("x1", "x2", "x3"))
+    ideal = IdealSpec((x1, x2, x3 + x1 * x1))  # a two-term entry, as seed 7 has
     calls = []
     real = linalg._f2_bits
 
@@ -439,12 +433,13 @@ def test_realized_f2_differentials_are_packed_once(monkeypatch):
         return real(col)
 
     monkeypatch.setattr(linalg, "_f2_bits", counted)
-    monkeypatch.setattr(koszul.complexes, "_f2_bits", counted)
     cx = tower_free(ring, ideal, 3).realize()
-    tables = len(calls)
-    assert tables and all(m.bits is not None for m in cx.diff.values() if m.rows)
-    assert verify_differential(cx).ok and homology_ranks(cx)  # every compose and rank
-    assert len(calls) == tables
+    assert all(m.bits is not None for m in cx.diff.values() if m.rows)
+    report = build_tower_resolution(ring, ideal, 3)
+    assert report.ok and report.augmentation_surjective and report.h0_found
+    assert calls == []
+    rank_over_field(Matrix(1, 1, [{0: 1}]), F2)  # the patch is live: a dict column packs
+    assert len(calls) == 1
 
 
 @settings(deadline=None)
@@ -661,9 +656,9 @@ def test_f2_rank_uses_neither_span_nor_normalize(monkeypatch):
     calls = []
     real_insert, real_normalize = VectorSpan.insert, F2.normalize
 
-    def insert(self, v):
+    def insert(self, v, tag=None):
         calls.append("insert")
-        return real_insert(self, v)
+        return real_insert(self, v, tag)
 
     def normalize(x):
         calls.append("normalize")
@@ -673,9 +668,9 @@ def test_f2_rank_uses_neither_span_nor_normalize(monkeypatch):
     monkeypatch.setitem(vars(F2), "normalize", normalize)  # chosen per instance
     assert [rank_over_field(m, F2) for m in matrices] == expected
     assert calls == []
-    VectorSpan(F2).insert({0: 1})
+    VectorSpan(F2).insert(1)
     assert calls == ["insert"]  # the patches are live: the span calls insert,
-    matrix_vector(Matrix(1, 1, [{0: 1}]), {0: 1}, F2)  # matrix_vector normalizes
+    assert linalg._normalized(F2, {0: 3}) == {0: 1}  # and normalize is called
     assert calls == ["insert", "normalize"]
 
 
@@ -702,32 +697,31 @@ class _ListSpan:
         self.rows[keys.index(1)] = (keys, tags)
         return True
 
-    def as_dict(self, keys: list, tags: list) -> dict:
-        return {**{i: 1 for i, a in enumerate(keys) if a},
-                **{-1 - k: 1 for k, a in enumerate(tags) if a}}
+    def as_bits(self, keys: list, tags: list) -> tuple[int, int]:
+        return (sum(1 << i for i, a in enumerate(keys) if a),
+                sum(1 << k for k, a in enumerate(tags) if a))
 
 
 @st.composite
 def _f2_vectors(draw):
     """Vectors over F2 on more than 64 keys, so bit rows span several
-    machine words, each with raw entries whose parity is what counts."""
+    machine words: each an int, the XOR of the bits drawn, next to the
+    parities of the draws as a 0/1 list.  An inserted vector may carry a
+    tag, which other vectors may share."""
     n = draw(st.integers(65, 140))
     m = draw(st.integers(0, 6))
-    raw = st.integers(-3, 3)
 
     def vector():
-        keys = draw(st.lists(st.tuples(st.integers(0, n - 1), raw), max_size=12))
-        tags = draw(st.lists(st.tuples(st.integers(0, m - 1), raw), max_size=3)) if m else []
-        v = {**dict(keys), **{-1 - k: a for k, a in tags}}
-        parity = ([0] * n, [0] * m)
-        for i, a in v.items():
-            if i >= 0:
-                parity[0][i] = a & 1
-            else:
-                parity[1][-1 - i] = a & 1
-        return v, parity
+        drawn, x = draw(st.lists(st.integers(0, n - 1), max_size=12)), 0
+        for i in drawn:
+            x ^= 1 << i
+        return x, [drawn.count(i) % 2 for i in range(n)]
 
-    inserted = [vector() for _ in range(draw(st.integers(0, 40)))]
+    def tagged():
+        tag = draw(st.none() | st.integers(0, m - 1)) if m else None
+        return vector(), tag, [int(k == tag) for k in range(m)]
+
+    inserted = [tagged() for _ in range(draw(st.integers(0, 40)))]
     probes = [vector() for _ in range(draw(st.integers(1, 8)))]
     return n, m, inserted, probes
 
@@ -737,14 +731,14 @@ def _f2_vectors(draw):
 def test_f2_bit_span_matches_a_list_elimination(case):
     n, m, inserted, probes = case
     span, ref = VectorSpan(F2), _ListSpan(n, m)
-    for v, (keys, tags) in inserted:
-        assert span.insert(v) == ref.insert(keys, tags)
+    for (x, keys), tag, tags in inserted:
+        assert span.insert(x, tag) == ref.insert(keys, tags)
         assert sorted(span.pivots) == sorted(ref.rows)  # the same leads, in order
         assert span.rank == len(ref.rows)
-    for v, (keys, tags) in probes + inserted:
-        normal = ref.as_dict(*ref.reduce(keys, tags))
-        assert span.reduce(v) == normal  # tags included
-        assert span.contains(v) == (not normal)
+    for x, keys in probes + [v for v, _, _ in inserted]:
+        normal = ref.as_bits(*ref.reduce(keys, [0] * m))
+        assert span.reduce(x) == normal  # tags included
+        assert span.contains(x) == (normal == (0, 0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -769,8 +763,12 @@ def test_f2_kernel_basis_matches_a_list_elimination(rows, cols, data):
         tags = [1 if k == j else 0 for k in range(cols)]
         if not ref.insert(keys, tags):
             _, tags = ref.reduce(keys, tags)
-            expected.append({k: 1 for k, a in enumerate(tags) if a})
+            expected.append(sum(1 << k for k, a in enumerate(tags) if a))
+    # over F2 a kernel vector is one int, bit k for column k, whether the
+    # columns are given as dicts or packed
+    packed = Matrix(rows, cols, bits=[sum(1 << i for i in col) for col in columns])
     assert kernel_basis(Matrix(rows, cols, columns), F2) == expected
+    assert kernel_basis(packed, F2) == expected
 
 
 @pytest.mark.parametrize("c", [F2, F3, Q, Z], ids=str)

@@ -1,6 +1,7 @@
 """Graded rings: monomial enumeration, quotient dimensions, regularity."""
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -133,6 +134,26 @@ def test_monomial_table_properties(r):
             assert monomial_count(r, t) == (h[t] if t >= 0 else 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([2, 4, 6, 8, 10, 12]), min_size=1, max_size=4),
+       st.booleans(), st.integers(-8, 12), st.data())
+def test_monomials_match_a_brute_force_product(degs, invert, t_max, data):
+    # reference: every exponent vector of a box that holds all of degree at
+    # most t_max, from itertools.product, grouped by degree and sorted; it
+    # shares no bound, gcd test or order with _monomials
+    gens = tuple((f"x{i}", d) for i, d in enumerate(degs, start=1))
+    inverted = data.draw(st.sampled_from([n for n, _ in gens])) if invert else None
+    r = RingSpec(F2, gens, DegreeWindow(data.draw(st.integers(-8, t_max)), t_max), inverted)
+    inv, neg = r.inverted_index, r.neg_bound
+    low = -neg * degs[inv] if invert else 0  # the least degree of an exponent vector
+    box = [range(-neg if k == inv else 0, (t_max - low) // d + 1) for k, d in enumerate(degs)]
+    by_degree: dict[int, list] = {}
+    for e in itertools.product(*box):
+        by_degree.setdefault(sum(a * d for a, d in zip(e, degs)), []).append(e)
+    for t in range(low - max(degs), t_max + 1):  # below low there is none
+        assert rings._monomials(r, t) == sorted(by_degree.get(t, []), reverse=True)
+
+
 @st.composite
 def _multiplication_cases(draw):
     """A ring over F2, F3, Q or Z with at most one inverted generator, a
@@ -164,9 +185,11 @@ def test_multiples_and_reduce_match_element_products(case):
     # monomial_basis, and a VectorSpan of its own; no code of multiples
     r, t, g, relations = case
     index = {m: i for i, m in enumerate(monomial_basis(r, t))}
+    packed = r.coefficients.p == 2
 
-    def coords(elem):
-        return {index[e]: v for e, v in elem.terms.items()}
+    def coords(elem):  # over F2 one int, bit i for monomial i; else a dict
+        vec = {index[e]: v for e, v in elem.terms.items()}
+        return sum(1 << i for i in vec) if packed else vec
 
     monos = rings._monomials(r, t - g.degree())
     expected = [coords(g * r.monomial(m)) for m in monos]
@@ -183,8 +206,14 @@ def test_multiples_and_reduce_match_element_products(case):
     pos = {p: k for k, p in enumerate(keep)}
     q = QuotientModule(r, relations)
     assert q.basis(t) == [monomial_basis(r, t)[p] for p in keep]
-    assert q.reduce(vecs, t) == [{pos[p]: v for p, v in span.reduce(vec).items()}
-                                 for vec in expected]
+    if packed:  # normal forms are (keys, tags) ints, and no relation carries a tag
+        normal = [span.reduce(vec) for vec in expected]
+        assert all(tags == 0 for _, tags in normal)
+        assert q.reduce(vecs, t) == [sum(1 << pos[p] for p in pos if x >> p & 1)
+                                     for x, _ in normal]
+    else:
+        assert q.reduce(vecs, t) == [{pos[p]: v for p, v in span.reduce(vec).items()}
+                                     for vec in expected]
 
 
 def test_element_arithmetic_mod_p():
@@ -213,12 +242,14 @@ def test_quotient_module_dims():
 
 
 def test_quotient_module_normal_form():
-    # F2[x]/(x^2): x*x reduces to 0, x stays
+    # F2[x]/(x^2): x*x reduces to 0, x stays; over F2 a vector is one int,
+    # bit i for basis monomial i
     r = _ring(F2, [("x1", 2)])
     q = QuotientModule(r, [r.monomial((2,))])
     x = r.generator("x1")
-    assert q.reduce(multiples(r, x, [(0,)], 2), 2) == [{0: 1}]
-    assert q.reduce(multiples(r, x, [(1,)], 4), 4) == [{}]
+    assert multiples(r, x, [(0,)], 2) == [0b1]
+    assert q.reduce(multiples(r, x, [(0,)], 2), 2) == [0b1]
+    assert q.reduce(multiples(r, x, [(1,)], 4), 4) == [0]
 
 
 def test_power_multi_indices():
