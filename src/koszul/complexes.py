@@ -4,7 +4,8 @@ Two layers: a FreeComplex is a complex of free graded modules described by
 integer generator ids and an element-valued differential; realizing it over a
 degree window (optionally through a quotient module) produces a
 BigradedComplex, the flat object everything downstream consumes: ordered
-labelled bases per bidegree (s, t) and one exact matrix per bidegree.
+labelled bases per bidegree (s, t) and one exact matrix per bidegree.  A
+BigradedComplex audits d after d when it is built, whoever builds it.
 
 Differentials preserve the internal degree t, so each t-column of the window
 is self-contained; the only edge uncertainty lives in the homological
@@ -149,9 +150,7 @@ class FreeComplex:
         rank read it as stored.  A bidegree whose target level s + step has
         no basis at t gets a 0-row matrix without visiting its generators,
         and the audit's compose and the field rank return at once on it.  d
-        after d is checked here and only here: a failing verify_differential
-        raises DifferentialSquareError, a passing one is kept as the result's
-        `differential`.
+        after d is checked by the BigradedComplex returned, when it is built.
         """
         w = window or self.ring.window
         mod = module or FreeModuleBasis(self.ring)
@@ -218,20 +217,9 @@ class FreeComplex:
                     columns.append(col)
             diff[(s, t)] = Matrix.of(len(basis.get((s + step, t), ())), columns,
                                      self.ring.coefficients)
-        cx = BigradedComplex(
-            coefficients=self.ring.coefficients,
-            direction=self.direction,
-            basis=basis,
-            diff=diff,
-            window=w,
-            s_levels=self.hom_degrees(),
-            complete_above=self.complete_above,
-        )
         del tables, offsets, module_bases  # not needed by the audit; freed to keep its peak memory
-        cx.differential = verify_differential(cx)
-        if not cx.differential.ok:
-            raise DifferentialSquareError(cx.differential)
-        return cx
+        return BigradedComplex(self.ring.coefficients, self.direction, basis, diff, w,
+                               self.hom_degrees(), self.complete_above)
 
 
 class DifferentialViolation:
@@ -262,7 +250,9 @@ class HomologyEntry(Value):
 
 
 class BigradedComplex:
-    """Realized bigraded complex: ordered bases and exact matrices per (s,t)."""
+    """Realized bigraded complex: ordered bases and exact matrices per (s,t).
+    Building one runs verify_differential: a failing report raises
+    DifferentialSquareError, a passing one is kept as `differential`."""
 
     def __init__(self, coefficients: Coefficients, direction: str, basis: dict,
                  diff: dict, window: DegreeWindow, s_levels: list[int],
@@ -274,7 +264,9 @@ class BigradedComplex:
         self.window = window
         self.s_levels = s_levels
         self.complete_above = complete_above
-        self.differential: DifferentialReport | None = None  # set by FreeComplex.realize
+        self.differential = verify_differential(self)
+        if not self.differential.ok:
+            raise DifferentialSquareError(self.differential)
 
     @property
     def step(self) -> int:

@@ -8,7 +8,7 @@ augmentation coideal), takes its cohomology by brute force over a degree
 window, and checks the result against that closed form.  The brute force is
 a minimal free resolution over the dual exterior algebra, whose product is
 the transpose of the cobar differential on one letter; over Z it is built
-over Q and realized over Z, so that Smith normal form sees any torsion.  A
+over Q and audited over Z, so that Smith normal form sees any torsion.  A
 collapse audit then confirms that no differential of the Adams bidegree
 pattern can be nonzero on the resulting table, which is the checkable
 content of "the spectral sequence degenerates for parity reasons".
@@ -20,6 +20,7 @@ from math import gcd, lcm
 
 from .complexes import (
     COHOMOLOGICAL,
+    HOMOLOGICAL,
     BasisLabel,
     BigradedComplex,
     DifferentialReport,
@@ -29,7 +30,7 @@ from .complexes import (
     UNIT_LABEL,
     homology_ranks,
 )
-from .linalg import Coefficients, Matrix, VectorSpan, _ones, kernel_basis
+from .linalg import Coefficients, Matrix, _ones, span_and_kernel
 from .rings import DegreeWindow, InputError, RingSpec, Value, monomial_count
 
 
@@ -132,8 +133,8 @@ def cobar_free(h: HopfSpec, w: DegreeWindow) -> FreeComplex:
     The sign is the standard one for a tensor algebra on a shift: a Koszul
     prefix over the shifted degrees |g_j| + 1, the unshuffle sign of pulling
     P out of g_i, and |P| for carrying the shift past P.  It squares to zero
-    by coassociativity; FreeComplex.realize re-proves that on every realized
-    window as a guard against drift.
+    by coassociativity; the BigradedComplex that realize returns re-proves
+    that on every window as a guard against drift.
     """
     if h.base.inverted is not None:
         raise InputError(
@@ -197,16 +198,18 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
     A's product is the transpose of the cobar differential on one letter, the
     reduced coproduct: e_P e_Q = c (-1)^(1 + |P|) e_L where [P|Q] occurs in
     d[L] with coefficient c, which makes the sign that of sorting P + Q.
-    Levels are built through s_max + 1, one internal degree at a time: the
-    generators new at (s, t) lift a basis of the kernel of d at (s - 1, t)
-    modulo the image of the older ones, scalars included.  Over Z those
-    kernels are taken over Q and each new boundary is scaled to a primitive
-    integer vector.  Flattened to one generator (g, J) per A-generator g and
-    monomial e_J, with d(e_J g) = e_J d(g), the resolution is realized over
-    k, so d after d is audited; its homology must be k at (0, 0) alone, with
-    no torsion over Z, and no d(g) may have a term with J empty
-    (minimality).  Exact over Z and minimal, it proves Ext over Z free on
-    the generators.
+    Flattened to one generator (g, J) per A-generator g and monomial e_J,
+    with d(e_J g) = e_J d(g), each column of d is formed once, with g.
+    Levels are built through s_max + 1, one internal degree at a time, with
+    one span per (s, t) (span_and_kernel): its columns go in with their
+    tags, giving the kernel that level s + 1 lifts, and each kernel vector
+    of (s - 1, t) that enlarges it is a new generator's boundary, whose
+    column, adjoined, adds nothing to that kernel.  Over Z
+    the span is over Q and each new boundary is scaled to a primitive
+    integer vector.  The columns make a BigradedComplex over k, which audits
+    d after d; its homology must be k at (0, 0) alone, with no torsion over
+    Z, and no d(g) may have a term with J empty (minimality).  Exact over Z
+    and minimal, it proves Ext over Z free on the generators.
     """
     t_max, k = max(w.t_max, 0), h.base.coefficients
     field = k if k.is_field else Coefficients.rationals()
@@ -217,12 +220,11 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
         for c, tgt in d1.diff[gid]:  # |P| is len(P) mod 2: every primitive is odd
             (P, Q), (sign,) = d1.labels[tgt].word, c.terms.values()
             prod[(P, Q)] = (sign if len(P) % 2 else k.neg(sign), d1.labels[gid].word[0])
-    fc = FreeComplex(RingSpec(k, (), DegreeWindow(0, t_max, w.s_max + 1)), complete_above=False)
-    fc.levels = {s: [] for s in range(w.s_max + 2)}  # known even where empty
     packed = field.p == 2  # vectors are ints over F2 (Matrix.of)
-    # (g, J) -> id; (s, t) -> {id: row, its bit over F2}; (s, t) -> columns of
-    # d, one per id, each formed with its generator; (s, d) -> count
-    flat, rows, cols, ext, consts = {}, {}, {}, {}, {}
+    # (s, t) -> basis entries ((g, J), ()), g the flat index of e_() g, as
+    # realize lays them out; (g, J) -> its row, a bit over F2; (s, t) ->
+    # columns of d, one per entry; (s, d) -> count
+    basis, flat, cols, ext = {}, {}, {}, {}
 
     def add_generator(s, t, boundary):  # boundary: (scalar, label at (s - 1, t)) pairs
         if any(K == () for _, (_, K) in boundary):
@@ -230,40 +232,37 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
                 "minimal resolution has a boundary term with a unit coefficient",
                 {"kind": "resolution-minimality", "s": s, "t": t})
         ext[(s, t)] = ext.get((s, t), 0) + 1
-        g = fc.generator_count()  # the id its own term e_() g gets
-        fit = [(J, t + dj) for J, dj in monos if t + dj <= t_max]
-        for (J, u), gid in zip(fit, fc.add_generators([(g, J) for J, _ in fit], s,
-                                                      [u for _, u in fit])):
-            flat[(g, J)] = gid
-            below, terms, col = rows.get((s - 1, u), {}), [], {}
-            for a, (g2, K) in boundary:
-                sign, L = prod.get((J, K), (0, None))
-                if (x := flat.get((g2, L))) is not None:
-                    v = k.normalize(a * sign)  # one Element per scalar: realize keys tables by id
-                    terms.append((consts.get(v) or consts.setdefault(v, fc.ring.constant(v)), x))
-                    col[below[x]] = v
-            fc.set_diff(gid, terms)
-            here = rows.setdefault((s, u), {})
-            here[gid] = 1 << len(here) if packed else len(here)
-            cols.setdefault((s, u), []).append(sum(col) if packed else col)
+        g = len(flat)
+        for J, dj in monos:
+            if t + dj <= t_max:
+                here = basis.setdefault((s, t + dj), [])
+                flat[(g, J)] = 1 << len(here) if packed else len(here)
+                here.append(((g, J), ()))
+                col = {}
+                for a, (g2, K) in boundary:
+                    sign, L = prod.get((J, K), (0, None))
+                    if (x := flat.get((g2, L))) is not None:
+                        col[x] = k.normalize(a * sign)
+                cols.setdefault((s, t + dj), []).append(sum(col) if packed else col)
 
     add_generator(0, 0, [])
-    for s in range(1, w.s_max + 2):
+    kernels = {}  # (s, t) -> kernel of d there, until level s + 1 lifts it
+    for s in range(w.s_max + 2):
         for t in range(t_max + 1):
-            # d from level 0 is the augmentation, injective at t = 0 only;
-            # d from (s - 1, t) is complete, and not needed again
-            m = Matrix.of(len(rows.get((s - 2, t), ())), cols.pop((s - 1, t), []), field)
-            kernel = kernel_basis(m, field) if s > 1 or t else []
-            image = VectorSpan(field)
-            for col in cols.get((s, t), ()):
-                image.insert(col)
-            src = list(rows.get((s - 1, t), ()))
-            for v in kernel:
-                if image.insert(v):
+            span, kernel = span_and_kernel(cols.get((s, t), []), field)
+            if (s or t) and s <= w.s_max:  # d from (0, 0), the augmentation, is injective
+                kernels[(s, t)] = kernel
+            below = basis.get((s - 1, t))
+            for v in kernels.pop((s - 1, t), ()):
+                if span.insert(v, len(cols.get((s, t), ()))):
                     entries = ([(i, 1) for i in _ones(v)] if packed
                                else (v if k.is_field else _primitive(v)).items())
-                    add_generator(s, t, [(a, fc.labels[src[i]]) for i, a in entries])
-    cx = fc.realize()
+                    add_generator(s, t, [(a, below[i][0]) for i, a in entries])
+    cx = BigradedComplex(k, HOMOLOGICAL, basis,
+                         {(s, t): Matrix.of(len(basis.get((s - 1, t), ())), c, k)
+                          for (s, t), c in cols.items()},
+                         DegreeWindow(0, t_max, w.s_max + 1), list(range(w.s_max + 2)),
+                         complete_above=False)
     for (s, t), entry in homology_ranks(cx).items():
         if s <= w.s_max and (entry.rank != int((s, t) == (0, 0)) or entry.torsion
                              or not entry.certain):

@@ -353,22 +353,27 @@ def rank_over_field(m: Matrix, coeffs: Coefficients) -> int:
     return len(leads)
 
 
-def kernel_basis(m: Matrix, coeffs: Coefficients) -> list:
-    """Basis of ker(m) from the columns of m inserted into a VectorSpan in
-    order (independent of rank_over_field), each vector in the span's form:
-    over F2 an int, bit j for column j (a packed m is read as stored).
+def span_and_kernel(columns: list, coeffs: Coefficients) -> tuple[VectorSpan, list]:
+    """(span, kernel) of the columns inserted into one VectorSpan in order,
+    column j with tag j, each in the span's form (ints over F2).
 
-    Column j goes in with tag j.  If it reduces to tags alone, it is
-    sum_k a_k col_k over the earlier pivot columns k, and its tags are
-    e_j - sum_k a_k e_k, its kernel vector: one per dependent column.
+    If column j reduces to tags alone, it is sum_k a_k col_k over the
+    earlier pivot columns k, and its tags are e_j - sum_k a_k e_k, its
+    kernel vector: one per dependent column, over F2 an int, bit j for
+    column j.  The span stays open, so a caller can test and adjoin more.
     """
-    if not coeffs.is_field:
-        raise ValueError("kernel basis over a field only")
     span, kernel = VectorSpan(coeffs), []
-    for j, col in enumerate(m._packed() if span._bits else m.columns):
+    for j, col in enumerate(columns):
         if (v := span._adjoin(col, j)) is not None:
             kernel.append(v if span._bits else {-1 - i: x for i, x in v.items()})
-    return kernel
+    return span, kernel
+
+
+def kernel_basis(m: Matrix, coeffs: Coefficients) -> list:
+    """Basis of ker(m), by span_and_kernel on the columns of m as stored."""
+    if not coeffs.is_field:
+        raise ValueError("kernel basis over a field only")
+    return span_and_kernel(m._packed() if coeffs.p == 2 else m.columns, coeffs)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ run on.
 
 The module also computes Tor(R/I, R/I) and Tor(R/I, R/I^s) two independent
 ways each, raising OracleMismatchError rather than returning a table the two
-pipelines disagree on.  FreeComplex.realize checks d after d = 0 on every
-complex it builds, so no code here repeats that check.
+pipelines disagree on.  Every BigradedComplex checks d after d = 0 when it
+is built, realized ones included, so no code here repeats that check.
 
 Quotient realizations need field coefficients; over the integers only the
 free-module computations (Koszul homology with torsion, tower d^2 and
@@ -173,7 +173,7 @@ def boundary_block(cx: BigradedComplex, level: int, r: int, t: int):
 def build_koszul(ring: RingSpec, ideal: IdealSpec, window: DegreeWindow | None = None,
                  module=None) -> BigradedComplex:
     """Realize the Koszul complex over the window, optionally through a
-    quotient module; regularity is checked first and d^2 = 0 by realize."""
+    quotient module; regularity is checked first, d^2 = 0 by the complex."""
     report = check_regular_sequence(ring, ideal, window)
     if not report.ok:
         raise RegularityError(report)
@@ -208,7 +208,7 @@ class TowerReport:
 
         lines = [
             f"stage s={self.s} resolution over {self.ring_desc}",
-            "  d^2 = 0 everywhere in window: PASS",  # realize raises otherwise
+            "  d^2 = 0 everywhere in window: PASS",  # BigradedComplex raises otherwise
             f"  H_0 equals R/I^{self.s} degreewise: {mark(not self.h0_mismatches)}",
             f"  H_n = 0 for n > 0 in window: {mark(not self.higher_nonzero)}",
         ]

@@ -99,7 +99,7 @@ def test_criterion_05_cotor_oracle_equivalence():
     base = RingSpec(Coefficients.prime_field(2), (), w)
     for primitives in ((("t1", 3),), (("t1", 3), ("t2", 5))):
         report = cotor_ranks(HopfSpec(base, primitives), w)  # raises on mismatch
-        assert report.differential.ok  # kept from realize, which raises on d.d != 0
+        assert report.differential.ok  # BigradedComplex raises on d.d != 0
         assert all(entry.certain for entry in report.table.values())
     verdict(5, "cobar cohomology equals the polynomial closed form for one "
                "and two primitives through (s,t) <= (3,15)")

@@ -16,6 +16,7 @@ from koszul.complexes import (
     HOMOLOGICAL,
     UNIT_LABEL,
     BasisLabel,
+    BigradedComplex,
     DifferentialSquareError,
     FreeComplex,
     homology_basis_at,
@@ -260,6 +261,23 @@ def test_realize_raises_on_nonzero_square():
     assert all(v.kind == "square" for v in violations)
     # a reaches the window at t = 4 and again at 6 and 8 through x and x^2
     assert [(v.s, v.t) for v in violations] == [(2, 4), (2, 6), (2, 8)]
+
+
+def test_building_a_complex_with_a_nonzero_square_raises():
+    # built directly, with no FreeComplex: the audit belongs to the complex.
+    # a -> b -> c over Z with d(a) = 2 b and d(b) = 3 c, so d(d(a)) = 6 c
+    basis = {(s, 0): [(BasisLabel(e_part=tuple(range(1, s + 1))), ())] for s in range(3)}
+    diff = {(0, 0): Matrix(0, 1), (1, 0): Matrix.from_rows([[3]]),
+            (2, 0): Matrix.from_rows([[2]])}
+    with pytest.raises(DifferentialSquareError) as err:
+        BigradedComplex(Coefficients.integers(), HOMOLOGICAL, basis, diff,
+                        DegreeWindow(0, 0, 2), [0, 1, 2])
+    assert [(v.s, v.t, v.kind, v.detail) for v in err.value.report.violations] == [
+        (2, 0, "square", "d(d(e(1,2)|())) has entry 6 at target row 0")]
+    diff[(2, 0)] = Matrix(1, 1)
+    cx = BigradedComplex(Coefficients.integers(), HOMOLOGICAL, basis, diff,
+                         DegreeWindow(0, 0, 2), [0, 1, 2])
+    assert cx.differential.ok
 
 
 def test_realized_complexes_carry_a_passing_differential_report():

@@ -17,6 +17,7 @@ from koszul.cli import main
 from koszul.complexes import (
     BasisLabel,
     DifferentialSquareError,
+    FreeComplex,
     OracleMismatchError,
     homology_ranks,
     verify_differential,
@@ -35,8 +36,27 @@ from koszul.cotor import (
     e2_closed_form,
     parity_violations,
 )
-from koszul.linalg import Coefficients, Matrix, kernel_basis
+from koszul.linalg import (
+    Coefficients,
+    Matrix,
+    VectorSpan,
+    rank_over_field,
+    rational_rank,
+    span_and_kernel,
+)
 from koszul.rings import DegreeWindow, RingSpec, monomial_count
+
+
+def _patch(monkeypatch, name, fake):
+    """Replace koszul.cotor.<name> by fake for the test; the list returned
+    gets the arguments of every call, so a test can assert its fault fired."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fake(*args)
+    monkeypatch.setattr(koszul.cotor, name, counted)
+    return calls
 
 
 def unit_base(p, t_max, t_min=0, s_max=6):
@@ -94,7 +114,7 @@ def test_d_squared_vanishes_with_three_primitives_over_f3():
     h = HopfSpec(base, (("t1", 1), ("t2", 3), ("t3", 5)))
     assert verify_differential(cobar_complex(h, w)).ok
     report = cotor_ranks(h, w)
-    assert report.differential.ok  # kept from realize, which raises on d.d != 0
+    assert report.differential.ok  # BigradedComplex raises on d.d != 0
 
 
 def test_coproduct_signs_on_a_two_index_letter():
@@ -169,9 +189,10 @@ def test_closed_form_mismatch_is_a_hard_failure(monkeypatch):
     h = HopfSpec(unit_base(2, 6, s_max=2), (("t1", 3), ("t2", 5)))
     # nothing predicted; the series without t2's factor 1/(1 - y q^5)
     for closed in ({}, closed_form_ranks(HopfSpec(h.base, h.primitives[:1]), w)):
-        monkeypatch.setattr("koszul.cotor.closed_form_ranks", lambda h, w: closed)
+        calls = _patch(monkeypatch, "closed_form_ranks", lambda h, w: closed)
         with pytest.raises(OracleMismatchError) as err:
             cotor_ranks(h, w)
+        assert len(calls) == 1
         assert err.value.witness["kind"] == "cotor"
         assert err.value.witness["brute"] == 1
         assert err.value.witness["closed"] == 0
@@ -180,11 +201,10 @@ def test_closed_form_mismatch_is_a_hard_failure(monkeypatch):
 def test_missing_predicted_class_is_also_a_hard_failure(monkeypatch):
     w = DegreeWindow(0, 6, 2)
     h = HopfSpec(unit_base(2, 6, s_max=2), ())
-    monkeypatch.setattr(
-        "koszul.cotor.closed_form_ranks", lambda h, w: {(0, 0): 1, (2, 6): 3}
-    )
+    calls = _patch(monkeypatch, "closed_form_ranks", lambda h, w: {(0, 0): 1, (2, 6): 3})
     with pytest.raises(OracleMismatchError) as err:
         cotor_ranks(h, w)
+    assert len(calls) == 1
     assert err.value.witness == {
         "kind": "cotor", "s": 2, "t": 6, "brute": 0, "closed": 3,
     }
@@ -345,13 +365,14 @@ def test_every_ring_reads_the_cobar_complex_once(monkeypatch):
 
 def _drop_splittings(monkeypatch, drop):
     """Every cobar_free call from here on loses the splittings (P, Q) that
-    drop picks, in the cobar complex and so in the product read off it."""
+    drop picks, in the cobar complex and so in the product read off it;
+    returns the calls made."""
     real = koszul.cotor._cobar_letters
 
     def letters(h, t_max):
         ldeg, splits = real(h, t_max)
         return ldeg, {L: [x for x in sp if not drop(x[0])] for L, sp in splits.items()}
-    monkeypatch.setattr(koszul.cotor, "_cobar_letters", letters)
+    return _patch(monkeypatch, "_cobar_letters", letters)
 
 
 @pytest.mark.parametrize("drop, error", [
@@ -363,25 +384,48 @@ def _drop_splittings(monkeypatch, drop):
 def test_a_broken_coproduct_reaches_the_f2_resolution(monkeypatch, drop, error):
     w = DegreeWindow(0, 12, 4)
     h = HopfSpec(RingSpec(F2, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
-    _drop_splittings(monkeypatch, drop)
+    calls = _drop_splittings(monkeypatch, drop)
     with pytest.raises(error):
         cotor_ranks(h, w)
+    assert calls
+
+
+def _lost_cycle(cols, c):
+    span, kernel = span_and_kernel(cols, c)
+    return span, kernel[:-1]
+
+
+def _every_column_a_cycle(cols, c):
+    # the columns given and every one the span adjoins later, as the new
+    # generators' columns are, each come back as a kernel vector
+    span, _ = span_and_kernel(cols, c)
+    kernel, insert = [1 << j if c.p == 2 else {j: 1} for j in range(len(cols))], span.insert
+
+    def adjoin(v, tag=None):
+        if new := insert(v, tag):
+            kernel.append(1 << tag if c.p == 2 else {tag: 1})
+        return new
+    span.insert = adjoin
+    return span, kernel
 
 
 @pytest.mark.parametrize("kernel, kind", [
     # a lost cycle is homology the resolution should not have
-    (lambda m, c: kernel_basis(m, c)[:-1], "resolution"),
+    (_lost_cycle, "resolution"),
     # every vector a "cycle": a new generator's boundary has a unit term
-    (lambda m, c: [1 << j if c.p == 2 else {j: 1} for j in range(m.cols)],
-     "resolution-minimality"),
+    (_every_column_a_cycle, "resolution-minimality"),
 ])
 def test_a_broken_resolution_is_caught(monkeypatch, kernel, kind):
-    monkeypatch.setattr(koszul.cotor, "kernel_basis", kernel)
+    # the span is the real one, so candidates are still tested against it;
+    # only the kernel that the next level lifts is broken
+    calls = _patch(monkeypatch, "span_and_kernel", kernel)
     w = DegreeWindow(0, 12, 4)
     for coefficients in (F2, Z):
+        calls.clear()
         h = HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
         with pytest.raises(OracleMismatchError) as err:
             cotor_ranks(h, w)
+        assert calls
         assert err.value.witness["kind"] == kind
 
 
@@ -406,6 +450,7 @@ def test_a_doubled_boundary_is_torsion_over_z(monkeypatch, tmp_path):
         return {i: (2 if len(calls) == 1 else 1) * x for i, x in real(v).items()}
     monkeypatch.setattr(koszul.cotor, "_primitive", doubled_once)
     code, witness = _z_cotor(tmp_path)
+    assert calls
     assert code == 1 and witness["kind"] == "resolution"
     assert witness["witness"] == {"kind": "resolution", "s": 0, "t": 1, "rank": 0,
                                   "torsion": [2]}
@@ -416,13 +461,57 @@ def test_a_rational_kernel_vector_is_rescaled(monkeypatch, factor):
     # kernel vectors come back scaled by factor; over Z each boundary is
     # scaled back to a primitive integer vector and the table is unchanged.
     # int() would truncate 3/2 of a unit entry back to it, but 2/3 to zero
-    def scaled(m, c):
-        return [{i: factor * x for i, x in v.items()} for v in kernel_basis(m, c)]
+    def scaled(cols, c):
+        span, kernel = span_and_kernel(cols, c)
+        return span, [{i: factor * x for i, x in v.items()} for v in kernel]
     w = DegreeWindow(0, 14, 4)
     h = HopfSpec(RingSpec(Z, (("x1", 2),), w), (("t1", 1), ("t2", 3), ("t3", 5)))
     want = cotor_ranks(h, w).table
-    monkeypatch.setattr(koszul.cotor, "kernel_basis", scaled)
+    calls = _patch(monkeypatch, "span_and_kernel", scaled)
+    boundaries = _patch(monkeypatch, "_primitive", koszul.cotor._primitive)
     assert cotor_ranks(h, w).table == want == _whole_window(h, w)[0]
+    assert calls
+    # the scaled vectors, not integer ones, reach _primitive
+    assert any(x.denominator > 1 for (v,) in boundaries for x in v.values())
+
+
+def test_cotor_realizes_no_free_complex(monkeypatch):
+    # the resolution builds its BigradedComplex from its own columns, over
+    # every coefficient ring; the cobar reference still realizes
+    real, calls = FreeComplex.realize, []
+    monkeypatch.setattr(FreeComplex, "realize",
+                        lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw))
+    w = DegreeWindow(0, 12, 4)
+    for coefficients in (F2, F3, Q, Z):
+        h = HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
+        cotor_ranks(h, w)
+    assert calls == []
+    cobar_complex(h, w)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("coefficients", [F2, F3, Z], ids=str)
+def test_each_resolution_column_is_adjoined_to_one_span(monkeypatch, coefficients):
+    # each column of d goes into the one span at its (s, t), once; the only
+    # other adjoins are the kernel vectors of level s - 1 that the span
+    # already holds, which make no generator
+    real_adjoin, adjoins = VectorSpan._adjoin, []
+    monkeypatch.setattr(VectorSpan, "_adjoin",
+                        lambda self, v, tag=None: adjoins.append(1) or real_adjoin(self, v, tag))
+    real_ranks, seen = koszul.cotor.homology_ranks, []
+    monkeypatch.setattr(koszul.cotor, "homology_ranks",
+                        lambda cx: seen.append((cx, len(adjoins))) or real_ranks(cx))
+    w = DegreeWindow(0, 14, 4)
+    h = HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
+    cotor_ranks(h, w)
+    (cx, built), = seen
+    columns = sum(m.cols for m in cx.diff.values())
+    kernel = sum(cx.dim(s, t) - (rank_over_field(m, coefficients) if coefficients.is_field
+                                 else rational_rank(m))
+                 for (s, t), m in cx.diff.items() if s <= w.s_max and (s, t) != (0, 0))
+    generators = sum(1 for (s, _), entries in cx.basis.items() if s
+                     for (_, J), _ in entries if J == ())
+    assert columns > 0 and built == columns + kernel - generators
 
 
 def _words_reaching(fc, t):
@@ -494,14 +583,14 @@ FLIPPED_SIGN_VIOLATIONS = [
 
 def _flip_one_sign(monkeypatch):
     real = koszul.cotor._unshuffle_sign
-    monkeypatch.setattr(
-        koszul.cotor, "_unshuffle_sign",
-        lambda p, q: -real(p, q) if (p, q) == ((1,), (2,)) else real(p, q))
+    return _patch(monkeypatch, "_unshuffle_sign",
+                  lambda p, q: -real(p, q) if (p, q) == ((1,), (2,)) else real(p, q))
 
 
 def test_square_failure_exits_one_with_every_violation(monkeypatch, tmp_path):
-    _flip_one_sign(monkeypatch)
+    calls = _flip_one_sign(monkeypatch)
     code, witness = _z_cotor(tmp_path)
+    assert ((1,), (2,)) in calls
     assert code == 1 and witness["kind"] == "differential-square"
     assert [(v["s"], v["t"], v["detail"]) for v in witness["violations"]] == \
         FLIPPED_SIGN_VIOLATIONS
@@ -513,11 +602,12 @@ def test_a_flipped_sign_reaches_the_field_resolution(monkeypatch, coefficients):
     # resolution that dropped the product's signs would not notice.  Every
     # violation is reported, at the same bidegrees over each ring (the
     # entries differ over F3, where -2 is 1)
-    _flip_one_sign(monkeypatch)
+    calls = _flip_one_sign(monkeypatch)
     w = DegreeWindow(0, 12, 4)
     h = HopfSpec(RingSpec(coefficients, (), w), (("t1", 1), ("t2", 3), ("t3", 5)))
     with pytest.raises(DifferentialSquareError) as err:
         cotor_ranks(h, w)
+    assert ((1,), (2,)) in calls
     violations = err.value.report.violations
     assert [(v.s, v.t) for v in violations] == [(s, t) for s, t, _ in FLIPPED_SIGN_VIOLATIONS]
     assert {v.kind for v in violations} == {"square"}

@@ -5,7 +5,8 @@ silently in a traced run, and a counter that reads a renamed attribute fails
 only in a traced run, so a rename must fail here instead.  A wrapper that
 a stale module-level name bypasses records no calls; one traced smoke sample
 per workload catches that here too, and checks that d after d is audited
-exactly once per realized complex."""
+exactly once per built complex: each realized one and each cotor
+resolution."""
 import functools
 import importlib
 import importlib.util
@@ -96,4 +97,7 @@ def test_traced_smoke_sample_has_no_stale_wrapper(name, tmp_path):
     assert got["missing"] == []
     assert run.stale_layers(workload, got["layers"]) == []
     layers = got["layers"]
-    assert layers["complexes.verify_differential.calls"] == layers["complexes.realize.calls"]
+    # one audit per built complex: each realization, and each resolution
+    # that cotor_ranks builds from its own columns
+    assert layers["complexes.verify_differential.calls"] == (
+        layers["complexes.realize.calls"] + layers["cotor.cotor_ranks.calls"])
