@@ -390,35 +390,34 @@ def test_a_broken_coproduct_reaches_the_f2_resolution(monkeypatch, drop, error):
     assert calls
 
 
-def _lost_cycle(cols, c):
-    span, kernel = span_and_kernel(cols, c)
-    return span, kernel[:-1]
-
-
-def _every_column_a_cycle(cols, c):
-    # the columns given and every one the span adjoins later, as the new
-    # generators' columns are, each come back as a kernel vector
-    span, _ = span_and_kernel(cols, c)
-    kernel, insert = [1 << j if c.p == 2 else {j: 1} for j in range(len(cols))], span.insert
+def _every_column_a_cycle(cols, c, span):
+    """A kernel vector for each column given and each one the span adjoins
+    later, as it adjoins the new generators' columns."""
+    unit = (lambda j: 1 << j) if c.p == 2 else (lambda j: {j: 1})
+    kernel, insert = [unit(j) for j in range(len(cols))], span.insert
 
     def adjoin(v, tag=None):
         if new := insert(v, tag):
-            kernel.append(1 << tag if c.p == 2 else {tag: 1})
+            kernel.append(unit(tag))
         return new
     span.insert = adjoin
-    return span, kernel
+    return kernel
 
 
 @pytest.mark.parametrize("kernel, kind", [
     # a lost cycle is homology the resolution should not have
-    (_lost_cycle, "resolution"),
+    (lambda cols, c, span, kernel: kernel[:-1], "resolution"),
     # every vector a "cycle": a new generator's boundary has a unit term
-    (_every_column_a_cycle, "resolution-minimality"),
+    (lambda cols, c, span, kernel: _every_column_a_cycle(cols, c, span),
+     "resolution-minimality"),
 ])
 def test_a_broken_resolution_is_caught(monkeypatch, kernel, kind):
     # the span is the real one, so candidates are still tested against it;
     # only the kernel that the next level lifts is broken
-    calls = _patch(monkeypatch, "span_and_kernel", kernel)
+    def broken(cols, c):
+        span, real = span_and_kernel(cols, c)
+        return span, kernel(cols, c, span, real)
+    calls = _patch(monkeypatch, "span_and_kernel", broken)
     w = DegreeWindow(0, 12, 4)
     for coefficients in (F2, Z):
         calls.clear()
