@@ -8,15 +8,14 @@ augmentation coideal), takes its cohomology by brute force over a degree
 window, and checks the result against that closed form.  The brute force is
 a minimal free resolution over the dual exterior algebra, whose product is
 the transpose of the cobar differential on one letter; over Z it is built
-over Q and audited over Z, so that Smith normal form sees any torsion.  A
-collapse audit then confirms that no differential of the Adams bidegree
+on integer vectors and audited by Smith normal form, which sees any torsion.
+A collapse audit then confirms that no differential of the Adams bidegree
 pattern can be nonzero on the resulting table, which is the checkable
 content of "the spectral sequence degenerates for parity reasons".
 """
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, lcm
 
 from .complexes import (
     COHOMOLOGICAL,
@@ -30,7 +29,7 @@ from .complexes import (
     UNIT_LABEL,
     homology_ranks,
 )
-from .linalg import Coefficients, Matrix, _ones, span_and_kernel
+from .linalg import Matrix, _ones, span_and_kernel
 from .rings import DegreeWindow, InputError, RingSpec, Value, monomial_count
 
 
@@ -173,20 +172,6 @@ def cobar_complex(h: HopfSpec, w: DegreeWindow) -> BigradedComplex:
     return cobar_free(h, w).realize(w)
 
 
-def _primitive(v: dict) -> dict:
-    """A rational vector scaled to a primitive integer one: denominators
-    cleared, content divided out, signs kept.
-
-    >>> from fractions import Fraction
-    >>> _primitive({0: Fraction(3, 2), 2: Fraction(-3)})
-    {0: 1, 2: -2}
-    """
-    m = lcm(*(x.denominator for x in v.values()))
-    v = {i: int(x * m) for i, x in v.items()}
-    g = gcd(*v.values())
-    return {i: x // g for i, x in v.items()}
-
-
 def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], HomologyEntry]:
     """Cotor over the ground ring k from a minimal free resolution of k over
     the dual exterior algebra A (Bruner, "Calculation of large Ext modules",
@@ -204,15 +189,15 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
     one span per (s, t) (span_and_kernel): its columns go in with their
     tags, giving the kernel that level s + 1 lifts, and each kernel vector
     of (s - 1, t) that enlarges it is a new generator's boundary, whose
-    column, adjoined, adds nothing to that kernel.  Over Z
-    the span is over Q and each new boundary is scaled to a primitive
-    integer vector.  The columns make a BigradedComplex over k, which audits
-    d after d; its homology must be k at (0, 0) alone, with no torsion over
-    Z, and no d(g) may have a term with J empty (minimality).  Exact over Z
-    and minimal, it proves Ext over Z free on the generators.
+    column, adjoined, adds nothing to that kernel.  Over Z the span is
+    fraction free, so each boundary is a primitive integer vector, the
+    rational one times a positive factor.  The columns make a
+    BigradedComplex over k, which audits d after d; its homology must be k
+    at (0, 0) alone, with no torsion over Z, and no d(g) may have a term
+    with J empty (minimality).  Exact over Z and minimal, it proves Ext
+    over Z free on the generators.
     """
     t_max, k = max(w.t_max, 0), h.base.coefficients
-    field = k if k.is_field else Coefficients.rationals()
     d1 = cobar_free(h, DegreeWindow(0, t_max, 1))
     monos = [((), 0)] + [(d1.labels[g].word[0], d1.internal[g]) for g in d1.levels.get(1, ())]
     prod = {((), K): (k.one, K) for K, _ in monos}  # (J, K) -> (sign, L): e_J e_K = sign e_L
@@ -220,7 +205,7 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
         for c, tgt in d1.diff[gid]:  # |P| is len(P) mod 2: every primitive is odd
             (P, Q), (sign,) = d1.labels[tgt].word, c.terms.values()
             prod[(P, Q)] = (sign if len(P) % 2 else k.neg(sign), d1.labels[gid].word[0])
-    packed = field.p == 2  # vectors are ints over F2 (Matrix.of)
+    packed = k.p == 2  # vectors are ints over F2 (Matrix.of)
     # (s, t) -> basis entries ((g, J), ()), g the flat index of e_() g, as
     # realize lays them out; (g, J) -> its row, a bit over F2; (s, t) ->
     # columns of d, one per entry; (s, d) -> count
@@ -249,14 +234,13 @@ def _resolution_table(h: HopfSpec, w: DegreeWindow) -> dict[tuple[int, int], Hom
     kernels = {}  # (s, t) -> kernel of d there, until level s + 1 lifts it
     for s in range(w.s_max + 2):
         for t in range(t_max + 1):
-            span, kernel = span_and_kernel(cols.get((s, t), []), field)
+            span, kernel = span_and_kernel(cols.get((s, t), []), k)
             if (s or t) and s <= w.s_max:  # d from (0, 0), the augmentation, is injective
                 kernels[(s, t)] = kernel
             below = basis.get((s - 1, t))
             for v in kernels.pop((s - 1, t), ()):
                 if span.insert(v, len(cols.get((s, t), ()))):
-                    entries = ([(i, 1) for i in _ones(v)] if packed
-                               else (v if k.is_field else _primitive(v)).items())
+                    entries = [(i, 1) for i in _ones(v)] if packed else v.items()
                     add_generator(s, t, [(a, below[i][0]) for i, a in entries])
     cx = BigradedComplex(k, HOMOLOGICAL, basis,
                          {(s, t): Matrix.of(len(basis.get((s - 1, t), ())), c, k)

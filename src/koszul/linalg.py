@@ -209,25 +209,23 @@ def _vec_axpy(coeffs: Coefficients, v: dict, c, w: dict) -> dict:
 
 
 class VectorSpan:
-    """Incrementally built echelon basis of a subspace of k^n (field coefficients).
+    """Incrementally built echelon basis of a subspace of k^n, k = F_p, Q or Z.
 
-    pivots maps each pivot's lead, its lowest key, to its row scaled to a
-    leading 1; reduce(v) is the unique normal form of v modulo the span.
-    Tags ride along and never pivot: insert(v, k) adjoins v with a 1 at tag
-    k, and the tags of reduce(v) then hold minus v's combination of the
-    tagged vectors (Cohen, GTM 138, 2.3).  The vector form is chosen once
-    per instance.  Over F2 a vector is one int, bit i for key i, its tags a
-    second int, bit k for tag k, a row the pair of them, and a reduction
-    step two XORs (M4RI, Albrecht-Bard-Hart, ACM TOMS 2010).  Over F_p and Q
-    a vector is a sparse dict that holds tag k at key -1-k.
+    pivots maps each pivot's lead, its lowest key, to its row; reduce(v) is the
+    unique normal form of v modulo the span, over Z up to a factor > 0.  Tags
+    ride along and never pivot: insert(v, k) adjoins v with a 1 at tag k, and
+    the tags of reduce(v) then hold minus v's combination of the tagged vectors
+    (Cohen, GTM 138, 2.3).  Form and step are chosen once per instance.  Over F2
+    a vector is one int, bit i for key i, its tags a second int, bit k for tag
+    k, a row the pair, and a step two XORs (M4RI, Albrecht-Bard-Hart, ACM TOMS
+    2010).  Else a vector is a dict with tag k at key -1-k, and a row is scaled
+    to a leading 1 over F_p and Q, kept as reduced over Z (_integer_step).
     """
 
     def __init__(self, coeffs: Coefficients):
-        if not coeffs.is_field:
-            raise ValueError("VectorSpan needs field coefficients")
         self.coeffs = coeffs
         self.pivots: dict[int, dict | tuple[int, int]] = {}  # lead -> row
-        self._bits, self._leads = coeffs.p == 2, 0  # over F2, _leads has bit i for lead i
+        self._bits, self._field, self._leads = coeffs.p == 2, coeffs.is_field, 0  # _leads: bit i per lead i
 
     @property
     def rank(self) -> int:
@@ -238,7 +236,7 @@ class VectorSpan:
         pair (keys, tags) of ints."""
         if self._bits:
             return self._reduce_bits(v, 0)
-        c, pivots = self.coeffs, self.pivots
+        c, pivots, field = self.coeffs, self.pivots, self._field
         v = _normalized(c, v)
         while True:
             hit = None
@@ -247,7 +245,8 @@ class VectorSpan:
                     hit = i if hit is None or i < hit else hit
             if hit is None:
                 return v
-            v = _vec_axpy(c, v, c.neg(v[hit]), pivots[hit])
+            v = (_vec_axpy(c, v, c.neg(v[hit]), pivots[hit]) if field
+                 else _integer_step(v, pivots[hit], hit))
 
     def _reduce_bits(self, x: int, tags: int) -> tuple[int, int]:
         """reduce over F2 on (key bits, tag bits), the lowest pivot lead first."""
@@ -275,12 +274,23 @@ class VectorSpan:
         if lead is None:
             return v
         c = self.coeffs
-        scale = c.inv(v[lead])
+        scale = c.inv(v[lead]) if self._field else 1
         self.pivots[lead] = {i: c.normalize(scale * x) for i, x in v.items()}
         return None
 
     def contains(self, v) -> bool:  # v reduces to zero, tags included
         return not any(self.reduce(v)) if self._bits else not self.reduce(v)
+
+
+def _integer_step(v: dict, row: dict, hit: int) -> dict:
+    """(a*v - b*row) / content, a = row[hit]/g > 0, b = v[hit]/g, g = +-gcd."""
+    g = gcd(row[hit], v[hit]) if row[hit] > 0 else -gcd(row[hit], v[hit])
+    a, b = row[hit] // g, v[hit] // g
+    v = {i: a * x for i, x in v.items()}
+    for i, x in row.items():
+        v[i] = v.get(i, 0) - b * x
+    c = gcd(*v.values())
+    return {i: x // c for i, x in v.items() if x}
 
 
 def _f2_bits(col: dict) -> int:

@@ -6,11 +6,11 @@ rank table with a reachable differential as the negative control.
 """
 import json
 import tracemalloc
-from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszul.cli import main
@@ -40,6 +40,7 @@ from koszul.linalg import (
     Coefficients,
     Matrix,
     VectorSpan,
+    kernel_basis,
     rank_over_field,
     rational_rank,
     span_and_kernel,
@@ -441,37 +442,94 @@ def _z_cotor(tmp_path):
 
 def test_a_doubled_boundary_is_torsion_over_z(monkeypatch, tmp_path):
     # exact over Q but not over Z: the first generator, dual to t1, bounds
-    # 2 e_1, which leaves Z/2 at (0, 1) where every rank is still right
-    real, calls = koszul.cotor._primitive, []
+    # 2 e_1, which leaves Z/2 at (0, 1) where every rank is still right.
+    # The first span is the one at (0, 0), whose kernel the augmentation
+    # leaves unlifted; the second, at (0, 1), gives the first kernel vector
+    # that a generator lifts
+    kernels = []
 
-    def doubled_once(v):
-        calls.append(v)
-        return {i: (2 if len(calls) == 1 else 1) * x for i, x in real(v).items()}
-    monkeypatch.setattr(koszul.cotor, "_primitive", doubled_once)
+    def doubled_once(cols, c):
+        span, kernel = span_and_kernel(cols, c)
+        kernels.append((c, kernel))
+        if len(kernels) == 2:
+            kernel = [{i: 2 * x for i, x in kernel[0].items()}] + kernel[1:]
+        return span, kernel
+    calls = _patch(monkeypatch, "span_and_kernel", doubled_once)
     code, witness = _z_cotor(tmp_path)
-    assert calls
+    assert len(calls) > 2 and kernels[1] == (Z, [{0: 1}])
     assert code == 1 and witness["kind"] == "resolution"
     assert witness["witness"] == {"kind": "resolution", "s": 0, "t": 1, "rank": 0,
                                   "torsion": [2]}
 
 
-@pytest.mark.parametrize("factor", [Fraction(3, 2), Fraction(2, 3)], ids=str)
-def test_a_rational_kernel_vector_is_rescaled(monkeypatch, factor):
-    # kernel vectors come back scaled by factor; over Z each boundary is
-    # scaled back to a primitive integer vector and the table is unchanged.
-    # int() would truncate 3/2 of a unit entry back to it, but 2/3 to zero
-    def scaled(cols, c):
-        span, kernel = span_and_kernel(cols, c)
-        return span, [{i: factor * x for i, x in v.items()} for v in kernel]
+def _primitive(v: dict) -> dict:
+    """A rational vector scaled to a primitive integer one, signs kept."""
+    m = lcm(*(x.denominator for x in v.values()))
+    v = {i: int(x * m) for i, x in v.items()}
+    g = gcd(*v.values())
+    return {i: x // g for i, x in v.items()}
+
+
+def _assert_z_kernel_is_the_primitive_q_kernel(cols, probes=()):
+    """span_and_kernel over Z against the one over Q, vectors made primitive:
+    over Z every step scales a vector by a positive rational only, so each
+    kernel vector is primitive, positive at its own tag (its largest key,
+    the column it came from), and the same span holds the same vectors."""
+    span, kernel = span_and_kernel(cols, Z)
+    q_span, q_kernel = span_and_kernel(cols, Q)
+    assert kernel == [_primitive(v) for v in q_kernel]
+    assert all(gcd(*v.values()) == 1 and v[max(v)] > 0 for v in kernel)
+    assert all(type(x) is int for v in kernel for x in v.values())
+    assert span.rank == q_span.rank == len(cols) - len(kernel)
+    for v in list(cols) + list(probes):
+        assert span.contains(v) == q_span.contains(v)
+
+
+@st.composite
+def _integer_columns(draw):
+    """Small integer columns, some of them integer combinations of earlier
+    ones, so that kernels are not empty; entries and multipliers may be
+    negative, and a column may have a common factor."""
+    entries = st.dictionaries(st.integers(0, 5), st.integers(-4, 4).filter(bool), max_size=4)
+    columns = []
+    for _ in range(draw(st.integers(0, 9))):
+        if columns and draw(st.booleans()):
+            col = {}
+            for j in draw(st.lists(st.sampled_from(range(len(columns))), min_size=1, max_size=3)):
+                a = draw(st.integers(-3, 3))
+                for i, x in columns[j].items():
+                    col[i] = col.get(i, 0) + a * x
+            columns.append({i: x for i, x in col.items() if x})
+        else:
+            columns.append(draw(entries))
+    return columns, draw(st.lists(entries, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_columns())
+@example(([{0: -2, 1: 2}, {0: 3, 1: -3}, {0: 4}, {1: -6}], [{0: 1, 1: -1}, {1: 2}]))
+def test_z_kernel_vectors_are_the_primitive_rational_ones(case):
+    cols, probes = case
+    _assert_z_kernel_is_the_primitive_q_kernel(cols, probes)
+
+
+def test_z_resolution_kernels_are_the_primitive_rational_ones(monkeypatch):
+    # every span the Z resolution builds, checked against Q; kernel_basis
+    # still refuses Z, where a kernel is a lattice (integer_kernel_basis)
+    seen = []
+    _patch(monkeypatch, "span_and_kernel",
+           lambda cols, c: seen.append(cols) or span_and_kernel(cols, c))
     w = DegreeWindow(0, 14, 4)
-    h = HopfSpec(RingSpec(Z, (("x1", 2),), w), (("t1", 1), ("t2", 3), ("t3", 5)))
-    want = cotor_ranks(h, w).table
-    calls = _patch(monkeypatch, "span_and_kernel", scaled)
-    boundaries = _patch(monkeypatch, "_primitive", koszul.cotor._primitive)
-    assert cotor_ranks(h, w).table == want == _whole_window(h, w)[0]
-    assert calls
-    # the scaled vectors, not integer ones, reach _primitive
-    assert any(x.denominator > 1 for (v,) in boundaries for x in v.values())
+    h = HopfSpec(RingSpec(Z, (("x1", 2),), w), (("t1", 1), ("t2", 1), ("t3", 3), ("t4", 5)))
+    assert cotor_ranks(h, w).table == _whole_window(h, w)[0]
+    assert sum(map(len, seen)) > 100
+    for cols in seen:
+        _assert_z_kernel_is_the_primitive_q_kernel(cols)
+    # the resolution's columns are all units; a non-primitive column with a
+    # negative lead: the rational kernel vector e_1 + 3/2 e_0 is 3 e_0 + 2 e_1
+    assert span_and_kernel([{0: -2, 1: 2}, {0: 3, 1: -3}], Z)[1] == [{0: 3, 1: 2}]
+    with pytest.raises(ValueError):
+        kernel_basis(Matrix(1, 1, [{0: 2}]), Z)
 
 
 def test_cotor_realizes_no_free_complex(monkeypatch):

@@ -8,6 +8,8 @@ called `field`, say) does not count.  The package's __all__ names every
 public object it re-exports and no submodule.  Importing the command line
 loads neither dataclasses nor fractions, nor what they import, and no
 argparse, gettext or locale: the command line is parsed without them.
+A `cotor` run over Z does not load fractions either: its resolution
+eliminates on integers.
 """
 import ast
 import os
@@ -70,10 +72,32 @@ print("fractions" in sys.modules, repr(q.inv(q.normalize(6)) + q.one))
 """
 
 
-def test_command_line_import_loads_no_dataclasses_or_fractions():
+def _fresh(code: str, *args: str) -> list[str]:
+    """The lines that code prints in a fresh interpreter that imports this
+    checkout's koszul; args become sys.argv[1:]."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True Fraction(7, 6)"]
+    return done.stdout.splitlines()
+
+
+def test_command_line_import_loads_no_dataclasses_or_fractions():
+    assert _fresh(FOOTPRINT) == ["[]", "True Fraction(7, 6)"]
+
+
+Z_COTOR = """
+import sys
+before = set(sys.modules)
+from koszul.cli import main
+code = main(["cotor", "primitives=1,3,5", "--spec", sys.argv[1], "--out", sys.argv[2]])
+print(code, "fractions" in sys.modules, "fractions" in before)  # last, after the report
+"""
+
+
+def test_a_z_cotor_run_loads_no_fractions(tmp_path):
+    spec = tmp_path / "z.spec"
+    spec.write_text("[ring]\ncoefficients = Z\ngenerators =\n\n"
+                    "[window]\nt_min = 0\nt_max = 12\ns_max = 4\nstage_max = 4\n")
+    assert _fresh(Z_COTOR, str(spec), str(tmp_path / "run"))[-1] == "0 False False"

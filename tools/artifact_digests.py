@@ -43,7 +43,7 @@ COMMANDS = (
     # through t_max and its ranks are read off at the window's degrees
     ("cotor", "primitives=1,3,5", "--window", "4,14,4,4"),
     # the benchmark's cotor size, over the coefficients of every spec: the
-    # minimal resolution over F2, F3 and Q, and over Q realized over Z
+    # minimal resolution over F2, F3, Q and Z, fraction free over Z
     ("cotor", "primitives=1,3,5,7", "--window", "0,18,5,4"),
     # a window that drops letters: 25 of the 63 products of primitives have
     # degree past 20, so the d^1 that cotor reads has 38 letters

@@ -9,10 +9,14 @@ PARENT and CHANGE are git revisions; to measure uncommitted work, pass the
 commit that ``git stash create`` prints.  Both are exported with
 ``git archive`` into the sibling directories DIR/parent and DIR/change,
 made the same way and with paths of the same length, because peak RSS
-moves with where a checkout lives.  Each side then runs its own
-``perfbench/run.py --trace 0`` once per pair; the side that runs first
-alternates between pairs.  With ``--trace`` each side adds one traced run
-per workload after the pairs.
+moves with where a checkout lives.  It also moves with which of the two
+directories is made first, by a few tenths of a MB, whatever code it
+holds; so both are exported afresh before every pair, and the side whose
+directory is made first alternates every two pairs.  Each side then runs
+its own ``perfbench/run.py --trace 0`` once per pair; the side that runs
+first alternates between pairs, so over four pairs each side is made first
+and runs first in every combination.  With ``--trace`` each side adds one
+traced run per workload after the pairs.
 
 The last line of standard output is one JSON list with an entry per
 workload in the layout of the ``BENCH_*.json`` files: per metric, the runs
@@ -93,15 +97,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="add one traced run per side and workload")
     args = parser.parse_args(argv)
     roots = {side: args.scratch.resolve() / side for side in SIDES}
-    commits = {side: export(rev, roots[side])
-               for side, rev in zip(SIDES, (args.parent, args.change))}
+    revs = dict(zip(SIDES, (args.parent, args.change)))
+
+    def export_both(first: str) -> dict[str, str]:  # first's directory is made first
+        return {side: export(revs[side], roots[side])
+                for side in (first, *(s for s in SIDES if s != first))}
+    commits = export_both(SIDES[0])
     workloads = args.workload or [w["name"] for w in json.loads(
         (roots["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
     report = []
     for workload in workloads:
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        first = []
+        first, made_first = [], []
         for i in range(args.pairs):
+            made_first.append(SIDES[i // 2 % 2])
+            export_both(made_first[-1])
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             first.append(order[0])
             for side in order:
@@ -115,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             "failed_frac": {side: [r["failed"] / r["attempted"] for r in runs[side]]
                             for side in SIDES},
             "samples_per_run": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
-            "first_in_pair": first,
+            "first_in_pair": first, "exported_first_in_pair": made_first,
             "metrics": compare(runs),
         }
         if args.trace:
