@@ -211,9 +211,9 @@ class CompletionReport:
 
 
 def completion_tower(ring: RingSpec, ideal: IdealSpec,
-                     window: DegreeWindow | None = None,
                      notes: tuple[str, ...] = ()) -> CompletionReport:
-    """Quotients by successive powers of an ideal, degree by degree.
+    """Quotients by successive powers of an ideal, degree by degree over the
+    ring's window.
 
     Every structure map R/I^(s+1) -> R/I^s is verified surjective (the
     power-(s+1) relations must lie in the power-s span, degree by degree).
@@ -224,7 +224,7 @@ def completion_tower(ring: RingSpec, ideal: IdealSpec,
     a localized ring gets an explanatory note instead, since those towers
     may move forever (the p-adic pattern).
     """
-    w = window or ring.window
+    w = ring.window
     if w.stage_max < 2:
         raise InputError("a tower needs stage_max >= 2")
     is_field = ring.coefficients.is_field

@@ -329,9 +329,9 @@ def verify_differential(c: BigradedComplex) -> DifferentialReport:
     return DifferentialReport(not violations, violations)
 
 
-def homology_ranks(c: BigradedComplex, window: DegreeWindow | None = None
-                   ) -> dict[tuple[int, int], HomologyEntry]:
-    """Homology sizes per bidegree: rank over fields, rank plus torsion over Z.
+def homology_ranks(c: BigradedComplex) -> dict[tuple[int, int], HomologyEntry]:
+    """Homology sizes per bidegree of c.window: rank over fields, rank plus
+    torsion over Z.
 
     Each differential is reduced once (_reduce_differential) and its result
     shared by the two bidegrees it touches: it leaves one and arrives at the
@@ -339,11 +339,10 @@ def homology_ranks(c: BigradedComplex, window: DegreeWindow | None = None
     fully described (inside the built range, or structurally zero beyond
     it); edge bidegrees get certain=False rather than a silent wrong answer.
     """
-    w = window or c.window
     reduced: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     out = {}
     for s, t in c.bidegrees():
-        if not w.t_min <= t <= w.t_max:
+        if not c.window.contains(t):
             continue
         for pos in ((s, t), (s - c.step, t)):
             if pos not in reduced:

@@ -273,9 +273,11 @@ class VectorSpan:
         lead = min((i for i in v if i >= 0), default=None)
         if lead is None:
             return v
-        c = self.coeffs
-        scale = c.inv(v[lead]) if self._field else 1
-        self.pivots[lead] = {i: c.normalize(scale * x) for i, x in v.items()}
+        if self._field:  # scaled to a leading 1; over Z stored as reduced, a fresh dict
+            c = self.coeffs
+            scale = c.inv(v[lead])
+            v = {i: c.normalize(scale * x) for i, x in v.items()}
+        self.pivots[lead] = v
         return None
 
     def contains(self, v) -> bool:  # v reduces to zero, tags included

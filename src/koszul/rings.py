@@ -484,32 +484,21 @@ def relation_matrix(ring: RingSpec, relations: list[Element], t: int) -> Matrix:
 
 
 class PowerQuotientInfo(Value):
-    """Degreewise size of R/I^s next to the free-over-R/I prediction for
-    the associated graded piece.  Dimensions are set over a field and None
-    over Z; invariants, each (free rank, torsion factors), the other way."""
+    """Degree t of R/I^s (quotient) and of I^s/I^{s+1} (assoc), next to the
+    free-over-R/I prediction for the latter.  Each is a dimension over a
+    field, and over Z a (free rank, torsion factors) pair with the torsion
+    in increasing order, so equal groups give equal values."""
 
-    def __init__(self, s: int, t: int, dim_quotient, invariants, assoc_dim, assoc_invariants,
-                 predicted_assoc_dim, predicted_assoc_invariants):
-        self.s, self.t, self.dim_quotient, self.invariants = s, t, dim_quotient, invariants
-        self.assoc_dim, self.assoc_invariants = assoc_dim, assoc_invariants
-        self.predicted_assoc_dim = predicted_assoc_dim
-        self.predicted_assoc_invariants = predicted_assoc_invariants
+    def __init__(self, s: int, t: int, quotient, assoc, predicted_assoc):
+        self.s, self.t, self.quotient = s, t, quotient
+        self.assoc, self.predicted_assoc = assoc, predicted_assoc
 
     def _key(self):
-        return (self.s, self.t, self.dim_quotient, self.invariants, self.assoc_dim,
-                self.assoc_invariants, self.predicted_assoc_dim, self.predicted_assoc_invariants)
+        return self.s, self.t, self.quotient, self.assoc, self.predicted_assoc
 
     @property
     def assoc_matches_prediction(self) -> bool:
-        if self.assoc_dim is not None:
-            return self.assoc_dim == self.predicted_assoc_dim
-        return _same_invariants(self.assoc_invariants, self.predicted_assoc_invariants)
-
-
-def _same_invariants(a, b) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a[0] == b[0] and sorted(a[1]) == sorted(b[1])
+        return self.assoc == self.predicted_assoc
 
 
 def _merge_invariants(parts) -> tuple[int, tuple[int, ...]]:
@@ -536,7 +525,7 @@ def power_quotient_dimension(
         assoc = q_s1.dim(t) - dim_q  # rank I^s_t - rank I^{s+1}_t
         predicted = sum(q_1.dim(t - sum(ideal.degrees[j - 1] for j in J))
                         for J in power_multi_indices(len(ideal), s))
-        return PowerQuotientInfo(s, t, dim_q, None, assoc, None, predicted, None)
+        return PowerQuotientInfo(s, t, dim_q, assoc, predicted)
     # integer coefficients: quotient and associated graded via lattices
     gens_s = [g for _, g in power_generators(ideal, s)] if s > 0 else [ring.one()]
     rel_s = relation_matrix(ring, gens_s, t)
@@ -549,8 +538,7 @@ def power_quotient_dimension(
         td = t - sum(ideal.degrees[j - 1] for j in J)
         parts.append(ideal._shared((ring, "R/I", td), lambda: cokernel_invariants(
             relation_matrix(ring, ideal.sequence, td))))
-    predicted_inv = _merge_invariants(parts)
-    return PowerQuotientInfo(s, t, None, inv_q, None, assoc_inv, None, predicted_inv)
+    return PowerQuotientInfo(s, t, inv_q, assoc_inv, _merge_invariants(parts))
 
 
 class RegularityFailure:
@@ -588,10 +576,10 @@ class RegularSequenceReport:
         return "\n".join(lines)
 
 
-def check_regular_sequence(ring: RingSpec, ideal: IdealSpec, window: DegreeWindow | None = None) -> RegularSequenceReport:
+def check_regular_sequence(ring: RingSpec, ideal: IdealSpec) -> RegularSequenceReport:
     """Order-sensitive regularity: each entry must multiply injectively on the
-    quotient by its predecessors, degreewise across the window."""
-    w = window or ring.window
+    quotient by its predecessors, degreewise across the ring's window."""
+    w = ring.window
     c = ring.coefficients
     entries: list[RegularityEntry] = []
     failures: list[RegularityFailure] = []

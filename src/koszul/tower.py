@@ -35,8 +35,8 @@ from .complexes import (
     HOMOLOGICAL,
     BasisLabel,
     BigradedComplex,
-    DifferentialReport,
     FreeComplex,
+    HomologyEntry,
     OracleMismatchError,
     TensorLabel,
     homology_basis_at,
@@ -79,16 +79,14 @@ def _require_plain(ring: RingSpec):
         )
 
 
-def sequence_window_cut(ring: RingSpec, ideal: IdealSpec,
-                        window: DegreeWindow | None = None):
-    """Split sequence indices into (kept, cut) for a window.
+def sequence_window_cut(ring: RingSpec, ideal: IdealSpec):
+    """Split sequence indices into (kept, cut) for the ring's window.
 
     An entry whose degree exceeds t_max - t_min cannot contribute a nonzero
     basis element at any window degree, so it is dropped deterministically;
     reports must name the cut.
     """
-    w = window or ring.window
-    span = w.t_max - w.t_min
+    span = ring.window.t_max - ring.window.t_min
     kept, cut = [], []
     for i, d in enumerate(ideal.degrees, start=1):
         (kept if d <= span else cut).append(i)
@@ -99,8 +97,7 @@ def _indices_degree(ideal: IdealSpec, idxs) -> int:
     return sum(ideal.degrees[i - 1] for i in idxs)
 
 
-def tower_free(ring: RingSpec, ideal: IdealSpec, s: int,
-               window: DegreeWindow | None = None) -> FreeComplex:
+def tower_free(ring: RingSpec, ideal: IdealSpec, s: int) -> FreeComplex:
     """The stage-s complex: levels 0..s-1 of Koszul (x) U^(k) summed, with
     differential = Koszul part + index-insertion boundary (dropped on the
     top level, which has nowhere to go).  Stage 1 is the Koszul complex.
@@ -115,7 +112,7 @@ def tower_free(ring: RingSpec, ideal: IdealSpec, s: int,
     _require_plain(ring)
     if s < 1:
         raise InputError("stage must be at least 1")
-    kept, _ = sequence_window_cut(ring, ideal, window)
+    kept, _ = sequence_window_cut(ring, ideal)
     # coefficients indexed by a % 2, shared by every term that uses them
     signed = {i: (ideal.sequence[i - 1], ideal.sequence[i - 1].scaled(-1)) for i in kept}
     units = (ring.constant(-1), ring.constant(1))
@@ -170,24 +167,22 @@ def boundary_block(cx: BigradedComplex, level: int, r: int, t: int):
     return src[c0:c1], tgt[r0:r1], block
 
 
-def build_koszul(ring: RingSpec, ideal: IdealSpec, window: DegreeWindow | None = None,
-                 module=None) -> BigradedComplex:
-    """Realize the Koszul complex over the window, optionally through a
+def build_koszul(ring: RingSpec, ideal: IdealSpec, module=None) -> BigradedComplex:
+    """Realize the Koszul complex over the ring's window, optionally through a
     quotient module; regularity is checked first, d^2 = 0 by the complex."""
-    report = check_regular_sequence(ring, ideal, window)
+    report = check_regular_sequence(ring, ideal)
     if not report.ok:
         raise RegularityError(report)
-    return tower_free(ring, ideal, 1, window).realize(window, module=module)
+    return tower_free(ring, ideal, 1).realize(module=module)
 
 
 class TowerReport:
     """Stage-s resolution audit: d^2, homology against R/I^s, augmentation."""
 
-    def __init__(self, s: int, ring_desc: str, differential: DifferentialReport,
-                 h0_found: dict, h0_mismatches: list, higher_nonzero: list,
-                 augmentation_composite_zero: bool | None,
+    def __init__(self, s: int, ring_desc: str, h0_found: dict, h0_mismatches: list,
+                 higher_nonzero: list, augmentation_composite_zero: bool | None,
                  augmentation_surjective: bool | None, cut_note: str):
-        self.s, self.ring_desc, self.differential = s, ring_desc, differential
+        self.s, self.ring_desc = s, ring_desc
         self.h0_found, self.h0_mismatches = h0_found, h0_mismatches
         self.higher_nonzero, self.cut_note = higher_nonzero, cut_note
         self.augmentation_composite_zero = augmentation_composite_zero
@@ -227,47 +222,35 @@ class TowerReport:
         return "\n".join(lines)
 
 
-def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
-                           window: DegreeWindow | None = None) -> TowerReport:
+def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int) -> TowerReport:
     """Build the stage-s resolution of R/I^s and audit it end to end.
 
     Raises DifferentialSquareError when d^2 fails (a sign bug, not a math
     fact), RegularityError when the sequence is not regular in window, and
     OracleMismatchError when I^s/I^{s+1} misses its Rees prediction."""
-    report = check_regular_sequence(ring, ideal, window)
+    report = check_regular_sequence(ring, ideal)
     if not report.ok:
         raise RegularityError(report)
-    w = window or ring.window
-    kept, cut = sequence_window_cut(ring, ideal, w)
+    _, cut = sequence_window_cut(ring, ideal)
     cut_note = (
         f"window cut dropped sequence entries {cut} (degree above t_max - t_min)"
         if cut else "")
-    cx = tower_free(ring, ideal, s, w).realize(w)
+    cx = tower_free(ring, ideal, s).realize()
     hom = homology_ranks(cx)
     is_field = ring.coefficients.is_field
     h0_found, mismatches = {}, []
-    for t in w.degrees():
-        entry = hom.get((0, t))
-        rank = entry.rank if entry else 0
-        torsion = entry.torsion if entry else ()
+    for t in ring.window.degrees():
+        entry = hom.get((0, t), HomologyEntry(0))
         info = power_quotient_dimension(ring, ideal, s, t)
         if not info.assoc_matches_prediction:
-            found, predicted = ((info.assoc_dim, info.predicted_assoc_dim) if is_field
-                                else (info.assoc_invariants, info.predicted_assoc_invariants))
             raise OracleMismatchError(
-                f"I^{s}/I^{s + 1} at t={t} is {found}, not the Rees prediction {predicted}",
+                f"I^{s}/I^{s + 1} at t={t} is {info.assoc}, "
+                f"not the Rees prediction {info.predicted_assoc}",
                 {"kind": "assoc-graded", "stage": s, "t": t,
-                 "found": found, "predicted": predicted})
-        if is_field:
-            h0_found[t] = rank
-            if rank != info.dim_quotient:
-                mismatches.append((t, rank, info.dim_quotient))
-        else:
-            h0_found[t] = (rank, tuple(sorted(torsion)))
-            free, tors = info.invariants
-            want = (free, tuple(sorted(tors)))
-            if h0_found[t] != want:
-                mismatches.append((t, h0_found[t], want))
+                 "found": info.assoc, "predicted": info.predicted_assoc})
+        h0_found[t] = entry.rank if is_field else (entry.rank, entry.torsion)
+        if h0_found[t] != info.quotient:
+            mismatches.append((t, h0_found[t], info.quotient))
     higher = [
         (s_deg, t, entry)
         for (s_deg, t), entry in sorted(hom.items())
@@ -275,11 +258,10 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
     ]
     aug_zero = aug_onto = None
     if is_field:
-        aug_zero, aug_onto = _augmentation_checks(ring, ideal, s, w, cx)
+        aug_zero, aug_onto = _augmentation_checks(ring, ideal, s, cx)
     return TowerReport(
         s=s,
         ring_desc=str(ring),
-        differential=cx.differential,
         h0_found=h0_found,
         h0_mismatches=mismatches,
         higher_nonzero=higher,
@@ -289,7 +271,7 @@ def build_tower_resolution(ring: RingSpec, ideal: IdealSpec, s: int,
     )
 
 
-def _augmentation_checks(ring, ideal, s, w, cx):
+def _augmentation_checks(ring, ideal, s, cx):
     """The map (x_0, x_1 u~_{J_1}, ...) -> x_0 + x_1 u_{J_1} + ... into R/I^s
     must kill the image of the first differential and hit everything."""
     quotient = quotient_by_power(ring, ideal, s)
@@ -300,7 +282,7 @@ def _augmentation_checks(ring, ideal, s, w, cx):
     coeffs = ring.coefficients
     composite_zero = True
     surjective = True
-    for t in w.degrees():
+    for t in ring.window.degrees():
         entries = cx.basis.get((0, t), [])
         columns = []  # one multiples + reduce per run of a generator's monomials
         for label, run in groupby(entries, key=lambda e: e[0]):
@@ -323,42 +305,39 @@ class TorDiagonalReport:
     closed form on classes e_i at bidegree (1, |u_i|)."""
 
     def __init__(self, ring_desc: str, table: dict, closed: dict, generator_bidegrees: list,
-                 differential_vanishes: bool, cut_note: str):
+                 cut_note: str):
         self.ring_desc, self.table, self.closed = ring_desc, table, closed
-        self.generator_bidegrees = generator_bidegrees
-        self.differential_vanishes, self.cut_note = differential_vanishes, cut_note
+        self.generator_bidegrees, self.cut_note = generator_bidegrees, cut_note
 
     def __str__(self):
         gens = ", ".join(f"e{i} at (1,{d})" for i, d in self.generator_bidegrees)
         lines = [
             f"Tor(R/I, R/I) over {self.ring_desc}: exterior on [{gens}]",
             f"  brute-force table equals closed form on {len(self.table)} nonzero bidegrees: PASS",
-            f"  realized differential vanishes (entries lie in the ideal): "
-            f"{'PASS' if self.differential_vanishes else 'FAIL'}",
+            "  realized differential vanishes (entries lie in the ideal): PASS",  # see tor_diagonal
         ]
         if self.cut_note:
             lines.append(f"  {self.cut_note}")
         return "\n".join(lines)
 
 
-def tor_diagonal(ring: RingSpec, ideal: IdealSpec,
-                 window: DegreeWindow | None = None) -> TorDiagonalReport:
+def tor_diagonal(ring: RingSpec, ideal: IdealSpec) -> TorDiagonalReport:
     """Both pipelines for Tor(R/I, R/I); raises OracleMismatchError on any
-    disagreement instead of returning a table."""
+    disagreement instead of returning a table.  The closed form at (r, t) is
+    the chain dimension of Koszul (x) R/I there, so a nonzero differential
+    lowers a brute rank below it: a returned table had a zero differential."""
     if not ring.coefficients.is_field:
         raise InputError("Tor tables against quotients need field coefficients")
-    w = window or ring.window
     quotient = quotient_by_power(ring, ideal, 1)
-    cx = build_koszul(ring, ideal, w, module=quotient)
-    diff_vanishes = all(m.is_zero() for m in cx.diff.values())
+    cx = build_koszul(ring, ideal, module=quotient)
     hom = homology_ranks(cx)
     brute = {key: entry.rank for key, entry in hom.items() if entry.rank}
-    kept, cut = sequence_window_cut(ring, ideal, w)
+    kept, cut = sequence_window_cut(ring, ideal)
     closed: dict[tuple[int, int], int] = {}
     for r in range(len(kept) + 1):
         for s_set in combinations(kept, r):
             d = _indices_degree(ideal, s_set)
-            for t in w.degrees():
+            for t in ring.window.degrees():
                 rank = quotient.dim(t - d)
                 if rank:
                     closed[(r, t)] = closed.get((r, t), 0) + rank
@@ -378,7 +357,6 @@ def tor_diagonal(ring: RingSpec, ideal: IdealSpec,
         table=brute,
         closed=closed,
         generator_bidegrees=[(i, ideal.degrees[i - 1]) for i in kept],
-        differential_vanishes=diff_vanishes,
         cut_note=cut_note,
     )
 
@@ -442,11 +420,11 @@ class ExactnessReport(Value):
         return "\n".join(lines)
 
 
-def _level_blocks(ring: RingSpec, ideal: IdealSpec, s: int, w: DegreeWindow):
+def _level_blocks(ring: RingSpec, ideal: IdealSpec, s: int):
     """(R/I, bases, maps) of tower_free(s) over R/I: bases[k][(r, t)] lists level
     k's entries at (r, t), maps[k][(r, t)] their boundary to level k + 1 at (r - 1, t)."""
     quotient = quotient_by_power(ring, ideal, 1)
-    cx = tower_free(ring, ideal, s, w).realize(w, module=quotient)
+    cx = tower_free(ring, ideal, s).realize(module=quotient)
     bases, maps = [{} for _ in range(s)], [{} for _ in range(s)]
     for (r, t) in cx.basis:
         for k in range(s):
@@ -456,8 +434,7 @@ def _level_blocks(ring: RingSpec, ideal: IdealSpec, s: int, w: DegreeWindow):
     return quotient, bases, maps
 
 
-def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
-                             window: DegreeWindow | None = None) -> ExactnessReport:
+def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int) -> ExactnessReport:
     """Check the induced boundary complex on Tor(R/I, I^k/I^{k+1}) nodes.
 
     Each node is a free R/I-module (the internal differential vanishes after
@@ -469,11 +446,10 @@ def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
         raise InputError("exactness audit needs field coefficients")
     if s < 2:
         raise InputError("stage must be at least 2")
-    report = check_regular_sequence(ring, ideal, window)
+    report = check_regular_sequence(ring, ideal)
     if not report.ok:
         raise RegularityError(report)
-    w = window or ring.window
-    quotient, bases, maps = _level_blocks(ring, ideal, s, w)
+    quotient, bases, maps = _level_blocks(ring, ideal, s)
     coeffs = ring.coefficients
     failures: list[ExactnessFailure] = []
     for k in range(s - 2):
@@ -491,7 +467,7 @@ def verify_partial_exactness(ring: RingSpec, ideal: IdealSpec, s: int,
                 failures.append(ExactnessFailure(
                     k, r, t, f"kernel dimension {dim - rank_out} but incoming rank {rank_in}",
                     "interior", k + 2))
-    base_dims = {t: quotient.dim(t) for t in w.degrees()}
+    base_dims = {t: quotient.dim(t) for t in ring.window.degrees()}
     for (r, t), entries in bases[0].items():
         kernel = len(entries) - rank_over_field(maps[0][(r, t)], coeffs)
         expected = base_dims.get(t, 0) if r == 0 else 0
@@ -513,15 +489,15 @@ class TorPowerReport:
 
     def __init__(self, s: int, ring_desc: str, table: dict, closed: dict,
                  free_over_base: bool, free_generators: list, products_checked: int,
-                 products_skipped: list, nonzero_products: list, notes: list):
+                 products_skipped: list, notes: list):
         self.s, self.ring_desc, self.table, self.closed = s, ring_desc, table, closed
         self.free_over_base, self.free_generators = free_over_base, free_generators
         self.products_checked, self.products_skipped = products_checked, products_skipped
-        self.nonzero_products, self.notes = nonzero_products, notes
+        self.notes = notes
 
     @property
     def ok(self) -> bool:
-        return self.free_over_base and not self.nonzero_products
+        return self.free_over_base
 
     def __str__(self):
         lines = [
@@ -530,8 +506,7 @@ class TorPowerReport:
             f"  table is free over R/I within window: "
             f"{'PASS' if self.free_over_base else 'FAIL'}",
             f"  products of positive-degree classes vanish "
-            f"({self.products_checked} products checked): "
-            f"{'PASS' if not self.nonzero_products else 'FAIL'}",
+            f"({self.products_checked} products checked): PASS",  # else tor_against_power raises
         ]
         if self.free_over_base:
             gens = ", ".join(f"{m} at ({r},{t})" for r, t, m in self.free_generators)
@@ -543,24 +518,22 @@ class TorPowerReport:
         return "\n".join(lines)
 
 
-def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int,
-                      window: DegreeWindow | None = None) -> TorPowerReport:
+def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int) -> TorPowerReport:
     """Tor(R/I, R/I^s) with every cross-check; any disagreement raises."""
     if not ring.coefficients.is_field:
         raise InputError("Tor tables against quotients need field coefficients")
     if s < 2:
         raise InputError("stage must be at least 2")
-    w = window or ring.window
     # pipeline (a): homology of Koszul (x) R/I^s
     power_quotient = quotient_by_power(ring, ideal, s)
-    cx = build_koszul(ring, ideal, w, module=power_quotient)
+    cx = build_koszul(ring, ideal, module=power_quotient)
     hom = homology_ranks(cx)
     brute = {key: entry.rank for key, entry in hom.items() if entry.rank}
     # pipeline (b): R/I at homological degree 0 plus coker of the last boundary
-    quotient, bases, maps = _level_blocks(ring, ideal, s, w)
+    quotient, bases, maps = _level_blocks(ring, ideal, s)
     coeffs = ring.coefficients
     closed: dict[tuple[int, int], int] = {}
-    for t in w.degrees():
+    for t in ring.window.degrees():
         rank = quotient.dim(t)
         if rank:
             closed[(0, t)] = rank
@@ -577,14 +550,8 @@ def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int,
                 {"kind": "tor-power", "stage": s, "s": key[0], "t": key[1],
                  "brute": brute.get(key, 0), "closed": closed.get(key, 0)},
             )
-    free_ok, free_gens = _peel_free_module(brute, quotient, w)
-    checked, skipped, nonzero = _trivial_products_check(ring, ideal, s, w, brute)
-    if nonzero:
-        first = nonzero[0]
-        raise OracleMismatchError(
-            f"nonzero product of positive-degree classes at {first['target']}",
-            {"kind": "nonzero-product", "stage": s, **first},
-        )
+    free_ok, free_gens = _peel_free_module(brute, quotient, ring.window)
+    checked, skipped = _trivial_products_check(ring, ideal, s, brute)
     notes = ["freeness and product checks are window-truncated statements"]
     return TorPowerReport(
         s=s,
@@ -595,7 +562,6 @@ def tor_against_power(ring: RingSpec, ideal: IdealSpec, s: int,
         free_generators=free_gens,
         products_checked=checked,
         products_skipped=skipped,
-        nonzero_products=nonzero,
         notes=notes,
     )
 
@@ -683,12 +649,11 @@ def _chain_product(cx: BigradedComplex, key_a, vec_a, key_b, vec_b, level_cap: i
     return sum(1 << i for i in out) if packed else out
 
 
-def _trivial_products_check(ring, ideal, s, w, brute):
+def _trivial_products_check(ring, ideal, s, brute):
     """Multiply representing cycles in Koszul (x) stage-s algebra and insist
-    every product of positive-homological-degree classes bounds."""
-    free_tensor = tensor_free(
-        tower_free(ring, ideal, 1, w), tower_free(ring, ideal, s, w))
-    cx = free_tensor.realize(w)
+    every product of positive-homological-degree classes bounds; returns
+    (products checked, factor pairs skipped above t_max)."""
+    cx = tensor_free(tower_free(ring, ideal, 1), tower_free(ring, ideal, s)).realize()
     hom = homology_ranks(cx)
     for key, entry in sorted(hom.items()):
         if entry.rank != brute.get(key, 0):
@@ -708,11 +673,10 @@ def _trivial_products_check(ring, ideal, s, w, brute):
 
     checked = 0
     skipped = []
-    nonzero = []
     for i, key_a in enumerate(positive):
         for key_b in positive[i:]:
             target = (key_a[0] + key_b[0], key_a[1] + key_b[1])
-            if target[1] > w.t_max:
+            if target[1] > ring.window.t_max:
                 skipped.append((key_a, key_b))
                 continue
             if target not in index_at:
@@ -735,8 +699,8 @@ def _trivial_products_check(ring, ideal, s, w, brute):
                              "s": target[0], "t": target[1]},
                         )
                     if not basis_at(target).is_boundary(prod):
-                        nonzero.append({
-                            "factors": [list(key_a), list(key_b)],
-                            "target": list(target),
-                        })
-    return checked, skipped, nonzero
+                        raise OracleMismatchError(
+                            f"nonzero product of positive-degree classes at {list(target)}",
+                            {"kind": "nonzero-product", "stage": s,
+                             "factors": [list(key_a), list(key_b)], "target": list(target)})
+    return checked, skipped

@@ -72,6 +72,29 @@ def test_tor_writes_the_frozen_closed_form(tmp_path):
     xml.dom.minidom.parse(str(out / "tor.svg"))
 
 
+def test_tor_with_a_nonzero_differential_fails_with_a_witness(tmp_path, monkeypatch):
+    # over R/I the Koszul differential vanishes; made nonzero on one matrix,
+    # it lowers a brute rank below the closed form, the chain dimension there
+    import koszul.tower
+
+    honest = koszul.tower.build_koszul
+
+    def corrupted(ring, ideal, module=None):
+        cx = honest(ring, ideal, module=module)
+        key = min(k for k, m in cx.diff.items() if m.rows and m.cols)
+        cx.diff[key].set(0, 0, 1)
+        return cx
+
+    monkeypatch.setattr(koszul.tower, "build_koszul", corrupted)
+    assert run("tor", "--spec", spec_arg("diagonal_f2.spec"), "--out", str(tmp_path)) == 1
+    witness = json.loads((tmp_path / "witness.json").read_text())
+    assert witness["kind"] == "tor-diagonal"
+    # d from e1e2 at (2,6) to e3 at (1,6): both classes die
+    assert witness["witness"] == {"kind": "tor-diagonal", "s": 1, "t": 6,
+                                  "brute": 0, "closed": 1}
+    assert not (tmp_path / "tor.csv").exists()
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -234,21 +257,23 @@ def test_exactness_realizes_and_checks_regularity_once(tmp_path, monkeypatch):
     assert calls == {"realize": 1, "regular": 1}
 
 
-@pytest.mark.parametrize("name, field", [
-    ("diagonal_f2.spec", "predicted_assoc_dim"),
-    ("integer_arithmetic.spec", "predicted_assoc_invariants"),
-])
-def test_tower_checks_the_associated_graded(tmp_path, monkeypatch, capsys, name, field):
-    # a Rees prediction off by one free generator must stop the tower
+@pytest.mark.parametrize("name, off, found, predicted", [
+    ("diagonal_f2.spec", lambda v: v + 1, 0, 1),  # one more free generator
+    ("integer_arithmetic.spec", lambda v: (v[0] + 1, v[1]), [0, [3]], [1, [3]]),
+    ("integer_arithmetic.spec", lambda v: (v[0], tuple(3 * x for x in v[1])),
+     [0, [3]], [0, [9]]),  # Z/3 read as Z/9: a torsion factor, not the free rank
+], ids=["diagonal_f2.spec", "integer_arithmetic.spec-free-rank",
+        "integer_arithmetic.spec-torsion"])
+def test_tower_checks_the_associated_graded(tmp_path, monkeypatch, capsys, name, off,
+                                            found, predicted):
+    # a Rees prediction off by one generator or one torsion factor must stop the tower
     import koszul.tower
 
     honest = koszul.tower.power_quotient_dimension
 
     def wrong(ring, ideal, s, t):
         info = honest(ring, ideal, s, t)
-        value = getattr(info, field)
-        off = value + 1 if isinstance(value, int) else (value[0] + 1, value[1])
-        return type(info)(**{**vars(info), field: off})  # info with one field changed
+        return type(info)(s, t, info.quotient, info.assoc, off(info.predicted_assoc))
 
     monkeypatch.setattr(koszul.tower, "power_quotient_dimension", wrong)
     assert run("tower", "s=2", "--spec", spec_arg(name), "--out", str(tmp_path)) == 1
@@ -257,10 +282,7 @@ def test_tower_checks_the_associated_graded(tmp_path, monkeypatch, capsys, name,
     assert witness["kind"] == "assoc-graded"
     inner = witness["witness"]
     assert (inner["stage"], inner["t"]) == (2, 0)
-    if field == "predicted_assoc_dim":
-        assert inner["predicted"] == inner["found"] + 1
-    else:
-        assert inner["predicted"] == [inner["found"][0] + 1, inner["found"][1]]
+    assert (inner["found"], inner["predicted"]) == (found, predicted)
     assert not (tmp_path / "tower_s2.csv").exists()
 
 
@@ -327,6 +349,37 @@ def test_e2_command_from_example_section(tmp_path, capsys):
 def test_e2_missing_parameters_is_usage_error(tmp_path, capsys):
     assert run("e2", "p=2", "--window", "0,8,2,2", "--out", str(tmp_path)) == 2
     assert "example" in capsys.readouterr().err
+
+
+def test_complete_with_a_wrong_stage_value_fails_with_a_witness(tmp_path, monkeypatch):
+    # F2[x1]/(x1^s) at t = 0 is F2 from stage 1 on, certified; a stage 6
+    # (stage_max) that reads dimension 2 there misses the certified limit
+    import koszul.adams
+
+    honest = koszul.adams.quotient_by_power
+
+    class OffAtZero:
+        def __init__(self, quotient):
+            self.quotient, self.relations = quotient, quotient.relations
+
+        def dim(self, t):
+            return self.quotient.dim(t) + (t == 0)
+
+        def contains_span(self, relations, t):
+            return self.quotient.contains_span(relations, t)
+
+    def wrong(ring, ideal, s):
+        q = honest(ring, ideal, s)
+        return OffAtZero(q) if s == 6 else q
+
+    monkeypatch.setattr(koszul.adams, "quotient_by_power", wrong)
+    assert run("complete", "--spec", spec_arg("principal_f2.spec"),
+               "--out", str(tmp_path)) == 1
+    witness = json.loads((tmp_path / "witness.json").read_text())
+    assert witness["kind"] == "completion-limit"
+    assert witness["witness"] == {"kind": "completion-limit", "t": 0, "stage": 1,
+                                  "values": [1, 1, 1, 1, 1, 2], "limit": 1}
+    assert not (tmp_path / "complete.csv").exists()
 
 
 def test_complete_command_padic(tmp_path):

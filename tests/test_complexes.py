@@ -425,11 +425,11 @@ def test_multiplication_maps_form_no_element_product(monkeypatch):
     # I^0..I^3, and each u_J once per (ideal, power): on a fresh ideal that is
     # one product per factor past the first; on a used one, none at all
     fresh = IdealSpec(ideals[f2].sequence)
-    tower._augmentation_checks(f2, fresh, 3, w, realized[0])
+    tower._augmentation_checks(f2, fresh, 3, realized[0])
     assert len(calls) == sum(len(J) - 1 for k in range(1, 4)
                              for J in power_multi_indices(3, k)) > 0
     calls.clear()
-    tower._augmentation_checks(f2, fresh, 3, w, realized[0])
+    tower._augmentation_checks(f2, fresh, 3, realized[0])
     quotient_by_power(f2, fresh, 3)
     for k in range(4):
         power_generators(fresh, k)

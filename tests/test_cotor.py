@@ -114,8 +114,7 @@ def test_d_squared_vanishes_with_three_primitives_over_f3():
     base = RingSpec(Coefficients.prime_field(3), (), w)
     h = HopfSpec(base, (("t1", 1), ("t2", 3), ("t3", 5)))
     assert verify_differential(cobar_complex(h, w)).ok
-    report = cotor_ranks(h, w)
-    assert report.differential.ok  # BigradedComplex raises on d.d != 0
+    cotor_ranks(h, w)  # the resolution's BigradedComplex raises on d.d != 0
 
 
 def test_coproduct_signs_on_a_two_index_letter():
@@ -335,7 +334,7 @@ def test_slices_match_the_whole_window(coefficients, generators, degrees, w):
     report = cotor_ranks(h, w)
     table, text = _whole_window(h, w)
     assert report.table == table
-    assert str(report.differential) == text
+    assert str(report).splitlines()[1] == text
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,13 +5,15 @@ src/koszul/ except the package's re-exporting __init__.py is parsed with
 ast, and an imported name counts as used when the module reads it somewhere:
 a Name in Load context.  A Store target of the same name (a local variable
 called `field`, say) does not count.  The package's __all__ names every
-public object it re-exports and no submodule.  Importing the command line
+public object it re-exports and no submodule, and none of them that takes a
+ring first takes a window too: a ring carries its own.  Importing the command line
 loads neither dataclasses nor fractions, nor what they import, and no
 argparse, gettext or locale: the command line is parsed without them.
 A `cotor` run over Z does not load fractions either: its resolution
 eliminates on integers.
 """
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -55,6 +57,35 @@ def test_all_lists_objects_not_submodules():
     modules = [name for name in koszul.__all__
                if isinstance(getattr(koszul, name), ModuleType)]
     assert not modules, "submodules in __all__: " + ", ".join(modules)
+
+
+def _parameters():
+    """Parameter names of each function in __all__ and of each method,
+    __init__ included, of the classes in it; self is dropped."""
+    for name in koszul.__all__:
+        obj = getattr(koszul, name)
+        if inspect.isfunction(obj):
+            yield name, list(inspect.signature(obj).parameters)
+        elif inspect.isclass(obj):
+            for attr, fn in vars(obj).items():
+                if inspect.isfunction(fn):
+                    yield f"{name}.{attr}", list(inspect.signature(fn).parameters)[1:]
+
+
+def test_what_takes_a_ring_takes_no_window():
+    # a ring-level computation runs on ring.window (RingSpec.neg_bound cuts
+    # Laurent exponents by it), so a second window could only disagree with
+    # it; homology_ranks reads its complex's.  FreeComplex.realize keeps its
+    # window: a cobar complex is realized on one that is not its base ring's
+    params = dict(_parameters())
+    on_a_ring = [name for name, names in params.items() if names[:1] == ["ring"]]
+    assert {"check_regular_sequence", "completion_tower", "QuotientModule.__init__"} <= set(
+        on_a_ring)
+    # a SpecFile records a parsed file's sections; its ring may be absent
+    offenders = [name for name in on_a_ring + ["homology_ranks"]
+                 if "window" in params[name] and name != "SpecFile.__init__"]
+    assert not offenders, "window parameters: " + ", ".join(offenders)
+    assert "window" in params["FreeComplex.realize"]
 
 
 # A fresh interpreter: pytest has loaded dataclasses and more by now.  The

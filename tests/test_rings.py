@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,9 @@ from koszul.rings import (
     quotient_by_power,
     relation_matrix,
 )
+from koszul.specfile import parse_spec
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 F2 = Coefficients.prime_field(2)
 F3 = Coefficients.prime_field(3)
@@ -264,7 +269,7 @@ def test_power_quotient_dimension_field():
     for s in (1, 2, 3):
         for t in range(0, 10, 2):
             info = power_quotient_dimension(r, i, s, t)
-            assert info.dim_quotient == (1 if t < 2 * s else 0)
+            assert info.quotient == (1 if t < 2 * s else 0)
             assert info.assoc_matches_prediction
 
 
@@ -273,13 +278,13 @@ def test_power_quotient_dimension_two_generators():
     r = _ring(F2, [("x1", 2), ("x2", 4)])
     i = IdealSpec((r.generator("x1"), r.generator("x2")))
     info = power_quotient_dimension(r, i, 1, 2)
-    assert info.assoc_dim == 1  # the class of x1
+    assert info.assoc == 1  # the class of x1
     assert info.assoc_matches_prediction
     info = power_quotient_dimension(r, i, 1, 4)
-    assert info.assoc_dim == 1  # the class of x2
+    assert info.assoc == 1  # the class of x2
     assert info.assoc_matches_prediction
     info = power_quotient_dimension(r, i, 2, 6)
-    assert info.assoc_dim == 1  # x1*x2
+    assert info.assoc == 1  # x1*x2
     assert info.assoc_matches_prediction
 
 
@@ -291,7 +296,7 @@ def test_power_quotient_dimension_exactness():
         for t in range(0, 13):
             a = power_quotient_dimension(r, i, s, t)
             b = power_quotient_dimension(r, i, s + 1, t)
-            assert b.dim_quotient == a.dim_quotient + a.assoc_dim
+            assert b.quotient == a.quotient + a.assoc
 
 
 def test_power_quotient_integer_invariants():
@@ -301,7 +306,7 @@ def test_power_quotient_integer_invariants():
     i = IdealSpec((r.constant(3),))
     for s in (1, 2, 3):
         info = power_quotient_dimension(r, i, s, 0)
-        assert info.invariants == (0, (3**s,))
+        assert info.quotient == (0, (3**s,))
         assert info.assoc_matches_prediction  # (3^s)/(3^{s+1}) = Z/3
 
 
@@ -311,10 +316,25 @@ def test_power_quotient_integer_mixed():
     r = RingSpec(Z, (("x1", 2),), w)
     i = IdealSpec((r.constant(2), r.generator("x1")))
     info = power_quotient_dimension(r, i, 1, 0)
-    assert info.invariants == (0, (2,))
+    assert info.quotient == (0, (2,))
     info = power_quotient_dimension(r, i, 1, 2)
-    assert info.invariants == (0, ())
+    assert info.quotient == (0, ())
     assert info.assoc_matches_prediction
+
+
+@pytest.mark.parametrize("name", ["integer_arithmetic.spec", "integer_padic.spec"])
+def test_integer_power_quotients_list_torsion_in_increasing_order(name):
+    # PowerQuotientInfo.assoc_matches_prediction is ==, and the tower
+    # compares H_0 with ==: both rely on one order for the torsion factors
+    spec = parse_spec((SPECS / name).read_text())
+    several = 0  # values with two distinct factors or more, where an order shows
+    for s in range(1, spec.window.stage_max + 1):
+        for t in spec.window.degrees():
+            info = power_quotient_dimension(spec.ring, spec.ideal, s, t)
+            for _, torsion in (info.quotient, info.assoc, info.predicted_assoc):
+                assert list(torsion) == sorted(torsion), (s, t)
+                several += len(set(torsion)) > 1
+    assert several or name == "integer_padic.spec"  # Z/3^s: one factor each
 
 
 def test_check_regular_sequence_passes():

@@ -10,6 +10,8 @@ import pytest
 
 from koszul.complexes import (
     BasisLabel,
+    HomologyBasis,
+    OracleMismatchError,
     homology_ranks,
     nonzero_table,
     verify_differential,
@@ -73,7 +75,6 @@ def test_tor_diagonal_small_cases():
     ring1 = ring_f(2, (2,), 8)
     rep1 = tor_diagonal(ring1, ideal_on(ring1, "x1"))
     assert rep1.table == {(0, 0): 1, (1, 2): 1}
-    assert rep1.differential_vanishes
 
     ring2 = ring_f(2, (2, 4), 10)
     rep2 = tor_diagonal(ring2, ideal_on(ring2, "x1", "x2"))
@@ -91,7 +92,7 @@ def test_window_cut_names_oversized_entries():
     ideal = ideal_on(ring, "x1", "x2")
     kept, cut = sequence_window_cut(ring, ideal)
     assert kept == [1] and cut == [2]
-    rep = tor_diagonal(ring, IdealSpec((ring.generator("x1"),)), window=ring.window)
+    rep = tor_diagonal(ring, IdealSpec((ring.generator("x1"),)))
     assert (1, 2) in rep.table
 
 
@@ -153,7 +154,6 @@ def test_tower_resolution_stages_two_generators():
     for s in (1, 2, 3):
         rep = build_tower_resolution(ring, ideal, s)
         assert rep.ok, str(rep)
-        assert rep.differential.ok
         assert not rep.higher_nonzero
 
 
@@ -265,7 +265,6 @@ def test_tor_against_power_one_generator():
     assert rep.table == {(0, 0): 1, (1, 4): 1}
     assert rep.free_over_base
     assert (0, 0, 1) in rep.free_generators and (1, 4, 1) in rep.free_generators
-    assert not rep.nonzero_products
     assert rep.products_checked >= 1
 
 
@@ -283,7 +282,34 @@ def test_tor_against_power_two_generators_frozen_table():
         (2, 10): 1,
     }
     assert rep.free_over_base
-    assert not rep.nonzero_products
+
+
+def test_tor_against_power_raises_when_the_second_pipeline_is_off_by_one(monkeypatch):
+    # pipeline (b) is R/I plus the cokernel of the last boundary; one rank
+    # less there is one class more than the brute force finds
+    import koszul.tower
+
+    honest = koszul.tower.rank_over_field
+    monkeypatch.setattr(koszul.tower, "rank_over_field",
+                        lambda m, c: max(honest(m, c) - 1, 0))
+    ring = ring_f(2, (2, 4), 12)
+    with pytest.raises(OracleMismatchError) as err:
+        tor_against_power(ring, ideal_on(ring, "x1", "x2"), 2)
+    witness = err.value.witness
+    assert witness["kind"] == "tor-power" and witness["stage"] == 2
+    assert witness["closed"] == witness["brute"] + 1
+
+
+def test_tor_against_power_raises_on_a_product_that_does_not_bound(monkeypatch):
+    # two of the five products of this table are nonzero chains that bound
+    monkeypatch.setattr(HomologyBasis, "is_boundary", lambda self, v: False)
+    ring = ring_f(2, (2, 4), 12)
+    with pytest.raises(OracleMismatchError) as err:
+        tor_against_power(ring, ideal_on(ring, "x1", "x2"), 2)
+    witness = err.value.witness
+    assert witness["kind"] == "nonzero-product" and witness["stage"] == 2
+    a, b = witness["factors"]
+    assert witness["target"] == [a[0] + b[0], a[1] + b[1]]
 
 
 def test_tor_against_power_stage_three():

@@ -22,12 +22,18 @@ The last line of standard output is one JSON list with an entry per
 workload in the layout of the ``BENCH_*.json`` files: per metric, the runs
 of each side with their median and quartiles (``statistics.quantiles``,
 n=4), the pairs in which the change read lower, the median ratio and the
-parent's interquartile range.
+parent's interquartile range.  Each metric also carries the bound that the
+parent's ``BENCHMARK.json`` sets on it, whether the change's median is
+within it (change <= parent * (1 + bound)), and whether it is unresolved:
+the parent's interquartile range over its median exceeds the bound.  Each
+entry records ``PYTHONDONTWRITEBYTECODE`` and ``PYTHONPYCACHEPREFIX`` as
+the runs inherit them, since writing bytecode or not moves peak RSS.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -37,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
+BYTECODE_ENV = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
 
 
 def export(rev: str, dest: Path) -> str:
@@ -67,18 +74,23 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(runs: dict[str, list[dict]]) -> dict:
+def compare(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
     """Per end-to-end metric (all lower-is-better): both sides' runs,
-    quartiles, the pairs the change won, the median ratio."""
+    quartiles, the pairs the change won, the median ratio, and the
+    metric's bound with the verdicts it gives."""
     out = {}
     for name in END_TO_END:
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         parent, change = summary(sides["parent"]), summary(sides["change"])
         lower = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
+        iqr, bound = parent["q3"] - parent["q1"], bounds.get(name)
         out[name] = {"parent": parent, "change": change,
                      "change_lower_in_pairs": f"{lower}/{len(sides['parent'])}",
                      "median_ratio": round(change["median"] / parent["median"], 4),
-                     "parent_iqr": parent["q3"] - parent["q1"]}
+                     "parent_iqr": iqr, "bound": bound,
+                     "within_bound": None if bound is None
+                     else change["median"] <= parent["median"] * (1 + bound),
+                     "unresolved": None if bound is None else iqr / parent["median"] > bound}
     return out
 
 
@@ -103,8 +115,10 @@ def main(argv: list[str] | None = None) -> int:
         return {side: export(revs[side], roots[side])
                 for side in (first, *(s for s in SIDES if s != first))}
     commits = export_both(SIDES[0])
-    workloads = args.workload or [w["name"] for w in json.loads(
-        (roots["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    declared = json.loads((roots["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    bounds = {m["name"]: m["bound"] for m in declared.get("end_to_end", []) if "bound" in m}
+    environment = {name: os.environ.get(name) for name in BYTECODE_ENV}
     report = []
     for workload in workloads:
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -126,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
                             for side in SIDES},
             "samples_per_run": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
             "first_in_pair": first, "exported_first_in_pair": made_first,
-            "metrics": compare(runs),
+            "environment": environment, "metrics": compare(runs, bounds),
         }
         if args.trace:
             traced = {side: bench(roots[side], workload, args.seed, args.seconds / 2, 1)
